@@ -9,8 +9,10 @@ written, so identical models produce identical bytes.
 
 from __future__ import annotations
 
+import array
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -89,56 +91,77 @@ def _expected_header(d: int) -> list[str]:
     return [f"f{j}" for j in range(d)] + ["label"]
 
 
+def _check_cells(path: Path, rownum: int, cells: Sequence[str]) -> None:
+    """Raise the error for the first faulty feature cell of a row, if any."""
+    for j, cell in enumerate(cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise NonNumericFeatureError(
+                f"{path}: row {rownum}, column f{j}: {cell!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise NonNumericFeatureError(
+                f"{path}: row {rownum}, column f{j}: non-finite value {cell!r}"
+            )
+
+
 def load_csv(path, class_names: Sequence[str] | None = None) -> FeatureDataset:
     """Parse a feature CSV; row numbers in errors are 1-based data rows.
 
     With class_names given, labels must come from that list (order
     defines the index mapping); otherwise names are collected in order
-    of first appearance.
+    of first appearance. The file is read in one pass, one row at a
+    time, and the first faulty row in file order raises.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh)]
-    if not rows:
-        raise EmptyFileError(f"{path}: no content")
-    header = rows[0]
-    if len(header) < 2 or header != _expected_header(len(header) - 1):
-        raise MissingHeaderError(
-            f"{path}: header must be f0,...,f{{d-1}},label, got {','.join(header)}"
-        )
-    d = len(header) - 1
     fixed_names = tuple(class_names) if class_names is not None else None
-    seen: list[str] = list(fixed_names) if fixed_names is not None else []
-    features = np.empty((len(rows) - 1, d))
+    index: dict[str, int] = {}
+    for i, name in enumerate(fixed_names or ()):
+        index.setdefault(name, i)
+    features = array.array("d")
     labels: list[Optional[int]] = []
-    for rownum, row in enumerate(rows[1:], start=1):
-        if len(row) != d + 1:
-            raise RaggedRowError(f"{path}: row {rownum} has {len(row)} cells, expected {d + 1}")
-        for j, cell in enumerate(row[:d]):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonNumericFeatureError(
-                    f"{path}: row {rownum}, column f{j}: {cell!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise NonNumericFeatureError(
-                    f"{path}: row {rownum}, column f{j}: non-finite value {cell!r}"
-                )
-            features[rownum - 1, j] = value
-        cell = row[d]
-        if cell == UNLABELED:
-            labels.append(None)
-        elif cell in seen:
-            labels.append(seen.index(cell))
-        elif fixed_names is None:
-            seen.append(cell)
-            labels.append(len(seen) - 1)
-        else:
-            raise UnknownLabelError(
-                f"{path}: row {rownum}: label {cell!r} not among {fixed_names}"
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyFileError(f"{path}: no content")
+        if len(header) < 2 or header != _expected_header(len(header) - 1):
+            raise MissingHeaderError(
+                f"{path}: header must be f0,...,f{{d-1}},label, got {','.join(header)}"
             )
-    return FeatureDataset(features=features, labels=labels, class_names=tuple(seen))
+        d = len(header) - 1
+        for rownum, row in enumerate(reader, start=1):
+            if len(row) != d + 1:
+                raise RaggedRowError(
+                    f"{path}: row {rownum} has {len(row)} cells, expected {d + 1}"
+                )
+            label = row.pop()
+            try:
+                values = list(map(float, row))
+            except ValueError:
+                values = None
+            # A finite sum means every value is finite; a non-finite one means
+            # a bad cell or finite values that overflow, which the walk tells apart.
+            if values is None or not math.isfinite(sum(values)):
+                _check_cells(path, rownum, row)
+            features.extend(values)
+            if label == UNLABELED:
+                labels.append(None)
+            elif label in index:
+                labels.append(index[label])
+            elif fixed_names is None:
+                index[label] = len(index)
+                labels.append(index[label])
+            else:
+                raise UnknownLabelError(
+                    f"{path}: row {rownum}: label {label!r} not among {fixed_names}"
+                )
+    return FeatureDataset(
+        features=np.frombuffer(features, dtype=float).reshape(-1, d),
+        labels=labels,
+        class_names=fixed_names if fixed_names is not None else tuple(index),
+    )
 
 
 def write_csv(dataset: FeatureDataset, path) -> None:

@@ -364,6 +364,14 @@ def _backward_arrays(
     )
 
 
+def _require_finite(grads: GradientVector) -> GradientVector:
+    """Return grads unchanged; raise if any block holds a non-finite value."""
+    for name, block in grads.blocks().items():
+        if not np.all(np.isfinite(block)):
+            raise NonFiniteGradientError(f"non-finite gradient in {name}")
+    return grads
+
+
 def total_loss(model: EvidentialModel, batch: Batch, cfg: TrainConfig) -> float:
     """The scalar objective a training step descends."""
     loss, _ = _loss_and_grads(model, batch, cfg, want_grads=False)
@@ -373,10 +381,7 @@ def total_loss(model: EvidentialModel, batch: Batch, cfg: TrainConfig) -> float:
 def gradients(model: EvidentialModel, batch: Batch, cfg: TrainConfig) -> GradientVector:
     """Analytic gradient of total_loss for every parameter block."""
     _, grads = _loss_and_grads(model, batch, cfg, want_grads=True)
-    for name, block in grads.blocks().items():
-        if not np.all(np.isfinite(block)):
-            raise NonFiniteGradientError(f"non-finite gradient in {name}")
-    return grads
+    return _require_finite(grads)
 
 
 def grad_check(
@@ -572,9 +577,7 @@ def train(
                 unlabeled.append((base, copies))
             batch = Batch(labeled=labeled, unlabeled=unlabeled)
             loss, grads = _loss_and_grads(current, batch, cfg, want_grads=True)
-            for name, block in grads.blocks().items():
-                if not np.all(np.isfinite(block)):
-                    raise NonFiniteGradientError(f"non-finite gradient in {name}")
+            _require_finite(grads)
             current, state = optimizer_step(current, grads, cfg, state)
             batch_losses.append(loss)
         train_loss = float(np.mean(batch_losses))

@@ -3,12 +3,23 @@
 Everything here enumerates full subset tables or all instance pairs, on
 purpose: these are slow, obviously-correct baselines that the library's
 optimized code is checked against. They share no code with the package
-beyond reading mass values through MassFunction.mass().
+beyond reading mass values through MassFunction.mass() and raising the
+package's error classes.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
+
+from evidnet.errors import (
+    EmptyFileError,
+    MissingHeaderError,
+    NonNumericFeatureError,
+    RaggedRowError,
+    UnknownLabelError,
+)
 
 
 def all_masks(k: int):
@@ -80,3 +91,53 @@ def pairwise_auc(scores, truth, positive=1) -> float:
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def reference_load_csv(path, class_names=None):
+    """Feature CSV parsed cell by cell after reading every row into memory.
+
+    Returns (features, labels, class_names) and raises the same errors,
+    with the same messages, as evidnet.load_csv.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh)]
+    if not rows:
+        raise EmptyFileError(f"{path}: no content")
+    header = rows[0]
+    d = len(header) - 1
+    if d < 1 or header != [f"f{j}" for j in range(d)] + ["label"]:
+        raise MissingHeaderError(
+            f"{path}: header must be f0,...,f{{d-1}},label, got {','.join(header)}"
+        )
+    fixed_names = tuple(class_names) if class_names is not None else None
+    seen = list(fixed_names) if fixed_names is not None else []
+    features = np.empty((len(rows) - 1, d))
+    labels = []
+    for rownum, row in enumerate(rows[1:], start=1):
+        if len(row) != d + 1:
+            raise RaggedRowError(f"{path}: row {rownum} has {len(row)} cells, expected {d + 1}")
+        for j, cell in enumerate(row[:d]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericFeatureError(
+                    f"{path}: row {rownum}, column f{j}: {cell!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise NonNumericFeatureError(
+                    f"{path}: row {rownum}, column f{j}: non-finite value {cell!r}"
+                )
+            features[rownum - 1, j] = value
+        cell = row[d]
+        if cell == "?":
+            labels.append(None)
+        elif cell in seen:
+            labels.append(seen.index(cell))
+        elif fixed_names is None:
+            seen.append(cell)
+            labels.append(len(seen) - 1)
+        else:
+            raise UnknownLabelError(
+                f"{path}: row {rownum}: label {cell!r} not among {fixed_names}"
+            )
+    return features, labels, tuple(seen)

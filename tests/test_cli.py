@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evidnet
 from evidnet import forward_batch, load_model, metrics_report, write_csv
 from evidnet.dataio import PREDICTIONS_HEADER
 
@@ -15,9 +18,15 @@ from helpers import blob_split
 EASY = [(0.0, 0.0), (4.0, 4.0)]
 
 
+# The child imports the same evidnet as the tests, installed or not.
+SRC_DIR = str(Path(evidnet.__file__).resolve().parent.parent)
+
+
 def run_cli(*args):
+    pythonpath = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "evidnet", *args],
+        env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
         text=True,
         timeout=120,

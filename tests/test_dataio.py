@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from evidnet import (
     CorruptFieldError,
@@ -27,6 +29,7 @@ from evidnet import (
 from evidnet.dataio import PREDICTIONS_HEADER
 
 from helpers import random_wide_model
+from oracles import reference_load_csv
 from test_model import tiny_model
 
 
@@ -133,6 +136,107 @@ def test_load_csv_row_errors_cite_one_based_rows(tmp_path):
     inf.write_text("f0,f1,label\ninf,1.0,a\n")
     with pytest.raises(NonNumericFeatureError):
         load_csv(inf)
+
+
+NAMES = ("a", "b", "c")
+NUMBER_CELLS = st.one_of(
+    st.sampled_from(
+        ["-0.0", "0", "42", "-7", "1e-300", "5e-324", "1.7e308", "-1.7e308",
+         " 1.5", "2.5 ", " -3 ", "+.5", "1_000", "1E5"]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10 ** 20), 10 ** 20).map(str),
+)
+NON_NUMERIC_CELLS = st.sampled_from(["abc", "", "1.0.0", "0x10", "--1", "1e"])
+NON_FINITE_CELLS = st.sampled_from(["nan", "inf", "-inf", "NaN", " Infinity", "1e999"])
+FUZZ_SETTINGS = settings(
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def feature_files(draw, min_rows=0):
+    """(d, rows, class_names) of a valid feature file; rows end in the label."""
+    d = draw(st.integers(1, 4))
+    row = st.tuples(
+        st.lists(NUMBER_CELLS, min_size=d, max_size=d), st.sampled_from(NAMES + ("?",))
+    )
+    rows = draw(st.lists(row, min_size=min_rows, max_size=8))
+    names = draw(
+        st.none()
+        | st.permutations(NAMES)
+        | st.permutations(NAMES + ("d",))
+        | st.permutations(NAMES + ("a",))
+    )
+    return d, [cells + [label] for cells, label in rows], names
+
+
+@st.composite
+def faulty_feature_files(draw):
+    """A feature file with faults injected into one or more distinct rows.
+
+    A faulty row is either ragged, or has one or more bad feature cells
+    and/or an unknown label; an unknown label forces fixed class names.
+    """
+    d, rows, names = draw(feature_files(min_rows=1))
+    targets = draw(
+        st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3, unique=True)
+    )
+    for i in targets:
+        row = rows[i]
+        if draw(st.booleans()):
+            if draw(st.booleans()):
+                del row[draw(st.integers(0, d))]
+            else:
+                row.insert(draw(st.integers(0, d)), draw(NUMBER_CELLS))
+            continue
+        kinds = st.sampled_from(["non_numeric", "non_finite", "label"])
+        faults = draw(st.lists(kinds, min_size=1, max_size=3))
+        for fault in faults:
+            if fault == "label":
+                row[d] = "zzz"
+                names = names or NAMES
+            else:
+                cells = NON_NUMERIC_CELLS if fault == "non_numeric" else NON_FINITE_CELLS
+                row[draw(st.integers(0, d - 1))] = draw(cells)
+    return d, rows, names
+
+
+def _write_feature_file(path, d, rows):
+    lines = [[f"f{j}" for j in range(d)] + ["label"]] + rows
+    path.write_text("".join(",".join(cells) + "\n" for cells in lines))
+
+
+@FUZZ_SETTINGS
+@given(feature_files())
+@example((2, [["1.7e308", "1.7e308", "a"], ["-1.7e308", "-1.7e308", "?"]], None))
+def test_load_csv_matches_reference_on_valid_files(tmp_path, file):
+    d, rows, names = file
+    p = tmp_path / "fuzz.csv"
+    _write_feature_file(p, d, rows)
+    features, labels, class_names = reference_load_csv(p, class_names=names)
+    ds = load_csv(p, class_names=names)
+    assert ds.features.shape == features.shape
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels == labels
+    assert ds.class_names == class_names
+
+
+@FUZZ_SETTINGS
+@given(faulty_feature_files())
+@example((2, [["1.7e308", "1.7e308", "a"], ["1.0", "nan", "zzz"]], NAMES))
+def test_load_csv_matches_reference_on_faulty_files(tmp_path, file):
+    d, rows, names = file
+    p = tmp_path / "fuzz.csv"
+    _write_feature_file(p, d, rows)
+    with pytest.raises(Exception) as expected:
+        reference_load_csv(p, class_names=names)
+    with pytest.raises(expected.type) as got:
+        load_csv(p, class_names=names)
+    assert got.type is expected.type
+    assert str(got.value) == str(expected.value)
 
 
 def test_csv_round_trip_is_exact(tmp_path):
