@@ -68,15 +68,11 @@ from .model import (
     EvidentialModel,
     ModelConfig,
     OutputMass,
-    Prototype,
     decide,
     forward,
     forward_batch,
-    fuse_prototype_masses,
     init_model,
     kmeans_init,
-    linear_forward,
-    prototype_activation,
 )
 from .training import (
     Batch,
@@ -85,14 +81,10 @@ from .training import (
     OptimizerState,
     TrainConfig,
     TrainHistory,
-    cost_mse_pl,
     grad_check,
     gradients,
     init_optimizer,
-    loss_consistency,
-    loss_supervised_ce,
     optimizer_step,
-    perturb,
     total_loss,
     train,
 )

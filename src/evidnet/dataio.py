@@ -226,6 +226,10 @@ def save_model(model: EvidentialModel, path, training_meta: dict | None = None) 
 
 
 def _require(doc: dict, key: str):
+    if not isinstance(doc, dict):
+        raise CorruptFieldError(
+            f"expected an object holding {key!r}, got {type(doc).__name__}"
+        )
     if key not in doc:
         raise CorruptFieldError(f"missing field {key!r}")
     return doc[key]
@@ -257,7 +261,9 @@ def load_model(path) -> EvidentialModel:
     except (TypeError, ValueError) as exc:
         raise CorruptFieldError(f"{path}: bad config: {exc}") from exc
     protos = _require(doc, "prototypes")
-    if not isinstance(protos, list) or len(protos) != config.r:
+    if not isinstance(protos, list):
+        raise CorruptFieldError(f"{path}: prototypes must be a list")
+    if len(protos) != config.r:
         raise DimensionMismatchError(
             f"{path}: expected {config.r} prototypes, found {len(protos)}"
         )
@@ -277,10 +283,13 @@ def load_model(path) -> EvidentialModel:
         raise DimensionMismatchError(
             f"{path}: prototype centers have shape {centers.shape}, expected (r, {config.h})"
         )
+    class_names = _require(doc, "class_names")
+    if not isinstance(class_names, list):
+        raise CorruptFieldError(f"{path}: class_names must be a list")
     try:
         return EvidentialModel(
             config=config,
-            class_names=tuple(str(nm) for nm in _require(doc, "class_names")),
+            class_names=tuple(str(nm) for nm in class_names),
             w=w,
             b=b,
             centers=centers,

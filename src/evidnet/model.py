@@ -24,7 +24,6 @@ import numpy as np
 from .belief import MAX_FRAME_SIZE, Frame, MassFunction
 from .errors import (
     DimensionMismatchError,
-    EmptyListError,
     NonFiniteInputError,
     TooFewPointsError,
     TotalConflictError,
@@ -39,17 +38,14 @@ KMEANS_MAX_ITER = 100
 PARAM_FIELDS = ("w", "b", "centers", "beta", "xi", "eta")
 
 
-def _sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x1 = np.atleast_1d(x)
-    out = np.empty_like(x1)
-    pos = x1 >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x1[pos]))
-    ex = np.exp(x1[~pos])
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function, elementwise over an array."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out.reshape(x.shape)
+    return out
 
 
 def _exclusive_prod(a: np.ndarray, axis: int) -> np.ndarray:
@@ -89,51 +85,12 @@ class ModelConfig:
 
 
 @dataclass
-class Prototype:
-    """One evidence source: a center plus its unconstrained parameters.
-
-    beta parameterizes class memberships (u_k = beta_k^2 / sum beta^2),
-    xi the reliability (alpha = sigmoid(xi)), eta the distance scale
-    (gamma = eta^2).
-    """
-
-    center: np.ndarray
-    beta: np.ndarray
-    xi: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        self.center = np.asarray(self.center, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
-        if self.center.ndim != 1 or self.beta.ndim != 1:
-            raise DimensionMismatchError("prototype center and beta must be vectors")
-        # check the squares: tiny entries can underflow to 0 when squared,
-        # which would make the membership normalizer vanish
-        if float(np.sum(self.beta**2)) == 0.0:
-            raise ZeroBetaError("beta squares sum to zero, memberships undefined")
-
-    @property
-    def alpha(self) -> float:
-        return _sigmoid(float(self.xi))
-
-    @property
-    def gamma(self) -> float:
-        return float(self.eta) ** 2
-
-    @property
-    def membership(self) -> np.ndarray:
-        """Class membership vector u: non-negative, sums to 1."""
-        sq = self.beta**2
-        return sq / sq.sum()
-
-
-@dataclass
 class EvidentialModel:
     """Full parameter set: affine reduction plus r stacked prototypes.
 
     Prototype parameters are stored as stacked arrays (centers (r,h),
     beta (r,k), xi (r,), eta (r,)) so training touches contiguous
-    blocks; the `prototypes` property materializes per-prototype views.
+    blocks.
     """
 
     config: ModelConfig
@@ -175,18 +132,6 @@ class EvidentialModel:
     @property
     def frame(self) -> Frame:
         return Frame(self.class_names)
-
-    @property
-    def prototypes(self) -> list[Prototype]:
-        return [
-            Prototype(
-                center=self.centers[i].copy(),
-                beta=self.beta[i].copy(),
-                xi=float(self.xi[i]),
-                eta=float(self.eta[i]),
-            )
-            for i in range(self.config.r)
-        ]
 
     def params(self) -> dict[str, np.ndarray]:
         """Trainable blocks in a fixed, documented order."""
@@ -232,18 +177,6 @@ def _as_feature_matrix(x, d_in: int) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise NonFiniteInputError("non-finite feature values")
     return X
-
-
-def linear_forward(model: EvidentialModel, x) -> np.ndarray:
-    """Affine reduction z = Wx + b for a single d_in vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.config.d_in:
-        raise DimensionMismatchError(
-            f"input has shape {x.shape}, expected ({model.config.d_in},)"
-        )
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInputError("non-finite feature values")
-    return model.w @ x + model.b
 
 
 def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
@@ -321,67 +254,6 @@ def forward(model: EvidentialModel, x) -> OutputMass:
 def decide(out: OutputMass) -> int:
     """Class of maximum plausibility; ties go to the lowest index."""
     return int(np.argmax(out.pl))
-
-
-def prototype_activation(z, p: Prototype, frame: Frame | None = None):
-    """Evidence of one prototype at reduced point z.
-
-    Returns (s, mass): the activation s = alpha * exp(-gamma * d^2) and
-    the induced mass function with m({class k}) = u_k * s and ignorance
-    m(frame) = 1 - s. A frame may be supplied; otherwise a generic one
-    matching beta's length is built.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != p.center.shape:
-        raise DimensionMismatchError(
-            f"z has shape {z.shape}, prototype center {p.center.shape}"
-        )
-    if frame is None:
-        frame = Frame(tuple(f"class{j}" for j in range(p.beta.shape[0])))
-    if frame.k != p.beta.shape[0]:
-        raise DimensionMismatchError(
-            f"frame size {frame.k} vs beta length {p.beta.shape[0]}"
-        )
-    d2 = float(np.sum((z - p.center) ** 2))
-    s = p.alpha * np.exp(-p.gamma * d2)
-    u = p.membership
-    masses = {frame.singleton(j): float(u[j] * s) for j in range(frame.k)}
-    masses[frame.full_mask] = float(1.0 - s)
-    return float(s), MassFunction(frame, masses)
-
-
-def fuse_prototype_masses(
-    masses: Sequence[MassFunction],
-    activations: Sequence[float],
-    memberships: Sequence[np.ndarray],
-) -> MassFunction:
-    """Dempster-fuse singleton-plus-ignorance masses in closed form.
-
-    Equals the pairwise Dempster fold over `masses`; computed from the
-    (s_i, u_i) pairs instead, which keeps it O(r*K): the unnormalized
-    fused singleton mass is prod_i(u_ik s_i + 1 - s_i) - prod_i(1 - s_i)
-    and the ignorance mass is prod_i(1 - s_i).
-    """
-    if len(masses) == 0:
-        raise EmptyListError("need at least one prototype mass")
-    if not len(masses) == len(activations) == len(memberships):
-        raise DimensionMismatchError("masses, activations, memberships differ in length")
-    frame = masses[0].frame
-    k = frame.k
-    s = np.asarray(activations, dtype=float)
-    u = np.asarray(memberships, dtype=float)
-    if u.shape != (len(masses), k):
-        raise DimensionMismatchError(f"memberships have shape {u.shape}")
-    one_minus_s = 1.0 - s
-    cf = u * s[:, None] + one_minus_s[:, None]
-    a = cf.prod(axis=0)
-    b_prod = float(one_minus_s.prod())
-    n_norm = float(a.sum()) - (k - 1) * b_prod
-    if n_norm <= TOTAL_CONFLICT_FLOOR:
-        raise TotalConflictError("fused normalizer vanished; sources fully conflict")
-    out = {frame.singleton(j): float((a[j] - b_prod) / n_norm) for j in range(k)}
-    out[frame.full_mask] = b_prod / n_norm
-    return MassFunction(frame, out)
 
 
 def kmeans_init(features, r: int, seed: int) -> np.ndarray:

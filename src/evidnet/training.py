@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .errors import (
     EmptyBatchError,
     EmptyListError,
     EmptyValidationError,
-    FrameMismatchError,
-    LengthMismatchError,
     NoLabeledDataError,
     NonFiniteGradientError,
     ShapeMismatchError,
@@ -40,11 +38,9 @@ from .errors import (
 from .model import (
     PARAM_FIELDS,
     EvidentialModel,
-    OutputMass,
     _as_feature_matrix,
     _exclusive_prod,
     _forward_arrays,
-    _sigmoid,
     forward_batch,
 )
 
@@ -159,73 +155,14 @@ class OptimizerState:
 
 
 # ---------------------------------------------------------------------------
-# losses on OutputMass values (per-instance forms)
-
-
-def loss_supervised_ce(out: OutputMass, y: int, log_eps: float = 1e-12) -> float:
-    """Cross-entropy on the unnormalized singleton masses, binary.
-
-    y = 1 penalizes -log m({class 0}), y = 0 penalizes -log m({class 1});
-    masses are floored at log_eps, so the value is finite and >= 0.
-    """
-    if y not in (0, 1):
-        raise ValueError(f"y must be 0 or 1, got {y!r}")
-    if out.frame.k != 2:
-        raise ValueError("cross-entropy loss is defined for two classes")
-    m = out.singleton_masses
-    picked = m[0] if y == 1 else m[1]
-    return float(-np.log(max(float(picked), log_eps)))
-
-
-def loss_consistency(out: OutputMass, outs_t: Sequence[OutputMass]) -> float:
-    """Sum over perturbed copies of squared singleton-mass differences."""
-    if len(outs_t) == 0:
-        raise EmptyListError("need at least one perturbed output")
-    base = out.singleton_masses
-    total = 0.0
-    for other in outs_t:
-        if other.frame != out.frame:
-            raise FrameMismatchError("perturbed output on a different frame")
-        d = base - other.singleton_masses
-        total += float((d * d).sum())
-    return total
-
-
-def cost_mse_pl(
-    outs: Sequence[OutputMass],
-    labels: Sequence,
-    lam: float,
-    model: EvidentialModel,
-) -> float:
-    """Summed squared plausibility error plus reliability regularization.
-
-    labels are one-hot target vectors; the regularizer is
-    lam * sum_i alpha_i over the model's prototypes.
-    """
-    if len(outs) != len(labels):
-        raise LengthMismatchError(f"{len(outs)} outputs vs {len(labels)} labels")
-    if len(outs) == 0:
-        raise EmptyListError("need at least one instance")
-    total = 0.0
-    for out, target in zip(outs, labels):
-        target = np.asarray(target, dtype=float)
-        if target.shape != out.pl.shape:
-            raise DimensionMismatchError(
-                f"target shape {target.shape} vs pl shape {out.pl.shape}"
-            )
-        resid = out.pl - target
-        total += float((resid * resid).sum())
-    alpha = _sigmoid(model.xi)
-    return total + lam * float(alpha.sum())
-
-
-# ---------------------------------------------------------------------------
 # batched objective and analytic gradients
 
 
-def _stack_batch(model: EvidentialModel, batch: Batch):
-    """Flatten a batch into one matrix: labeled, then unlabeled bases,
-    then all perturbed copies in (instance, copy) order."""
+def _stack_batch(batch: Batch):
+    """Flatten a batch into the arrays _loss_and_grads takes: one matrix of
+    labeled rows, then unlabeled bases, then all perturbed copies in
+    (instance, copy) order; the labeled rows' class indices; and the
+    unlabeled count."""
     n_lab = len(batch.labeled)
     n_unl = len(batch.unlabeled)
     if n_lab == 0 and n_unl == 0:
@@ -235,7 +172,7 @@ def _stack_batch(model: EvidentialModel, batch: Batch):
     for i, (x, yi) in enumerate(batch.labeled):
         if yi not in (0, 1):
             raise ValueError(f"labeled y must be 0 or 1, got {yi!r}")
-        y[i] = int(yi)
+        y[i] = 1 - int(yi)  # y = 1 means the first class, index 0
         rows.append(np.atleast_1d(np.asarray(x, dtype=float)))
     t_per = 0
     for x, copies in batch.unlabeled:
@@ -253,39 +190,46 @@ def _stack_batch(model: EvidentialModel, batch: Batch):
         stacked = np.vstack(rows)
     except ValueError as exc:
         raise DimensionMismatchError(f"batch rows disagree in dimension: {exc}") from exc
-    x_all = _as_feature_matrix(stacked, model.config.d_in)
-    return x_all, y, n_lab, n_unl, t_per
+    return stacked, y, n_unl
 
 
 def _loss_and_grads(
-    model: EvidentialModel, batch: Batch, cfg: TrainConfig, want_grads: bool
+    model: EvidentialModel,
+    x,
+    y: np.ndarray,
+    n_unl: int,
+    cfg: TrainConfig,
+    want_grads: bool,
 ):
+    """Objective, and its gradient when wanted, over one stacked batch.
+
+    x holds the len(y) labeled rows, then n_unl unlabeled rows, then the
+    unlabeled rows' perturbed copies in (instance, copy) order; y holds
+    the labeled rows' class indices.
+    """
     if model.config.k != 2:
         raise ValueError("training is defined for binary models")
-    x_all, y, n_lab, n_unl, t_per = _stack_batch(model, batch)
+    x_all = _as_feature_matrix(x, model.config.d_in)
     cache = _forward_arrays(model, x_all)
     m = cache["m"]
     pl = cache["pl"]
-    n_rows = x_all.shape[0]
-    gm = np.zeros((n_rows, 2))
-    gmo = np.zeros(n_rows)
+    n_lab = y.shape[0]
+    labeled = np.arange(n_lab), y  # (row, class) cell of each target
+    gm = np.zeros((x_all.shape[0], 2))
+    gmo = np.zeros(x_all.shape[0])
 
     sup = 0.0
     if n_lab:
-        m_lab = m[:n_lab]
         if cfg.loss_mode == "evidential_ce":
-            picked = np.where(y == 1, m_lab[:, 0], m_lab[:, 1])
+            picked = m[labeled]
             sup = float(-np.log(np.maximum(picked, cfg.log_eps)).mean())
             if want_grads:
                 live = picked > cfg.log_eps  # clamped masses get no pull
                 coef = np.where(live, -1.0 / np.maximum(picked, cfg.log_eps), 0.0)
-                coef /= n_lab
-                gm[:n_lab, 0] = np.where(y == 1, coef, 0.0)
-                gm[:n_lab, 1] = np.where(y == 0, coef, 0.0)
+                gm[labeled] = coef / n_lab
         else:
             target = np.zeros((n_lab, 2))
-            target[y == 1, 0] = 1.0
-            target[y == 0, 1] = 1.0
+            target[labeled] = 1.0
             resid = pl[:n_lab] - target
             sup = float((resid * resid).sum(axis=1).mean())
             if want_grads:
@@ -296,13 +240,13 @@ def _loss_and_grads(
     cons = 0.0
     if n_unl:
         base = m[n_lab : n_lab + n_unl]
-        pert = m[n_lab + n_unl :].reshape(n_unl, t_per, 2)
+        pert = m[n_lab + n_unl :].reshape(n_unl, -1, 2)
         dif = base[:, None, :] - pert
         cons = float((dif * dif).sum(axis=(1, 2)).mean())
         if want_grads and cfg.consistency_weight:
             coef = 2.0 * cfg.consistency_weight / n_unl
             gm[n_lab : n_lab + n_unl] += coef * dif.sum(axis=1)
-            gm[n_lab + n_unl :] += (-coef * dif).reshape(n_unl * t_per, 2)
+            gm[n_lab + n_unl :] += (-coef * dif).reshape(-1, 2)
 
     alpha = cache["alpha"]
     loss = sup + cfg.consistency_weight * cons + cfg.lam * float(alpha.sum())
@@ -374,13 +318,13 @@ def _require_finite(grads: GradientVector) -> GradientVector:
 
 def total_loss(model: EvidentialModel, batch: Batch, cfg: TrainConfig) -> float:
     """The scalar objective a training step descends."""
-    loss, _ = _loss_and_grads(model, batch, cfg, want_grads=False)
+    loss, _ = _loss_and_grads(model, *_stack_batch(batch), cfg, want_grads=False)
     return loss
 
 
 def gradients(model: EvidentialModel, batch: Batch, cfg: TrainConfig) -> GradientVector:
     """Analytic gradient of total_loss for every parameter block."""
-    _, grads = _loss_and_grads(model, batch, cfg, want_grads=True)
+    _, grads = _loss_and_grads(model, *_stack_batch(batch), cfg, want_grads=True)
     return _require_finite(grads)
 
 
@@ -414,17 +358,6 @@ def grad_check(
             rel = err / max(1e-8, abs(float(ana_flat[j])) + abs(numeric))
             worst = max(worst, rel)
     return worst
-
-
-def perturb(x, sigma: float, t: int, seed: int) -> list[np.ndarray]:
-    """t noisy copies of x (i.i.d. Gaussian, std sigma per coordinate)."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(seed)
-    return [x + sigma * rng.standard_normal(x.shape) for _ in range(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +419,6 @@ def optimizer_step(
 
 
 def _validation_accuracy(model: EvidentialModel, val_set: FeatureDataset) -> float:
-    if val_set.n == 0:
-        raise EmptyValidationError("validation set is empty")
     truth = np.asarray(val_set.labels, dtype=int)
     _, _, pl = forward_batch(model, val_set.features)
     preds = pl.argmax(axis=1)
@@ -531,16 +462,16 @@ def train(
             raise EmptyValidationError("validation set must be fully labeled")
 
     x_lab = feats[labeled_idx]
-    y_ind = np.asarray([1 if labels[i] == 0 else 0 for i in labeled_idx], dtype=int)
+    y_lab = np.asarray([labels[i] for i in labeled_idx], dtype=int)
+    if y_lab.max() >= model.config.k:
+        raise ValueError(
+            f"label index {y_lab.max()} outside the model's {model.config.k} classes"
+        )
     x_unl = feats[unlabeled_idx]
     n_lab, n_unl = x_lab.shape[0], x_unl.shape[0]
     d = feats.shape[1]
 
-    n_batches = max(
-        math.ceil(n_lab / cfg.batch_size),
-        math.ceil(n_unl / cfg.batch_size) if n_unl else 0,
-        1,
-    )
+    n_batches = max(math.ceil(n_lab / cfg.batch_size), math.ceil(n_unl / cfg.batch_size))
 
     rng = np.random.default_rng(cfg.seed)
     current = model.copy()
@@ -554,29 +485,18 @@ def train(
 
     for epoch in range(1, cfg.max_epochs + 1):
         perm_lab = rng.permutation(n_lab)
-        perm_unl = rng.permutation(n_unl) if n_unl else np.empty(0, dtype=int)
-        noise = (
-            rng.standard_normal((n_unl, cfg.t_perturb, d)) if n_unl else None
-        )
-        chunks_lab = np.array_split(perm_lab, n_batches)
-        chunks_unl = (
-            np.array_split(perm_unl, n_batches)
-            if n_unl
-            else [np.empty(0, dtype=int)] * n_batches
-        )
+        perm_unl = rng.permutation(n_unl)
+        noise = rng.standard_normal((n_unl, cfg.t_perturb, d))
         batch_losses = []
-        for chunk_l, chunk_u in zip(chunks_lab, chunks_unl):
-            labeled = [(x_lab[i], int(y_ind[i])) for i in chunk_l]
-            unlabeled = []
-            for j in chunk_u:
-                base = x_unl[j]
-                copies = [
-                    base + cfg.noise_sigma * noise[j, t]
-                    for t in range(cfg.t_perturb)
-                ]
-                unlabeled.append((base, copies))
-            batch = Batch(labeled=labeled, unlabeled=unlabeled)
-            loss, grads = _loss_and_grads(current, batch, cfg, want_grads=True)
+        for chunk_l, chunk_u in zip(
+            np.array_split(perm_lab, n_batches), np.array_split(perm_unl, n_batches)
+        ):
+            base = x_unl[chunk_u]
+            copies = base[:, None] + cfg.noise_sigma * noise[chunk_u]
+            x = np.concatenate([x_lab[chunk_l], base, copies.reshape(-1, d)])
+            loss, grads = _loss_and_grads(
+                current, x, y_lab[chunk_l], len(chunk_u), cfg, want_grads=True
+            )
             _require_finite(grads)
             current, state = optimizer_step(current, grads, cfg, state)
             batch_losses.append(loss)

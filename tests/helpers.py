@@ -155,15 +155,30 @@ def random_mass(rng, frame, omega_floor: float = 0.05):
     return mass_new(frame, pairs)
 
 
-def random_prototype_masses(rng, frame, r: int):
-    """Random singleton + ignorance masses shaped like prototype output."""
-    k = frame.k
-    s = rng.uniform(0.0, 0.995, size=r)
-    u = rng.uniform(0.05, 1.0, size=(r, k))
-    u = u / u.sum(axis=1, keepdims=True)
-    masses = []
-    for i in range(r):
-        assignments = {frame.singleton(j): float(u[i, j] * s[i]) for j in range(k)}
-        assignments[frame.full_mask] = float(1.0 - s[i])
-        masses.append(mass_new(frame, assignments))
-    return masses, s, u
+def random_prototype_model(rng, k: int, r: int):
+    """Random k-class model with r prototypes, plus an input at which the
+    prototypes' activations are uniform on [0, 0.995] and each membership
+    vector is uniform on [0.05, 1] per class before normalizing.
+
+    The distance scale eta is solved from the drawn activation, so the
+    reduction, the distances and the reliabilities all take part.
+    """
+    d_in, h = (int(v) for v in rng.integers(1, 5, size=2))
+    x = rng.uniform(-1.0, 1.0, d_in)
+    w = rng.uniform(-1.0, 1.0, (h, d_in))
+    b = rng.uniform(-1.0, 1.0, h)
+    centers = rng.uniform(-1.0, 1.0, (r, h))
+    s = rng.uniform(0.0, 0.995, r)
+    alpha = rng.uniform(s, 0.995)
+    d2 = ((w @ x + b - centers) ** 2).sum(axis=1)
+    model = EvidentialModel(
+        config=ModelConfig(d_in=d_in, r=r, h=h, k=k),
+        class_names=tuple(f"c{j}" for j in range(k)),
+        w=w,
+        b=b,
+        centers=centers,
+        beta=np.sqrt(rng.uniform(0.05, 1.0, (r, k))),
+        xi=np.log(alpha / (1.0 - alpha)),
+        eta=np.sqrt(np.log(alpha / s) / d2),
+    )
+    return model, x

@@ -1,18 +1,22 @@
 """Independent brute-force reference implementations used by the tests.
 
-Everything here enumerates full subset tables or all instance pairs, on
-purpose: these are slow, obviously-correct baselines that the library's
+Everything here enumerates full subset tables, all instance pairs, or
+one prototype and one row at a time in scalar arithmetic, on purpose:
+these are slow, obviously-correct baselines that the library's
 optimized code is checked against. They share no code with the package
-beyond reading mass values through MassFunction.mass() and raising the
-package's error classes.
+beyond building and reading mass values through mass_new(),
+combine_all() (itself checked against brute_combine) and
+MassFunction.mass(), and raising the package's error classes.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
+from evidnet.belief import combine_all, mass_new
 from evidnet.errors import (
     EmptyFileError,
     MissingHeaderError,
@@ -76,6 +80,55 @@ def brute_combine3(m1, m2, m3) -> dict[int, float]:
     kappa = acc.pop(0)
     scale = 1.0 / (1.0 - kappa)
     return {mask: v * scale for mask, v in acc.items()}
+
+
+def sigmoid(x: float) -> float:
+    return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+
+
+def prototype_masses(model, x) -> list:
+    """One mass function per prototype at input x, from scalar arithmetic
+    on the model's parameters: m({class k}) = u_k s and m(frame) = 1 - s,
+    with s = sigmoid(xi) exp(-eta^2 ||Wx + b - center||^2) and
+    u_k = beta_k^2 / sum_l beta_l^2."""
+    frame = model.frame
+    z = [sum(wj * xj for wj, xj in zip(row, x)) + bj for row, bj in zip(model.w, model.b)]
+    masses = []
+    for center, beta, xi, eta in zip(model.centers, model.beta, model.xi, model.eta):
+        d2 = sum((zj - cj) ** 2 for zj, cj in zip(z, center))
+        s = sigmoid(xi) * math.exp(-(eta**2) * d2)
+        sq = [bk * bk for bk in beta]
+        table = {frame.singleton(k): sq[k] / sum(sq) * s for k in range(frame.k)}
+        table[frame.full_mask] = 1.0 - s
+        masses.append(mass_new(frame, table))
+    return masses
+
+
+def fused_mass(model, x):
+    """Pairwise Dempster fold of prototype_masses."""
+    return combine_all(prototype_masses(model, x))
+
+
+def fused_output(model, x):
+    """(singleton masses, pl) of fused_mass, as lists in class order."""
+    fused = fused_mass(model, x)
+    m = [fused.mass(fused.frame.singleton(k)) for k in range(fused.frame.k)]
+    return m, [mk + fused.mass(fused.frame.full_mask) for mk in m]
+
+
+def ce_row(m, cls: int, log_eps: float) -> float:
+    """Evidential cross-entropy of one row: -log of its class's mass, floored."""
+    return -math.log(max(m[cls], log_eps))
+
+
+def mse_row(pl, cls: int) -> float:
+    """Squared plausibility error of one row against the one-hot target."""
+    return sum((p - (1.0 if k == cls else 0.0)) ** 2 for k, p in enumerate(pl))
+
+
+def consistency_row(m, copies) -> float:
+    """Summed squared singleton-mass differences to each perturbed copy."""
+    return sum((a - b) ** 2 for mc in copies for a, b in zip(m, mc))
 
 
 def pairwise_auc(scores, truth, positive=1) -> float:

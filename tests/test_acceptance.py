@@ -22,7 +22,6 @@ from evidnet import (
     dempster_combine,
     forward,
     forward_batch,
-    fuse_prototype_masses,
     grad_check,
     load_model,
     mass_new,
@@ -38,7 +37,7 @@ from helpers import (
     ce_check_pair,
     mse_check_pair,
     random_mass,
-    random_prototype_masses,
+    random_prototype_model,
     random_wide_model,
     train_on_blobs,
 )
@@ -73,23 +72,21 @@ def test_criterion_01_dempster_matches_bruteforce():
 
 
 def test_criterion_02_fusion_equals_dempster_fold():
-    """1000 random prototype mass sets (r <= 6): closed form vs pairwise rule."""
+    """1000 random models (r <= 6): forward vs the pairwise rule over
+    per-prototype masses built independently from the parameters."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(43)
     worst = 0.0
     for trial in range(1000):
-        k = 2 + trial % 2
-        r = 1 + trial % 6
-        frame = Frame(tuple(f"c{i}" for i in range(k)))
-        masses, s, u = random_prototype_masses(rng, frame, r)
-        fused = fuse_prototype_masses(masses, s, u)
-        folded = combine_all(masses)
-        for mask in range(frame.full_mask + 1):
+        model, x = random_prototype_model(rng, 2 + trial % 2, 1 + trial % 6)
+        fused = forward(model, x).mass
+        folded = combine_all(oracles.prototype_masses(model, x))
+        for mask in range(model.frame.full_mask + 1):
             worst = max(worst, abs(fused.mass(mask) - folded.mass(mask)))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10
     assert elapsed < 5.0
-    _report(2, f"1000 sets, worst abs err {worst:.2e}, {elapsed:.2f}s")
+    _report(2, f"1000 models, worst abs err {worst:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_03_combination_worked_example():

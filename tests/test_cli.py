@@ -20,17 +20,22 @@ EASY = [(0.0, 0.0), (4.0, 4.0)]
 
 # The child imports the same evidnet as the tests, installed or not.
 SRC_DIR = str(Path(evidnet.__file__).resolve().parent.parent)
+SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_cli(*args):
+def run_python(*args):
     pythonpath = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "evidnet", *args],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "evidnet", *args)
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +263,14 @@ def test_roc_single_class_is_runtime_error(workdir, tmp_path):
                   "--out", str(tmp_path / "r.csv"))
     assert res.returncode == 1
     assert res.stderr.startswith("error:")
+
+
+def test_scripts_run_at_tiny_sizes(tmp_path):
+    sizes = ("--n-train", "20", "--n-val", "10", "--n-test", "10")
+    res = run_python(str(SCRIPTS_DIR / "make_blobs.py"), "--out-dir", str(tmp_path), *sizes)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("wrote 80 rows")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["test.csv", "train.csv", "val.csv"]
+    res = run_python(str(SCRIPTS_DIR / "semisup_compare.py"), "--seeds", "1", *sizes)
+    assert res.returncode == 0, res.stderr
+    assert re.match(r"seed=0 with=[0-9.]+ without=[0-9.]+\nmedian with=", res.stdout)

@@ -30,7 +30,7 @@ from evidnet.dataio import PREDICTIONS_HEADER
 
 from helpers import random_wide_model
 from oracles import reference_load_csv
-from test_model import tiny_model
+from test_model import three_class_model, tiny_model
 
 
 # dataset container
@@ -342,6 +342,15 @@ def test_load_model_errors(tmp_path):
     with pytest.raises(DimensionMismatchError):
         load_model(bad)
 
+    # malformed containers are corruption too, never a raw TypeError
+    for field, value in (("prototypes", [5]), ("prototypes", 5),
+                         ("class_names", None), ("class_names", "pn")):
+        doc = json.loads(good.read_text())
+        doc[field] = value
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFieldError):
+            load_model(bad)
+
     doc = json.loads(good.read_text())
     doc["w"] = [["x", "y"], ["z", "w"]]
     bad.write_text(json.dumps(doc))
@@ -412,6 +421,9 @@ def test_export_predictions_empty_and_errors(tmp_path):
     wrong = FeatureDataset(np.zeros((1, 3)), [None], ("positive", "negative"))
     with pytest.raises(DimensionMismatchError):
         export_predictions(model, wrong, p)
+    three = FeatureDataset(np.zeros((1, 2)), [None], ("a", "b", "c"))
+    with pytest.raises(ValueError):
+        export_predictions(three_class_model(), three, p)
 
 
 def test_export_predictions_deterministic(tmp_path):

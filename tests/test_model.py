@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,30 +9,21 @@ from hypothesis import strategies as st
 
 from evidnet import (
     DimensionMismatchError,
-    EmptyListError,
     EvidentialModel,
-    Frame,
     ModelConfig,
     NonFiniteInputError,
-    Prototype,
     TooFewPointsError,
     TotalConflictError,
     ZeroBetaError,
-    combine_all,
     decide,
     forward,
     forward_batch,
-    fuse_prototype_masses,
     init_model,
     kmeans_init,
-    linear_forward,
-    mass_new,
-    prototype_activation,
 )
 
-from helpers import random_prototype_masses, random_wide_model
-
-F2 = Frame(("positive", "negative"))
+import oracles
+from helpers import random_prototype_model, random_wide_model
 
 
 def tiny_model(beta=((0.6, 0.4),), xi=(0.0,), eta=(1.0,), center=((0.0, 0.0),)):
@@ -50,6 +43,28 @@ def tiny_model(beta=((0.6, 0.4),), xi=(0.0,), eta=(1.0,), center=((0.0, 0.0),)):
     )
 
 
+def three_class_model():
+    return EvidentialModel(
+        config=ModelConfig(d_in=2, r=2, h=2, k=3),
+        class_names=("a", "b", "c"),
+        w=np.eye(2),
+        b=np.zeros(2),
+        centers=np.array([[0.0, 0.0], [1.0, 1.0]]),
+        beta=np.array([[1.0, 0.5, 0.2], [0.3, 1.0, 0.4]]),
+        xi=np.array([0.5, -0.5]),
+        eta=np.array([1.0, 0.8]),
+    )
+
+
+def assert_matches_oracle(model, x, tol):
+    """forward equals the pairwise Dempster fold of the oracle's per-prototype
+    masses on every subset, within tol."""
+    out = forward(model, x)
+    folded = oracles.fused_mass(model, x)
+    for mask in range(model.frame.full_mask + 1):
+        assert abs(out.mass.mass(mask) - folded.mass(mask)) <= tol
+
+
 # configs and containers
 
 def test_model_config_validation():
@@ -66,21 +81,14 @@ def test_model_config_validation():
 
 
 def test_prototype_derived_quantities():
-    p = Prototype(center=np.zeros(3), beta=np.array([2.0, 1.0]), xi=0.0, eta=3.0)
-    assert p.alpha == 0.5
-    assert p.gamma == 9.0
-    assert np.allclose(p.membership, [0.8, 0.2])
-    assert p.membership.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_prototype_validation():
-    with pytest.raises(ZeroBetaError):
-        Prototype(center=np.zeros(2), beta=np.zeros(2), xi=0.0, eta=1.0)
-    with pytest.raises(ZeroBetaError):
-        # squares underflow to zero, which is just as undefined
-        Prototype(center=np.zeros(2), beta=np.array([0.0, 1e-200]), xi=0.0, eta=1.0)
-    with pytest.raises(DimensionMismatchError):
-        Prototype(center=np.zeros((2, 2)), beta=np.ones(2), xi=0.0, eta=1.0)
+    # alpha = sigmoid(xi), gamma = eta^2, u = beta^2 / sum(beta^2): one
+    # prototype with xi 0, eta 3 and beta (2, 1), at d^2 = 0.01
+    m = tiny_model(beta=((4.0, 1.0),), eta=(3.0,))
+    out = forward(m, np.array([0.1, 0.0]))
+    s = 0.5 * np.exp(-0.09)
+    assert out.activations == pytest.approx([s], abs=1e-15)
+    assert out.singleton_masses == pytest.approx([0.8 * s, 0.2 * s], abs=1e-15)
+    assert out.ignorance == pytest.approx(1.0 - s, abs=1e-15)
 
 
 @settings(deadline=None, max_examples=50)
@@ -93,12 +101,33 @@ def test_prototype_ranges(beta, xi, eta):
     beta = np.asarray(beta)
     if float(np.sum(beta**2)) == 0.0:
         beta[0] = 1.0
-    p = Prototype(center=np.zeros(2), beta=beta, xi=xi, eta=eta)
-    assert 0.0 < p.alpha < 1.0
-    assert p.gamma >= 0.0
-    u = p.membership
-    assert np.all(u >= 0.0)
-    assert u.sum() == pytest.approx(1.0, abs=1e-12)
+    k = beta.size
+    model = EvidentialModel(
+        config=ModelConfig(d_in=2, r=1, h=2, k=k),
+        class_names=tuple(f"c{j}" for j in range(k)),
+        w=np.eye(2),
+        b=np.zeros(2),
+        centers=np.zeros((1, 2)),
+        beta=beta[None, :],
+        xi=np.array([xi]),
+        eta=np.array([eta]),
+    )
+    # at the center s = alpha, and a single source's masses are u * s
+    out = forward(model, np.zeros(2))
+    (s,) = out.activations
+    assert 0.0 < s < 1.0
+    assert np.all(out.singleton_masses >= 0.0)
+    assert out.singleton_masses.sum() == pytest.approx(s, abs=1e-14)
+    assert out.ignorance == pytest.approx(1.0 - s, abs=1e-15)
+
+
+def test_prototype_validation():
+    # each prototype's memberships must be defined, not just the total
+    m = tiny_model(beta=((0.5, 0.5), (0.5, 0.5)), xi=(0.0, 0.0), eta=(1.0, 1.0),
+                   center=((0.0, 0.0), (1.0, 1.0)))
+    for bad_row in ([0.0, 0.0], [0.0, 1e-200]):
+        with pytest.raises(ZeroBetaError):
+            replace(m, beta=np.array([[1.0, 1.0], bad_row]))
 
 
 def test_model_validation():
@@ -122,6 +151,9 @@ def test_model_validation():
         EvidentialModel(**{**ok, "b": np.array([0.0, np.nan])})
     with pytest.raises(ZeroBetaError):
         EvidentialModel(**{**ok, "beta": np.zeros((1, 2))})
+    with pytest.raises(ZeroBetaError):
+        # squares underflow to zero, which is just as undefined
+        EvidentialModel(**{**ok, "beta": np.array([[0.0, 1e-200]])})
 
 
 def test_model_copy_is_independent():
@@ -132,61 +164,25 @@ def test_model_copy_is_independent():
     assert list(m.params()) == ["w", "b", "centers", "beta", "xi", "eta"]
 
 
-def test_prototypes_property_round_trip():
-    m = tiny_model(beta=((0.6, 0.4), (0.5, 0.5)), xi=(0.0, 1.0), eta=(1.0, 2.0),
-                   center=((0.0, 0.0), (1.0, 1.0)))
-    protos = m.prototypes
-    assert len(protos) == 2
-    assert np.array_equal(protos[1].center, m.centers[1])
-    assert protos[1].xi == 1.0 and protos[1].eta == 2.0
-    protos[0].center[0] = 77.0  # views are copies
-    assert m.centers[0, 0] == 0.0
-
-
-# linear reduction
-
-def test_linear_forward():
-    m = tiny_model()
-    x = np.array([0.3, -0.7])
-    assert np.array_equal(linear_forward(m, x), x)
-    rng = np.random.default_rng(3)
-    wide = random_wide_model(rng)
-    x = rng.uniform(-1, 1, wide.config.d_in)
-    assert np.allclose(linear_forward(wide, x), wide.w @ x + wide.b)
-    with pytest.raises(DimensionMismatchError):
-        linear_forward(m, np.zeros(3))
-    with pytest.raises(NonFiniteInputError):
-        linear_forward(m, np.array([1.0, np.inf]))
-
-
 # single-prototype evidence
 
 def test_prototype_activation_worked_example():
-    p = Prototype(center=np.zeros(2), beta=np.sqrt([0.6, 0.4]), xi=0.0, eta=1.0)
-    s, mass = prototype_activation(np.zeros(2), p, frame=F2)
-    assert s == pytest.approx(0.5, abs=1e-15)
-    assert mass.mass(F2.singleton(0)) == pytest.approx(0.3, abs=1e-12)
-    assert mass.mass(F2.singleton(1)) == pytest.approx(0.2, abs=1e-12)
-    assert mass.mass(F2.full_mask) == pytest.approx(0.5, abs=1e-12)
+    # activations are each prototype's own s_i, before fusion
+    m = tiny_model(beta=((0.6, 0.4), (0.5, 0.5)), xi=(0.0, 0.0), eta=(1.0, 1.0),
+                   center=((0.0, 0.0), (1.0, 0.0)))
+    out = forward(m, np.zeros(2))
+    assert out.activations == pytest.approx([0.5, 0.5 * np.exp(-1.0)], abs=1e-15)
 
 
 def test_prototype_activation_limits():
-    p = Prototype(center=np.zeros(2), beta=np.array([1.0, 1.0]), xi=-40.0, eta=1.0)
-    s, mass = prototype_activation(np.zeros(2), p)
-    assert s == pytest.approx(0.0, abs=1e-15)
-    assert mass.mass(mass.frame.full_mask) == pytest.approx(1.0, abs=1e-15)
-    # far away, the evidence also vanishes regardless of reliability
-    p = Prototype(center=np.zeros(2), beta=np.array([1.0, 1.0]), xi=10.0, eta=1.0)
-    s, mass = prototype_activation(np.full(2, 100.0), p)
-    assert s == pytest.approx(0.0, abs=1e-15)
-
-
-def test_prototype_activation_errors():
-    p = Prototype(center=np.zeros(2), beta=np.ones(2), xi=0.0, eta=1.0)
-    with pytest.raises(DimensionMismatchError):
-        prototype_activation(np.zeros(3), p)
-    with pytest.raises(DimensionMismatchError):
-        prototype_activation(np.zeros(2), p, frame=Frame(("a", "b", "c")))
+    m = tiny_model(beta=((0.5, 0.5),), xi=(-40.0,))
+    assert forward(m, np.zeros(2)).activations[0] == pytest.approx(0.0, abs=1e-15)
+    # far away, exp underflows: exactly full ignorance regardless of reliability
+    m = tiny_model(beta=((0.5, 0.5),), xi=(10.0,))
+    out = forward(m, np.full(2, 100.0))
+    assert out.activations[0] == 0.0
+    assert out.ignorance == 1.0
+    assert np.array_equal(out.singleton_masses, [0.0, 0.0])
 
 
 @settings(deadline=None, max_examples=60)
@@ -197,63 +193,43 @@ def test_prototype_activation_errors():
 )
 def test_prototype_activation_always_valid(seed, xi, eta):
     rng = np.random.default_rng(seed)
-    p = Prototype(
-        center=rng.uniform(-3, 3, 4),
-        beta=rng.uniform(0.05, 2.0, 2),
-        xi=xi,
-        eta=eta,
+    model = tiny_model(
+        beta=(rng.uniform(0.05, 2.0, 2) ** 2,), xi=(xi,), eta=(eta,),
+        center=(rng.uniform(-3, 3, 2),),
     )
-    s, mass = prototype_activation(rng.uniform(-3, 3, 4), p, frame=F2)
+    x = rng.uniform(-3, 3, 2)
+    (s,) = forward(model, x).activations
     assert 0.0 <= s < 1.0
-    total = sum(v for _, v in mass.focal())
-    assert total == pytest.approx(1.0, abs=1e-9)
+    assert_matches_oracle(model, x, 1e-12)
 
 
-# closed-form fusion
+# fusion of the prototype masses
 
 def test_fusion_worked_example():
-    masses = [
-        mass_new(F2, {0b01: 0.5, 0b11: 0.5}),
-        mass_new(F2, {0b10: 0.5, 0b11: 0.5}),
-    ]
-    out = fuse_prototype_masses(masses, [0.5, 0.5], [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    # two half-reliable prototypes at the input, one per class
+    m = tiny_model(beta=((1.0, 0.0), (0.0, 1.0)), xi=(0.0, 0.0), eta=(1.0, 1.0),
+                   center=((0.0, 0.0), (0.0, 0.0)))
+    out = forward(m, np.zeros(2))
     third = 1.0 / 3.0
-    assert out.mass(0b01) == pytest.approx(third, abs=1e-12)
-    assert out.mass(0b10) == pytest.approx(third, abs=1e-12)
-    assert out.mass(0b11) == pytest.approx(third, abs=1e-12)
+    assert out.singleton_masses == pytest.approx([third, third], abs=1e-12)
+    assert out.ignorance == pytest.approx(third, abs=1e-12)
 
 
 def test_fusion_single_source_is_identity():
     rng = np.random.default_rng(5)
-    masses, s, u = random_prototype_masses(rng, F2, 1)
-    out = fuse_prototype_masses(masses, s, u)
-    for mask in range(F2.full_mask + 1):
-        assert out.mass(mask) == pytest.approx(masses[0].mass(mask), abs=1e-12)
+    for _ in range(20):
+        model, x = random_prototype_model(rng, 2 + int(rng.integers(2)), 1)
+        out = forward(model, x)
+        (source,) = oracles.prototype_masses(model, x)
+        for mask in range(model.frame.full_mask + 1):
+            assert out.mass.mass(mask) == pytest.approx(source.mass(mask), abs=1e-12)
 
 
 def test_fusion_matches_pairwise_fold():
     rng = np.random.default_rng(31)
     for _ in range(100):
-        k = int(rng.integers(2, 4))
-        frame = Frame(tuple(f"c{i}" for i in range(k)))
-        r = int(rng.integers(1, 6))
-        masses, s, u = random_prototype_masses(rng, frame, r)
-        fused = fuse_prototype_masses(masses, s, u)
-        folded = combine_all(masses)
-        for mask in range(frame.full_mask + 1):
-            assert abs(fused.mass(mask) - folded.mass(mask)) <= 1e-10
-
-
-def test_fusion_errors():
-    with pytest.raises(EmptyListError):
-        fuse_prototype_masses([], [], [])
-    masses = [mass_new(F2, {0b01: 1.0}), mass_new(F2, {0b10: 1.0})]
-    with pytest.raises(DimensionMismatchError):
-        fuse_prototype_masses(masses, [1.0], [np.array([1.0, 0.0])])
-    with pytest.raises(TotalConflictError):
-        fuse_prototype_masses(
-            masses, [1.0, 1.0], [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        )
+        model, x = random_prototype_model(rng, int(rng.integers(2, 4)), int(rng.integers(1, 6)))
+        assert_matches_oracle(model, x, 1e-10)
 
 
 # full forward pass
@@ -285,6 +261,11 @@ def test_forward_certain_prototype():
     assert out.singleton_masses[1] == 0.0
     assert out.ignorance == 0.0
     assert decide(out) == 0
+    # two saturated prototypes that fully disagree leave nothing to normalize
+    m = tiny_model(beta=((1.0, 0.0), (0.0, 1.0)), xi=(40.0, 40.0), eta=(1.0, 1.0),
+                   center=((0.0, 0.0), (0.0, 0.0)))
+    with pytest.raises(TotalConflictError):
+        forward(m, np.zeros(2))
 
 
 def test_decide_prefers_higher_plausibility():
@@ -319,6 +300,7 @@ def test_forward_output_is_normalized_mass():
         total = out.singleton_masses.sum() + out.ignorance
         assert total == pytest.approx(1.0, abs=1e-9)
         assert np.all(out.singleton_masses >= 0.0)
+        assert np.all((out.activations >= 0.0) & (out.activations < 1.0))
         # plausibility is exactly singleton mass plus ignorance
         assert np.array_equal(out.pl, out.singleton_masses + out.ignorance)
 
@@ -336,18 +318,7 @@ def test_forward_input_validation():
 
 
 def test_forward_three_classes():
-    cfg = ModelConfig(d_in=2, r=2, h=2, k=3)
-    model = EvidentialModel(
-        config=cfg,
-        class_names=("a", "b", "c"),
-        w=np.eye(2),
-        b=np.zeros(2),
-        centers=np.array([[0.0, 0.0], [1.0, 1.0]]),
-        beta=np.array([[1.0, 0.5, 0.2], [0.3, 1.0, 0.4]]),
-        xi=np.array([0.5, -0.5]),
-        eta=np.array([1.0, 0.8]),
-    )
-    out = forward(model, np.array([0.4, 0.6]))
+    out = forward(three_class_model(), np.array([0.4, 0.6]))
     assert out.frame.k == 3
     total = out.singleton_masses.sum() + out.ignorance
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -417,7 +388,6 @@ def test_init_model_shapes_and_defaults():
     assert np.all(np.abs(model.w) <= 1.0 / np.sqrt(3))
     assert np.array_equal(model.b, np.zeros(4))
     assert np.array_equal(model.xi, np.zeros(2))
-    assert all(p.alpha == 0.5 for p in model.prototypes)
     assert np.all(model.eta > 0.0)
 
 

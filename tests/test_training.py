@@ -11,31 +11,25 @@ from evidnet import (
     EmptyBatchError,
     EmptyListError,
     EmptyValidationError,
-    EvidentialModel,
     FeatureDataset,
-    FrameMismatchError,
     GradientVector,
-    LengthMismatchError,
     ModelConfig,
     NoLabeledDataError,
     ShapeMismatchError,
     TrainConfig,
-    cost_mse_pl,
     forward,
     grad_check,
     gradients,
     init_model,
     init_optimizer,
-    loss_consistency,
-    loss_supervised_ce,
     optimizer_step,
-    perturb,
     total_loss,
     train,
 )
 
+import oracles
 from helpers import blob_split, ce_check_pair, labeled_subset, mse_check_pair
-from test_model import tiny_model
+from test_model import three_class_model, tiny_model
 
 
 # config validation
@@ -67,85 +61,76 @@ def test_train_config_validation(bad):
         TrainConfig(**bad)
 
 
-# per-instance losses
+# loss terms on worked examples
+
+X0 = np.zeros(2)
+CE = TrainConfig(loss_mode="evidential_ce", lam=0.0)
+MSE = TrainConfig(loss_mode="mse_pl", lam=0.0)
+
 
 def test_supervised_ce_values():
     # all mass on the first class: a confident correct call costs nothing
-    certain = forward(tiny_model(beta=((1.0, 0.0),), xi=(40.0,)), np.zeros(2))
-    assert loss_supervised_ce(certain, 1) == 0.0
+    certain = tiny_model(beta=((1.0, 0.0),), xi=(40.0,))
+    assert total_loss(certain, Batch(labeled=[(X0, 1)]), CE) == 0.0
     # the (0.3, 0.2, 0.5) output costs -log of the picked singleton mass
-    out = forward(tiny_model(), np.zeros(2))
-    assert loss_supervised_ce(out, 1) == pytest.approx(-math.log(0.3), abs=1e-12)
-    assert loss_supervised_ce(out, 0) == pytest.approx(-math.log(0.2), abs=1e-12)
+    model = tiny_model()
+    assert total_loss(model, Batch(labeled=[(X0, 1)]), CE) == pytest.approx(
+        -math.log(0.3), abs=1e-12
+    )
+    assert total_loss(model, Batch(labeled=[(X0, 0)]), CE) == pytest.approx(
+        -math.log(0.2), abs=1e-12
+    )
 
 
 def test_supervised_ce_clamps_vanishing_mass():
-    out = forward(tiny_model(xi=(-40.0,)), np.zeros(2))
-    assert out.singleton_masses[0] < 1e-12
-    assert loss_supervised_ce(out, 1) == pytest.approx(-math.log(1e-12), abs=1e-9)
-    assert loss_supervised_ce(out, 1, log_eps=1e-6) == pytest.approx(
-        -math.log(1e-6), abs=1e-9
-    )
+    model = tiny_model(xi=(-40.0,))
+    assert forward(model, X0).singleton_masses[0] < 1e-12
+    batch = Batch(labeled=[(X0, 1)])
+    assert total_loss(model, batch, CE) == pytest.approx(-math.log(1e-12), abs=1e-9)
+    cfg = TrainConfig(loss_mode="evidential_ce", lam=0.0, log_eps=1e-6)
+    assert total_loss(model, batch, cfg) == pytest.approx(-math.log(1e-6), abs=1e-9)
+    # a clamped row pulls on nothing
+    for name, block in gradients(model, batch, CE).blocks().items():
+        assert np.all(block == 0.0), name
 
 
 def test_supervised_ce_validation():
-    out = forward(tiny_model(), np.zeros(2))
     with pytest.raises(ValueError):
-        loss_supervised_ce(out, 2)
-    cfg3 = ModelConfig(d_in=2, r=1, h=2, k=3)
-    model3 = EvidentialModel(
-        config=cfg3,
-        class_names=("a", "b", "c"),
-        w=np.eye(2),
-        b=np.zeros(2),
-        centers=np.zeros((1, 2)),
-        beta=np.ones((1, 3)),
-        xi=np.zeros(1),
-        eta=np.ones(1),
-    )
-    with pytest.raises(ValueError):
-        loss_supervised_ce(forward(model3, np.zeros(2)), 1)
+        total_loss(tiny_model(), Batch(labeled=[(X0, 2)]), CE)
+    # the losses are binary: a three-class model is refused, not misread
+    for fn in (total_loss, gradients):
+        with pytest.raises(ValueError):
+            fn(three_class_model(), Batch(labeled=[(X0, 1)]), CE)
 
 
 def test_consistency_loss():
-    base = forward(tiny_model(beta=((0.6, 0.4),)), np.zeros(2))
-    same = forward(tiny_model(beta=((0.6, 0.4),)), np.zeros(2))
-    other = forward(tiny_model(beta=((0.4, 0.6),)), np.zeros(2))
-    assert loss_consistency(base, [same]) == 0.0
-    # masses (0.3, 0.2) vs (0.2, 0.3): squared difference 0.01 + 0.01
-    assert loss_consistency(base, [other]) == pytest.approx(0.02, abs=1e-12)
-    assert loss_consistency(base, [other, other]) == pytest.approx(0.04, abs=1e-12)
-    with pytest.raises(EmptyListError):
-        loss_consistency(base, [])
-    foreign = tiny_model()
-    foreign.class_names = ("up", "down")
-    with pytest.raises(FrameMismatchError):
-        loss_consistency(base, [forward(foreign, np.zeros(2))])
+    model = tiny_model(beta=((0.6, 0.4),))
+    far = np.full(2, 100.0)  # no evidence there: masses (0, 0)
+    assert total_loss(model, Batch(unlabeled=[(X0, [X0.copy()])]), CE) == 0.0
+    # masses (0.3, 0.2) vs (0, 0): squared difference 0.09 + 0.04 per copy
+    one = Batch(unlabeled=[(X0, [far])])
+    assert total_loss(model, one, CE) == pytest.approx(0.13, abs=1e-12)
+    two = Batch(unlabeled=[(X0, [far, far])])
+    assert total_loss(model, two, CE) == pytest.approx(0.26, abs=1e-12)
+    # instances are averaged, and the term is scaled by its weight
+    mixed = Batch(unlabeled=[(X0, [far]), (X0, [X0.copy()])])
+    assert total_loss(model, mixed, CE) == pytest.approx(0.065, abs=1e-12)
+    half = TrainConfig(loss_mode="evidential_ce", lam=0.0, consistency_weight=0.5)
+    assert total_loss(model, one, half) == pytest.approx(0.065, abs=1e-12)
 
 
 def test_cost_mse_pl():
-    model = tiny_model()  # one prototype, alpha = 0.5
-    out = forward(model, np.zeros(2))  # pl = (0.8, 0.7)
+    model = tiny_model()  # one prototype, alpha = 0.5; pl = (0.8, 0.7) at 0
+    cfg = TrainConfig(loss_mode="mse_pl", lam=0.01)
     want = (0.8 - 1.0) ** 2 + 0.7**2 + 0.01 * 0.5
-    assert cost_mse_pl([out], [(1.0, 0.0)], 0.01, model) == pytest.approx(
+    assert total_loss(model, Batch(labeled=[(X0, 1)]), cfg) == pytest.approx(
         want, abs=1e-12
     )
-    # residual of zero and no regularization costs exactly nothing
-    assert cost_mse_pl([out], [out.pl], 0.0, model) == 0.0
-    # two instances sum, they are not averaged
-    two = cost_mse_pl([out, out], [(1.0, 0.0), (1.0, 0.0)], 0.0, model)
-    assert two == pytest.approx(2 * ((0.8 - 1.0) ** 2 + 0.7**2), abs=1e-12)
-
-
-def test_cost_mse_pl_validation():
-    model = tiny_model()
-    out = forward(model, np.zeros(2))
-    with pytest.raises(LengthMismatchError):
-        cost_mse_pl([out], [], 0.0, model)
-    with pytest.raises(EmptyListError):
-        cost_mse_pl([], [], 0.0, model)
-    with pytest.raises(DimensionMismatchError):
-        cost_mse_pl([out], [(1.0, 0.0, 0.0)], 0.0, model)
+    # two instances are averaged, not summed
+    two = Batch(labeled=[(X0, 1), (X0, 1)])
+    assert total_loss(model, two, MSE) == pytest.approx(
+        (0.8 - 1.0) ** 2 + 0.7**2, abs=1e-12
+    )
 
 
 # batched objective
@@ -153,27 +138,32 @@ def test_cost_mse_pl_validation():
 def test_total_loss_composes_from_instance_losses():
     model, batch, cfg = ce_check_pair(3)
     sup = np.mean(
-        [loss_supervised_ce(forward(model, x), y, cfg.log_eps) for x, y in batch.labeled]
+        [
+            oracles.ce_row(oracles.fused_output(model, x)[0], 1 - y, cfg.log_eps)
+            for x, y in batch.labeled
+        ]
     )
     cons = np.mean(
         [
-            loss_consistency(forward(model, x), [forward(model, xt) for xt in copies])
+            oracles.consistency_row(
+                oracles.fused_output(model, x)[0],
+                [oracles.fused_output(model, xt)[0] for xt in copies],
+            )
             for x, copies in batch.unlabeled
         ]
     )
-    reg = cfg.lam * sum(p.alpha for p in model.prototypes)
+    reg = cfg.lam * sum(oracles.sigmoid(v) for v in model.xi)
     want = sup + cfg.consistency_weight * cons + reg
     assert total_loss(model, batch, cfg) == pytest.approx(want, rel=1e-9)
 
 
 def test_total_loss_mse_mode_matches_cost_helper():
     model, batch, cfg = mse_check_pair(3)
-    outs = [forward(model, x) for x, _ in batch.labeled]
-    targets = [(1.0, 0.0) if y == 1 else (0.0, 1.0) for _, y in batch.labeled]
-    per_instance_sum = cost_mse_pl(outs, targets, 0.0, model)
-    reg = cfg.lam * sum(p.alpha for p in model.prototypes)
-    want = per_instance_sum / len(outs) + reg
-    assert total_loss(model, batch, cfg) == pytest.approx(want, rel=1e-9)
+    sup = np.mean(
+        [oracles.mse_row(oracles.fused_output(model, x)[1], 1 - y) for x, y in batch.labeled]
+    )
+    reg = cfg.lam * sum(oracles.sigmoid(v) for v in model.xi)
+    assert total_loss(model, batch, cfg) == pytest.approx(sup + reg, rel=1e-9)
 
 
 def test_batch_validation():
@@ -215,7 +205,7 @@ def test_gradients_regularizer_only():
     batch = Batch(unlabeled=[(x, [x.copy(), x.copy()])])
     cfg = TrainConfig(loss_mode="evidential_ce", lam=0.01, consistency_weight=1.0)
     grads = gradients(model, batch, cfg)
-    alpha = np.array([p.alpha for p in model.prototypes])
+    alpha = np.array([oracles.sigmoid(v) for v in model.xi])
     assert np.allclose(grads.dxi, 0.01 * alpha * (1 - alpha), atol=1e-15)
     for name in ("w", "b", "centers", "beta", "eta"):
         assert np.all(grads.blocks()[name] == 0.0), name
@@ -246,35 +236,23 @@ def test_grad_check_error_grows_with_step():
 
 # perturbations
 
-def test_perturb_shapes_and_determinism():
-    x = np.arange(4.0)
-    copies = perturb(x, 0.5, 3, seed=11)
-    again = perturb(x, 0.5, 3, seed=11)
-    other = perturb(x, 0.5, 3, seed=12)
-    assert len(copies) == 3
-    assert all(c.shape == x.shape for c in copies)
-    assert all(np.array_equal(a, b) for a, b in zip(copies, again))
-    assert not np.array_equal(copies[0], other[0])
-
-
 def test_perturb_zero_sigma_copies_exactly():
-    x = np.array([0.1, -2.5])
-    for c in perturb(x, 0.0, 2, seed=0):
-        assert np.array_equal(c, x)
-
-
-def test_perturb_noise_scale():
-    x = np.zeros(20000)
-    (c,) = perturb(x, 2.0, 1, seed=5)
-    assert c.std() == pytest.approx(2.0, rel=0.05)
-    assert c.mean() == pytest.approx(0.0, abs=0.05)
-
-
-def test_perturb_validation():
-    with pytest.raises(ValueError):
-        perturb(np.zeros(2), -1.0, 1, seed=0)
-    with pytest.raises(ValueError):
-        perturb(np.zeros(2), 1.0, 0, seed=0)
+    # with sigma 0 each copy is its own base row, so the consistency term
+    # and its pull vanish: training matches a run with the term switched off
+    train_set = blob_split(0, 0, 30, [(0.0, 0.0), (2.0, 2.0)], labeled_fraction=0.3)
+    val_set = blob_split(0, 1, 15, [(0.0, 0.0), (2.0, 2.0)])
+    model = fit_model(train_set)
+    runs = [
+        train(model, train_set, val_set,
+              TrainConfig(max_epochs=3, patience=5, seed=0, batch_size=8,
+                          noise_sigma=0.0, consistency_weight=weight))
+        for weight in (1.0, 0.0)
+    ]
+    (best_on, hist_on), (best_off, hist_off) = runs
+    for on, off in zip(hist_on.records, hist_off.records):
+        assert on.train_loss == pytest.approx(off.train_loss, rel=0, abs=1e-12)
+    for name, arr in best_on.params().items():
+        assert np.allclose(arr, best_off.params()[name], rtol=0, atol=1e-9), name
 
 
 # optimizer
@@ -453,6 +431,13 @@ def test_train_validation_requirements():
     )
     with pytest.raises(EmptyValidationError):
         train(model, train_set, half, cfg)
+    three = FeatureDataset(
+        features=train_set.features,
+        labels=[2] + list(train_set.labels[1:]),
+        class_names=train_set.class_names + ("third",),
+    )
+    with pytest.raises(ValueError):
+        train(model, three, val_set, cfg)
     # a custom metric lifts the labeled-validation requirement
     _, history = train(model, train_set, empty, cfg, val_metric=lambda m: 1.0)
     assert len(history.records) >= 1
