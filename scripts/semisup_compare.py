@@ -16,7 +16,6 @@ import argparse
 import numpy as np
 
 from evidnet import (
-    FeatureDataset,
     ModelConfig,
     TrainConfig,
     accuracy,
@@ -25,22 +24,7 @@ from evidnet import (
     train,
 )
 
-CLASS_NAMES = ("positive", "negative")
-
-
-def make_split(rng, n_per_class, separation, embedding, labeled_fraction=1.0):
-    means = np.array([[0.0, 0.0], [separation, separation]])
-    pts = np.vstack([rng.standard_normal((n_per_class, 2)) + m for m in means])
-    y = np.repeat(np.arange(2), n_per_class)
-    order = rng.permutation(len(y))
-    pts, y = pts[order], y[order]
-    labels = [int(c) for c in y]
-    if labeled_fraction < 1.0:
-        keep = int(round(labeled_fraction * len(y)))
-        chosen = set(rng.choice(len(y), size=keep, replace=False).tolist())
-        labels = [lab if i in chosen else None for i, lab in enumerate(labels)]
-    return FeatureDataset(features=pts @ embedding, labels=labels,
-                          class_names=CLASS_NAMES)
+from make_blobs import make_split  # sibling script in this directory
 
 
 def run_once(seed, args, consistency_weight):

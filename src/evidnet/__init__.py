@@ -77,7 +77,6 @@ from .model import (
 from .training import (
     Batch,
     EpochRecord,
-    GradientVector,
     OptimizerState,
     TrainConfig,
     TrainHistory,

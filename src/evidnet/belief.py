@@ -45,7 +45,7 @@ class Frame:
             raise ValueError("frame needs at least one label")
         if len(self.labels) > MAX_FRAME_SIZE:
             raise ValueError(f"frame supports at most {MAX_FRAME_SIZE} labels")
-        if any(not lab for lab in self.labels):
+        if any(not isinstance(lab, str) or not lab for lab in self.labels):
             raise ValueError("frame labels must be non-empty strings")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("frame labels must be unique")

@@ -47,22 +47,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of prototypes")
     t.add_argument("--hidden", type=int, default=64, metavar="H",
                    help="reduced feature dimension")
-    t.add_argument("--loss", choices=sorted(LOSS_FLAGS), default="eq9",
+    cfg = TrainConfig()  # the flag defaults are the config defaults
+    loss = next(flag for flag, mode in LOSS_FLAGS.items() if mode == cfg.loss_mode)
+    t.add_argument("--loss", choices=sorted(LOSS_FLAGS), default=loss,
                    help="supervised loss: eq8 = plausibility MSE, eq9 = evidential CE")
-    t.add_argument("--consistency-weight", type=float, default=1.0, metavar="W",
-                   help="weight of the unlabeled consistency term")
-    t.add_argument("--noise-sigma", type=float, default=0.1, metavar="S",
+    t.add_argument("--consistency-weight", type=float, default=cfg.consistency_weight,
+                   metavar="W", help="weight of the unlabeled consistency term")
+    t.add_argument("--noise-sigma", type=float, default=cfg.noise_sigma, metavar="S",
                    help="std of Gaussian feature perturbations")
-    t.add_argument("--t-perturb", type=int, default=2, metavar="T",
+    t.add_argument("--t-perturb", type=int, default=cfg.t_perturb, metavar="T",
                    help="perturbed copies per unlabeled instance")
-    t.add_argument("--lr", type=float, default=1e-3, help="learning rate")
-    t.add_argument("--batch", type=int, default=32, help="mini-batch size")
-    t.add_argument("--max-epochs", type=int, default=200, help="epoch cap")
-    t.add_argument("--patience", type=int, default=5,
+    t.add_argument("--lr", type=float, default=cfg.learning_rate, help="learning rate")
+    t.add_argument("--batch", type=int, default=cfg.batch_size, help="mini-batch size")
+    t.add_argument("--max-epochs", type=int, default=cfg.max_epochs, help="epoch cap")
+    t.add_argument("--patience", type=int, default=cfg.patience,
                    help="early-stop window (epochs without improvement)")
-    t.add_argument("--lambda", dest="lam", type=float, default=0.01,
+    t.add_argument("--lambda", dest="lam", type=float, default=cfg.lam,
                    help="reliability regularization weight")
-    t.add_argument("--seed", type=int, default=0, help="RNG seed")
+    t.add_argument("--seed", type=int, default=cfg.seed, help="RNG seed")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("evaluate", help="accuracy, F1 and AUC on labeled data")

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .belief import Frame
 from .errors import (
     CorruptFieldError,
     DimensionMismatchError,
@@ -287,9 +288,13 @@ def load_model(path) -> EvidentialModel:
     if not isinstance(class_names, list):
         raise CorruptFieldError(f"{path}: class_names must be a list")
     try:
+        Frame(class_names)
+    except ValueError as exc:
+        raise CorruptFieldError(f"{path}: bad class_names: {exc}") from exc
+    try:
         return EvidentialModel(
             config=config,
-            class_names=tuple(str(nm) for nm in class_names),
+            class_names=class_names,
             w=w,
             b=b,
             centers=centers,

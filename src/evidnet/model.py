@@ -103,7 +103,7 @@ class EvidentialModel:
     eta: np.ndarray
 
     def __post_init__(self) -> None:
-        self.class_names = tuple(self.class_names)
+        self.class_names = Frame(self.class_names).labels
         if len(self.class_names) != self.config.k:
             raise DimensionMismatchError(
                 f"{len(self.class_names)} class names for k={self.config.k}"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,7 +46,9 @@ from .model import (
 )
 
 LOSS_MODES = ("mse_pl", "evidential_ce")
-OPTIMIZERS = ("adam", "sgd")
+
+# Floor on the singleton mass inside the cross-entropy's logarithm.
+LOG_EPS = 1e-12
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -58,7 +61,7 @@ class TrainConfig:
 
     lam is the reliability regularization weight. noise_sigma and
     t_perturb control the Gaussian perturbations behind the consistency
-    loss. log_eps floors the arguments of logarithms.
+    loss. Parameters are updated by Adam at learning_rate.
     """
 
     loss_mode: str = "evidential_ce"
@@ -71,14 +74,10 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 5
     seed: int = 0
-    log_eps: float = 1e-12
-    optimizer: str = "adam"
 
     def __post_init__(self) -> None:
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.consistency_weight < 0:
@@ -95,36 +94,19 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.log_eps <= 0:
-            raise ValueError("log_eps must be > 0")
 
 
 @dataclass
 class Batch:
     """One optimization step's data.
 
-    labeled: (x, y) pairs with y = 1 meaning the first class. unlabeled:
+    labeled: (x, y) pairs with y the class index, 0 <= y < K. unlabeled:
     (x, perturbed copies of x) pairs. At least one list must be
     non-empty.
     """
 
     labeled: list = field(default_factory=list)
     unlabeled: list = field(default_factory=list)
-
-
-@dataclass
-class GradientVector:
-    """Gradient blocks mirroring the model parameter blocks."""
-
-    dw: np.ndarray
-    db: np.ndarray
-    dcenters: np.ndarray
-    dbeta: np.ndarray
-    dxi: np.ndarray
-    deta: np.ndarray
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, "d" + name) for name in PARAM_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -158,22 +140,24 @@ class OptimizerState:
 # batched objective and analytic gradients
 
 
-def _stack_batch(batch: Batch):
+def _class_indices(labels, k: int) -> np.ndarray:
+    """Labels as an int array; raise unless each is an integer in [0, k)."""
+    for lab in labels:
+        if not isinstance(lab, Integral) or not 0 <= lab < k:
+            raise ValueError(f"label {lab!r} is not a class index in [0, {k})")
+    return np.asarray(labels, dtype=int)
+
+
+def _stack_batch(batch: Batch, k: int):
     """Flatten a batch into the arrays _loss_and_grads takes: one matrix of
     labeled rows, then unlabeled bases, then all perturbed copies in
     (instance, copy) order; the labeled rows' class indices; and the
     unlabeled count."""
-    n_lab = len(batch.labeled)
     n_unl = len(batch.unlabeled)
-    if n_lab == 0 and n_unl == 0:
+    if not batch.labeled and n_unl == 0:
         raise EmptyBatchError("batch has neither labeled nor unlabeled instances")
-    rows = []
-    y = np.zeros(n_lab, dtype=int)
-    for i, (x, yi) in enumerate(batch.labeled):
-        if yi not in (0, 1):
-            raise ValueError(f"labeled y must be 0 or 1, got {yi!r}")
-        y[i] = 1 - int(yi)  # y = 1 means the first class, index 0
-        rows.append(np.atleast_1d(np.asarray(x, dtype=float)))
+    y = _class_indices([yi for _, yi in batch.labeled], k)
+    rows = [np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in batch.labeled]
     t_per = 0
     for x, copies in batch.unlabeled:
         if len(copies) == 0:
@@ -207,28 +191,27 @@ def _loss_and_grads(
     unlabeled rows' perturbed copies in (instance, copy) order; y holds
     the labeled rows' class indices.
     """
-    if model.config.k != 2:
-        raise ValueError("training is defined for binary models")
+    k = model.config.k
     x_all = _as_feature_matrix(x, model.config.d_in)
     cache = _forward_arrays(model, x_all)
     m = cache["m"]
     pl = cache["pl"]
     n_lab = y.shape[0]
     labeled = np.arange(n_lab), y  # (row, class) cell of each target
-    gm = np.zeros((x_all.shape[0], 2))
+    gm = np.zeros((x_all.shape[0], k))
     gmo = np.zeros(x_all.shape[0])
 
     sup = 0.0
     if n_lab:
         if cfg.loss_mode == "evidential_ce":
             picked = m[labeled]
-            sup = float(-np.log(np.maximum(picked, cfg.log_eps)).mean())
+            sup = float(-np.log(np.maximum(picked, LOG_EPS)).mean())
             if want_grads:
-                live = picked > cfg.log_eps  # clamped masses get no pull
-                coef = np.where(live, -1.0 / np.maximum(picked, cfg.log_eps), 0.0)
+                live = picked > LOG_EPS  # clamped masses get no pull
+                coef = np.where(live, -1.0 / np.maximum(picked, LOG_EPS), 0.0)
                 gm[labeled] = coef / n_lab
         else:
-            target = np.zeros((n_lab, 2))
+            target = np.zeros((n_lab, k))
             target[labeled] = 1.0
             resid = pl[:n_lab] - target
             sup = float((resid * resid).sum(axis=1).mean())
@@ -240,13 +223,13 @@ def _loss_and_grads(
     cons = 0.0
     if n_unl:
         base = m[n_lab : n_lab + n_unl]
-        pert = m[n_lab + n_unl :].reshape(n_unl, -1, 2)
+        pert = m[n_lab + n_unl :].reshape(n_unl, -1, k)
         dif = base[:, None, :] - pert
         cons = float((dif * dif).sum(axis=(1, 2)).mean())
         if want_grads and cfg.consistency_weight:
             coef = 2.0 * cfg.consistency_weight / n_unl
             gm[n_lab : n_lab + n_unl] += coef * dif.sum(axis=1)
-            gm[n_lab + n_unl :] += (-coef * dif).reshape(-1, 2)
+            gm[n_lab + n_unl :] += (-coef * dif).reshape(-1, k)
 
     alpha = cache["alpha"]
     loss = sup + cfg.consistency_weight * cons + cfg.lam * float(alpha.sum())
@@ -261,13 +244,14 @@ def _backward_arrays(
     gm: np.ndarray,
     gmo: np.ndarray,
     lam: float,
-) -> GradientVector:
+) -> dict[str, np.ndarray]:
     """Chain rule from upstream mass gradients down to every parameter.
 
     gm is dLoss/d(singleton masses), gmo is dLoss/d(ignorance mass), per
     batch row. The normalizer's quotient rule folds into a single shared
     scalar per row; leave-one-out products replace division through the
-    fused products so zero factors cannot poison the result.
+    fused products so zero factors cannot poison the result. Returns one
+    gradient per parameter block, keyed like model.params().
     """
     k = model.config.k
     m, mo, norm = cache["m"], cache["m_omega"], cache["n"]
@@ -303,14 +287,14 @@ def _backward_arrays(
     ssum = (model.beta**2).sum(axis=1)
     gbeta = 2.0 * model.beta / ssum[:, None] * (gu - (gu * u).sum(axis=1)[:, None])
 
-    return GradientVector(
-        dw=gw, db=gb_vec, dcenters=gcenters, dbeta=gbeta, dxi=gxi, deta=geta
-    )
+    return {
+        "w": gw, "b": gb_vec, "centers": gcenters, "beta": gbeta, "xi": gxi, "eta": geta
+    }
 
 
-def _require_finite(grads: GradientVector) -> GradientVector:
+def _require_finite(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Return grads unchanged; raise if any block holds a non-finite value."""
-    for name, block in grads.blocks().items():
+    for name, block in grads.items():
         if not np.all(np.isfinite(block)):
             raise NonFiniteGradientError(f"non-finite gradient in {name}")
     return grads
@@ -318,13 +302,17 @@ def _require_finite(grads: GradientVector) -> GradientVector:
 
 def total_loss(model: EvidentialModel, batch: Batch, cfg: TrainConfig) -> float:
     """The scalar objective a training step descends."""
-    loss, _ = _loss_and_grads(model, *_stack_batch(batch), cfg, want_grads=False)
+    arrays = _stack_batch(batch, model.config.k)
+    loss, _ = _loss_and_grads(model, *arrays, cfg, want_grads=False)
     return loss
 
 
-def gradients(model: EvidentialModel, batch: Batch, cfg: TrainConfig) -> GradientVector:
-    """Analytic gradient of total_loss for every parameter block."""
-    _, grads = _loss_and_grads(model, *_stack_batch(batch), cfg, want_grads=True)
+def gradients(
+    model: EvidentialModel, batch: Batch, cfg: TrainConfig
+) -> dict[str, np.ndarray]:
+    """Analytic gradient of total_loss, keyed like model.params()."""
+    arrays = _stack_batch(batch, model.config.k)
+    _, grads = _loss_and_grads(model, *arrays, cfg, want_grads=True)
     return _require_finite(grads)
 
 
@@ -343,9 +331,8 @@ def grad_check(
     worst = 0.0
     for name in PARAM_FIELDS:
         arr = getattr(work, name)
-        ana = getattr(analytic, "d" + name)
         flat = arr.reshape(-1)
-        ana_flat = ana.reshape(-1)
+        ana_flat = analytic[name].reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
@@ -375,41 +362,38 @@ def init_optimizer(model: EvidentialModel) -> OptimizerState:
 
 def optimizer_step(
     model: EvidentialModel,
-    grads: GradientVector,
+    grads: dict[str, np.ndarray],
     cfg: TrainConfig,
     state: OptimizerState,
 ) -> tuple[EvidentialModel, OptimizerState]:
-    """One parameter update; returns a new model and advanced state.
+    """One Adam update; returns a new model and advanced state.
 
-    Adaptive-moment mode keeps exponential first/second moment averages
-    (decay 0.9 / 0.999, epsilon 1e-8) with bias correction; plain mode
-    is vanilla gradient descent.
+    grads holds one block per parameter, keyed like model.params(). Adam
+    keeps exponential first/second moment averages (decay 0.9 / 0.999,
+    epsilon 1e-8) with bias correction.
     """
+    if set(grads) != set(PARAM_FIELDS):
+        raise ShapeMismatchError(
+            f"gradient blocks {sorted(grads)}, parameters {sorted(PARAM_FIELDS)}"
+        )
     step = state.step + 1
     new_params: dict[str, np.ndarray] = {}
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
     for name in PARAM_FIELDS:
         param = getattr(model, name)
-        g = getattr(grads, "d" + name)
+        g = grads[name]
         if g.shape != param.shape:
             raise ShapeMismatchError(
                 f"gradient {name} has shape {g.shape}, parameter {param.shape}"
             )
-        if cfg.optimizer == "sgd":
-            new_params[name] = param - cfg.learning_rate * g
-            new_m[name] = state.m[name]
-            new_v[name] = state.v[name]
-        else:
-            m1 = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-            v1 = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-            m_hat = m1 / (1.0 - ADAM_BETA1**step)
-            v_hat = v1 / (1.0 - ADAM_BETA2**step)
-            new_params[name] = param - cfg.learning_rate * m_hat / (
-                np.sqrt(v_hat) + ADAM_EPS
-            )
-            new_m[name] = m1
-            new_v[name] = v1
+        m1 = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v1 = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m1 / (1.0 - ADAM_BETA1**step)
+        v_hat = v1 / (1.0 - ADAM_BETA2**step)
+        new_params[name] = param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        new_m[name] = m1
+        new_v[name] = v1
     new_model = replace(model, **new_params)
     return new_model, OptimizerState(step=step, m=new_m, v=new_v)
 
@@ -462,11 +446,7 @@ def train(
             raise EmptyValidationError("validation set must be fully labeled")
 
     x_lab = feats[labeled_idx]
-    y_lab = np.asarray([labels[i] for i in labeled_idx], dtype=int)
-    if y_lab.max() >= model.config.k:
-        raise ValueError(
-            f"label index {y_lab.max()} outside the model's {model.config.k} classes"
-        )
+    y_lab = _class_indices([labels[i] for i in labeled_idx], model.config.k)
     x_unl = feats[unlabeled_idx]
     n_lab, n_unl = x_lab.shape[0], x_unl.shape[0]
     d = feats.shape[1]

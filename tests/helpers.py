@@ -34,9 +34,10 @@ def embedding(d_in: int = 16) -> np.ndarray:
 
 def blob_split(seed: int, split: int, n_per_class: int, means,
                labeled_fraction: float = 1.0, d_in: int = 16) -> FeatureDataset:
-    """Two Gaussian blobs in 2-d, pushed through the fixed embedding.
+    """One Gaussian blob per mean in 2-d, pushed through the fixed embedding.
 
     split: 0 = train, 1 = val, 2 = test; each gets an independent stream.
+    Two blobs are named ("positive", "negative"), more are class0, class1...
     """
     rng = np.random.default_rng([seed, split])
     pts = [rng.standard_normal((n_per_class, 2)) + np.asarray(m, dtype=float)
@@ -52,7 +53,11 @@ def blob_split(seed: int, split: int, n_per_class: int, means,
         chosen = set(rng.choice(len(y), size=keep, replace=False).tolist())
         labels = [int(v) if i in chosen else None for i, v in enumerate(y)]
     return FeatureDataset(features=x2 @ embedding(d_in), labels=labels,
-                          class_names=("positive", "negative"))
+                          class_names=class_names(len(means)))
+
+
+def class_names(k: int) -> tuple[str, ...]:
+    return ("positive", "negative") if k == 2 else tuple(f"class{j}" for j in range(k))
 
 
 def labeled_subset(ds: FeatureDataset):
@@ -83,38 +88,44 @@ def train_on_blobs(seed: int, means, labeled_fraction: float, cfg: TrainConfig,
     return acc, area, history
 
 
-def random_model(rng, d_in: int = 5, h: int = 4, r: int = 3) -> EvidentialModel:
+def random_model(rng, d_in: int = 5, h: int = 4, r: int = 3,
+                 k: int = 2) -> EvidentialModel:
     # ranges keep every parameter numerically "alive": eta away from 0,
     # beta away from the floor, xi inside the responsive band of sigmoid
     return EvidentialModel(
-        config=ModelConfig(d_in=d_in, r=r, h=h, k=2),
-        class_names=("positive", "negative"),
+        config=ModelConfig(d_in=d_in, r=r, h=h, k=k),
+        class_names=class_names(k),
         w=rng.uniform(-0.8, 0.8, size=(h, d_in)),
         b=rng.uniform(-0.3, 0.3, size=h),
         centers=rng.uniform(-1.0, 1.0, size=(r, h)),
-        beta=rng.uniform(0.2, 1.5, size=(r, 2)),
+        beta=rng.uniform(0.2, 1.5, size=(r, k)),
         xi=rng.uniform(-2.0, 2.0, size=r),
         eta=rng.uniform(0.4, 1.2, size=r),
     )
 
 
-def mse_check_pair(seed: int):
-    """Model + batch for finite-difference checks in squared-error mode."""
+def check_labels(n: int, k: int) -> list[int]:
+    """Class indices 1, 0, k-1, k-2, ...: for k = 2 the frozen 1, 0, 1, 0..."""
+    return [(1 - i) % k for i in range(n)]
+
+
+def mse_check_pair(seed: int, k: int = 2):
+    """k-class model + batch for finite-difference checks in squared-error mode."""
     rng = np.random.default_rng(seed)
-    model = random_model(rng)
+    model = random_model(rng, k=k)
     xs = rng.uniform(-1.5, 1.5, size=(6, 5))
-    batch = Batch(labeled=[(xs[i], i % 2) for i in range(6)], unlabeled=[])
+    batch = Batch(labeled=list(zip(xs, check_labels(6, k))), unlabeled=[])
     cfg = TrainConfig(loss_mode="mse_pl", lam=0.01, seed=0)
     return model, batch, cfg
 
 
-def ce_check_pair(seed: int):
-    """Model + batch for finite-difference checks in cross-entropy mode,
-    with unlabeled instances so the consistency path is exercised too."""
+def ce_check_pair(seed: int, k: int = 2):
+    """k-class model + batch for finite-difference checks in cross-entropy
+    mode, with unlabeled instances so the consistency path is exercised too."""
     rng = np.random.default_rng(seed)
-    model = random_model(rng)
+    model = random_model(rng, k=k)
     xs = rng.uniform(-1.5, 1.5, size=(4, 5))
-    labeled = [(xs[i], i % 2) for i in range(4)]
+    labeled = list(zip(xs, check_labels(4, k)))
     unlabeled = []
     for _ in range(3):
         base = rng.uniform(-1.5, 1.5, size=5)

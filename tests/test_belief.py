@@ -62,6 +62,8 @@ def test_frame_validation():
         Frame(("a", "a"))
     with pytest.raises(ValueError):
         Frame(("a", ""))
+    with pytest.raises(ValueError):
+        Frame((1, 2))  # labels are strings
     Frame(tuple(f"c{i}" for i in range(16)))  # boundary is allowed
 
 

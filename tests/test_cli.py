@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import evidnet
-from evidnet import forward_batch, load_model, metrics_report, write_csv
+from evidnet import TrainConfig, forward_batch, load_model, metrics_report, write_csv
 from evidnet.dataio import PREDICTIONS_HEADER
 
 from helpers import blob_split
@@ -137,6 +139,18 @@ def test_train_is_reproducible(workdir, tmp_path):
     assert r1.returncode == 0 and r2.returncode == 0
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
     assert r1.stdout == r2.stdout
+
+
+def test_train_defaults_are_the_config_defaults(workdir, tmp_path):
+    res = run_cli(
+        "train",
+        "--train", str(workdir / "train.csv"),
+        "--val", str(workdir / "val.csv"),
+        "--out", str(tmp_path / "m.json"),
+    )
+    assert res.returncode == 0, res.stderr
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert doc["training_meta"]["config"] == asdict(TrainConfig())
 
 
 def test_train_rejects_single_class_data(workdir, tmp_path):

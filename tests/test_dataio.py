@@ -344,7 +344,9 @@ def test_load_model_errors(tmp_path):
 
     # malformed containers are corruption too, never a raw TypeError
     for field, value in (("prototypes", [5]), ("prototypes", 5),
-                         ("class_names", None), ("class_names", "pn")):
+                         ("class_names", None), ("class_names", "pn"),
+                         ("class_names", [None, None]), ("class_names", [1, 2]),
+                         ("class_names", ["a", ""]), ("class_names", ["a", "a"])):
         doc = json.loads(good.read_text())
         doc[field] = value
         bad.write_text(json.dumps(doc))

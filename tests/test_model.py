@@ -147,6 +147,10 @@ def test_model_validation():
         EvidentialModel(**{**ok, "w": np.eye(3)})
     with pytest.raises(DimensionMismatchError):
         EvidentialModel(**{**ok, "class_names": ("positive",)})
+    # names go through Frame: strings, non-empty, distinct
+    for names in ((0, 1), (1, 2), (None, None), ("positive", ""), ("a", "a")):
+        with pytest.raises(ValueError):
+            EvidentialModel(**{**ok, "class_names": names})
     with pytest.raises(NonFiniteInputError):
         EvidentialModel(**{**ok, "b": np.array([0.0, np.nan])})
     with pytest.raises(ZeroBetaError):
