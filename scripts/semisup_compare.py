@@ -19,6 +19,7 @@ from evidnet import (
     ModelConfig,
     TrainConfig,
     accuracy,
+    decide,
     forward_batch,
     init_model,
     train,
@@ -54,8 +55,7 @@ def run_once(seed, args, consistency_weight):
     )
     best, _ = train(model, train_set, val_set, cfg)
     _, _, pl = forward_batch(best, test_set.features)
-    predicted = [int(j) for j in pl.argmax(axis=1)]
-    return accuracy(predicted, test_set.labels)
+    return accuracy(decide(pl), test_set.labels)
 
 
 def main():

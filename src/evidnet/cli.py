@@ -18,8 +18,8 @@ from .errors import (
     SingleClassError,
     UnknownLabelError,
 )
-from .metrics import auc, metrics_report, roc_points
-from .model import ModelConfig, forward_batch, init_model
+from .metrics import metrics_report, roc_points
+from .model import ModelConfig, decide, forward_batch, init_model
 from .training import EpochRecord, TrainConfig, train
 
 # External loss-selector tokens, mapped onto the internal mode names.
@@ -150,7 +150,8 @@ def cmd_train(args, parser) -> int:
     return 0
 
 
-def _load_labeled(model_path, data_path):
+def _score_labeled(model_path, data_path):
+    """Plausibilities and class indices of a fully labeled feature file."""
     model = load_model(model_path)
     ds = load_csv(data_path, class_names=model.class_names)
     for i, lab in enumerate(ds.labels):
@@ -158,15 +159,13 @@ def _load_labeled(model_path, data_path):
             raise UnknownLabelError(f"{data_path}: row {i + 1} is unlabeled")
     if ds.n == 0:
         raise EmptyListError(f"{data_path}: no data rows")
-    return model, ds
+    _, _, pl = forward_batch(model, ds.features)
+    return pl, ds.labels
 
 
 def cmd_evaluate(args, parser) -> int:
-    model, ds = _load_labeled(args.model, args.data)
-    _, _, pl = forward_batch(model, ds.features)
-    preds = [int(j) for j in pl.argmax(axis=1)]
-    truth = [int(lab) for lab in ds.labels]
-    report = metrics_report(preds, truth, pl[:, 0], positive=0)
+    pl, labels = _score_labeled(args.model, args.data)
+    report = metrics_report(decide(pl), labels, pl[:, 0], positive=0)
     print(
         f"accuracy={report.accuracy:.4f} f1={report.f1:.4f} "
         f"auc={report.auc:.4f} n={report.n}"
@@ -183,12 +182,9 @@ def cmd_predict(args, parser) -> int:
 
 
 def cmd_roc(args, parser) -> int:
-    model, ds = _load_labeled(args.model, args.data)
-    _, _, pl = forward_batch(model, ds.features)
-    truth = [int(lab) for lab in ds.labels]
-    scores = pl[:, 0]
-    curve = roc_points(scores, truth, positive=0)
-    area = auc(scores, truth, positive=0)
+    pl, labels = _score_labeled(args.model, args.data)
+    curve = roc_points(pl[:, 0], labels, positive=0)
+    area = curve.area
     lines = ["fpr,tpr,threshold"]
     for fpr, tpr, thr in curve.points:
         lines.append(f"{fpr!r},{tpr!r},{thr!r}")

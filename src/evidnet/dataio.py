@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedVersionError,
     WriteFailureError,
 )
-from .model import EvidentialModel, ModelConfig, forward_batch
+from .model import EvidentialModel, ModelConfig, _class_indices, decide, forward_batch
 
 FORMAT_VERSION = 1
 
@@ -67,10 +67,7 @@ class FeatureDataset:
                 f"{len(self.labels)} labels for {self.features.shape[0]} rows"
             )
         self.class_names = tuple(self.class_names)
-        k = len(self.class_names)
-        for lab in self.labels:
-            if lab is not None and not 0 <= lab < k:
-                raise ValueError(f"label index {lab} outside class_names of size {k}")
+        _class_indices([lab for lab in self.labels if lab is not None], len(self.class_names))
 
     @property
     def n(self) -> int:
@@ -252,14 +249,13 @@ def load_model(path) -> EvidentialModel:
             f"{path}: format_version {version!r}, supported: {FORMAT_VERSION}"
         )
     raw_cfg = _require(doc, "config")
+    sizes = {key: _require(raw_cfg, key) for key in ("d_in", "r", "h", "k")}
+    for key, value in sizes.items():
+        if type(value) is not int:  # bool is an int subclass, and not a size
+            raise CorruptFieldError(f"{path}: bad config: {key} is {value!r}, not an integer")
     try:
-        config = ModelConfig(
-            d_in=int(_require(raw_cfg, "d_in")),
-            r=int(_require(raw_cfg, "r")),
-            h=int(_require(raw_cfg, "h")),
-            k=int(_require(raw_cfg, "k")),
-        )
-    except (TypeError, ValueError) as exc:
+        config = ModelConfig(**sizes)
+    except ValueError as exc:
         raise CorruptFieldError(f"{path}: bad config: {exc}") from exc
     protos = _require(doc, "prototypes")
     if not isinstance(protos, list):
@@ -321,7 +317,7 @@ def export_predictions(model: EvidentialModel, dataset: FeatureDataset, path) ->
     lines = [PREDICTIONS_HEADER]
     if dataset.n:
         m, m_omega, pl = forward_batch(model, dataset.features)
-        winners = pl.argmax(axis=1)
+        winners = decide(pl)
         for i in range(dataset.n):
             cells = [
                 str(i),
@@ -330,7 +326,7 @@ def export_predictions(model: EvidentialModel, dataset: FeatureDataset, path) ->
                 repr(float(m_omega[i])),
                 repr(float(pl[i, 0])),
                 repr(float(pl[i, 1])),
-                model.class_names[int(winners[i])],
+                model.class_names[winners[i]],
             ]
             lines.append(",".join(cells))
     try:

@@ -1,9 +1,9 @@
 """Binary classification metrics: accuracy, F1, ROC curve, AUC.
 
-The ROC sweep moves a threshold down through the distinct score values,
-grouping ties at a single threshold. AUC is the trapezoidal area under
-that curve, which equals the pairwise comparison statistic (ties count
-one half).
+Every metric takes array-likes. The ROC sweep moves a threshold down
+through the distinct score values, grouping ties at a single threshold.
+AUC is the trapezoidal area under that curve, which equals the pairwise
+comparison statistic (ties count one half).
 """
 
 from __future__ import annotations
@@ -22,16 +22,10 @@ class RocCurve:
     points: tuple[tuple[float, float, float], ...]
 
     @property
-    def fpr(self) -> np.ndarray:
-        return np.asarray([p[0] for p in self.points])
-
-    @property
-    def tpr(self) -> np.ndarray:
-        return np.asarray([p[1] for p in self.points])
-
-    @property
-    def thresholds(self) -> np.ndarray:
-        return np.asarray([p[2] for p in self.points])
+    def area(self) -> float:
+        """Trapezoidal area under the curve, summed in curve order."""
+        fpr, tpr = np.asarray(self.points)[:, :2].T
+        return float(np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
 
 
 @dataclass(frozen=True)
@@ -40,63 +34,30 @@ class MetricsReport:
     f1: float
     auc: float
     n: int
-    confusion: tuple[int, int, int, int]  # (tp, fp, fn, tn)
 
 
-def _check_lengths(a, b) -> int:
+def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a, b = np.asarray(a), np.asarray(b)
     if len(a) != len(b):
         raise LengthMismatchError(f"{len(a)} predictions vs {len(b)} truths")
     if len(a) == 0:
         raise EmptyListError("no instances to score")
-    return len(a)
+    return a, b
 
 
 def accuracy(preds, truth) -> float:
     """Fraction of exact label matches."""
-    n = _check_lengths(preds, truth)
-    return sum(1 for p, t in zip(preds, truth) if p == t) / n
-
-
-def confusion_counts(preds, truth, positive) -> tuple[int, int, int, int]:
-    """(tp, fp, fn, tn) with respect to the given positive label."""
-    n = _check_lengths(preds, truth)
-    tp = fp = fn = tn = 0
-    for p, t in zip(preds, truth):
-        if p == positive:
-            if t == positive:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if t == positive:
-                fn += 1
-            else:
-                tn += 1
-    return tp, fp, fn, tn
+    p, t = _paired(preds, truth)
+    return float(np.count_nonzero(p == t) / len(p))
 
 
 def f1(preds, truth, positive) -> float:
     """Binary F1 = 2tp / (2tp + fp + fn); zero denominator gives 0.0."""
-    tp, fp, fn, _ = confusion_counts(preds, truth, positive)
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
-
-
-def _score_arrays(scores, truth, positive):
-    s = np.asarray(scores, dtype=float)
-    if s.ndim != 1:
-        raise ValueError("scores must be a flat sequence")
-    _check_lengths(s, truth)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
-    pos = np.asarray([t == positive for t in truth], dtype=bool)
-    n_pos = int(pos.sum())
-    n_neg = int((~pos).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClassError(
-            f"need both classes for a ROC sweep, got {n_pos} positive / {n_neg} negative"
-        )
-    return s, pos, n_pos, n_neg
+    p, t = _paired(preds, truth)
+    p, t = p == positive, t == positive
+    tp = np.count_nonzero(p & t)
+    denom = np.count_nonzero(p) + np.count_nonzero(t)  # 2tp + fp + fn
+    return float(2 * tp / denom) if denom else 0.0
 
 
 def roc_points(scores, truth, positive=1) -> RocCurve:
@@ -106,24 +67,28 @@ def roc_points(scores, truth, positive=1) -> RocCurve:
     Ties share one threshold, so the curve has one point per distinct
     score plus the (0, 0, inf) start.
     """
-    s, pos, n_pos, n_neg = _score_arrays(scores, truth, positive)
+    s = np.asarray(scores, dtype=float)
+    if s.ndim != 1:
+        raise ValueError("scores must be a flat sequence")
+    s, t = _paired(s, truth)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("scores must be finite")
+    pos = t == positive
+    n_pos = np.count_nonzero(pos)
+    n_neg = len(pos) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise SingleClassError(
+            f"need both classes for a ROC sweep, got {n_pos} positive / {n_neg} negative"
+        )
     order = np.argsort(-s, kind="stable")
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    i = 0
-    n = len(s)
-    while i < n:
-        thr = s[order[i]]
-        j = i
-        while j < n and s[order[j]] == thr:
-            if pos[order[j]]:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((fp / n_neg, tp / n_pos, float(thr)))
-        i = j
-    return RocCurve(points=tuple(points))
+    s, pos = s[order], pos[order]
+    new_score = s[1:] != s[:-1]
+    first = np.flatnonzero(np.concatenate([[True], new_score]))  # threshold rows
+    last = np.flatnonzero(np.concatenate([new_score, [True]]))  # counted rows
+    tp = np.cumsum(pos)[last]
+    fp = last + 1 - tp
+    swept = zip((fp / n_neg).tolist(), (tp / n_pos).tolist(), s[first].tolist())
+    return RocCurve(points=((0.0, 0.0, float("inf")), *swept))
 
 
 def auc(scores, truth, positive=1) -> float:
@@ -132,22 +97,15 @@ def auc(scores, truth, positive=1) -> float:
     Equals the fraction of (positive, negative) pairs ranked correctly,
     counting ties as one half.
     """
-    curve = roc_points(scores, truth, positive)
-    area = 0.0
-    pts = curve.points
-    for (x0, y0, _), (x1, y1, _) in zip(pts[:-1], pts[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
+    return roc_points(scores, truth, positive).area
 
 
 def metrics_report(preds, truth, scores, positive=1) -> MetricsReport:
-    """Bundle accuracy, F1, AUC and confusion counts for one test set."""
-    n = _check_lengths(preds, truth)
-    tp, fp, fn, tn = confusion_counts(preds, truth, positive)
+    """Bundle accuracy, F1 and AUC for one test set."""
+    p, t = _paired(preds, truth)
     return MetricsReport(
-        accuracy=accuracy(preds, truth),
-        f1=f1(preds, truth, positive),
-        auc=auc(scores, truth, positive),
-        n=n,
-        confusion=(tp, fp, fn, tn),
+        accuracy=accuracy(p, t),
+        f1=f1(p, t, positive),
+        auc=auc(scores, t, positive),
+        n=len(p),
     )

@@ -17,6 +17,7 @@ eta_i^2, u_ik = beta_ik^2 / sum_l beta_il^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -251,9 +252,19 @@ def forward(model: EvidentialModel, x) -> OutputMass:
     return OutputMass(mass=mass, pl=cache["pl"][0], activations=cache["s"][0])
 
 
-def decide(out: OutputMass) -> int:
-    """Class of maximum plausibility; ties go to the lowest index."""
-    return int(np.argmax(out.pl))
+def decide(pl):
+    """Class of maximum plausibility along the last axis; ties go to the
+    lowest index. Takes one pl vector or a matrix with one row per input.
+    """
+    return np.argmax(pl, axis=-1)
+
+
+def _class_indices(labels, k: int) -> np.ndarray:
+    """Labels as an int array; raise unless each is an integer in [0, k)."""
+    for lab in labels:
+        if not isinstance(lab, Integral) or not 0 <= lab < k:
+            raise ValueError(f"label {lab!r} is not a class index in [0, {k})")
+    return np.asarray(labels, dtype=int)
 
 
 def kmeans_init(features, r: int, seed: int) -> np.ndarray:
@@ -313,14 +324,13 @@ def init_model(
     (gamma_i = 1 / mean squared member distance, or 1 if degenerate).
     """
     X = _as_feature_matrix(labeled_features, config.d_in)
-    y = np.asarray(labels, dtype=int)
     n = X.shape[0]
-    if y.shape != (n,):
-        raise DimensionMismatchError(f"{y.shape[0] if y.ndim else 0} labels for {n} rows")
+    shape = np.shape(labels)
+    if shape != (n,):
+        raise DimensionMismatchError(f"{shape[0] if shape else 0} labels for {n} rows")
     if n < config.r:
         raise TooFewPointsError(f"{n} labeled points for r={config.r} prototypes")
-    if n and (y.min() < 0 or y.max() >= config.k):
-        raise ValueError(f"labels must be class indices in [0, {config.k})")
+    y = _class_indices(labels, config.k)
     if class_names is None:
         if config.k == 2:
             class_names = ("positive", "negative")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,12 +35,15 @@ from .errors import (
     NonFiniteGradientError,
     ShapeMismatchError,
 )
+from .metrics import accuracy
 from .model import (
     PARAM_FIELDS,
     EvidentialModel,
     _as_feature_matrix,
+    _class_indices,
     _exclusive_prod,
     _forward_arrays,
+    decide,
     forward_batch,
 )
 
@@ -78,6 +80,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
+        for name in ("lam", "consistency_weight", "noise_sigma", "learning_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.consistency_weight < 0:
@@ -138,14 +143,6 @@ class OptimizerState:
 
 # ---------------------------------------------------------------------------
 # batched objective and analytic gradients
-
-
-def _class_indices(labels, k: int) -> np.ndarray:
-    """Labels as an int array; raise unless each is an integer in [0, k)."""
-    for lab in labels:
-        if not isinstance(lab, Integral) or not 0 <= lab < k:
-            raise ValueError(f"label {lab!r} is not a class index in [0, {k})")
-    return np.asarray(labels, dtype=int)
 
 
 def _stack_batch(batch: Batch, k: int):
@@ -403,10 +400,8 @@ def optimizer_step(
 
 
 def _validation_accuracy(model: EvidentialModel, val_set: FeatureDataset) -> float:
-    truth = np.asarray(val_set.labels, dtype=int)
     _, _, pl = forward_batch(model, val_set.features)
-    preds = pl.argmax(axis=1)
-    return float((preds == truth).mean())
+    return accuracy(decide(pl), val_set.labels)
 
 
 def train(
@@ -415,7 +410,6 @@ def train(
     val_set: FeatureDataset,
     cfg: TrainConfig,
     *,
-    val_metric: Optional[Callable[[EvidentialModel], float]] = None,
     on_epoch: Optional[Callable[[EpochRecord], None]] = None,
 ) -> tuple[EvidentialModel, TrainHistory]:
     """Mini-batch training with early stopping on validation accuracy.
@@ -425,9 +419,8 @@ def train(
     are drawn every epoch. Training stops once validation accuracy has
     not strictly improved for cfg.patience consecutive epochs (or at
     max_epochs), and the best-epoch parameters are returned. Fully
-    deterministic given (datasets, config). val_metric, when given,
-    replaces the accuracy computation (epoch-end hook for tests);
-    on_epoch observes each record as it is appended.
+    deterministic given (datasets, config). on_epoch observes each record
+    as it is appended.
     """
     feats = train_set.features
     labels = train_set.labels
@@ -439,11 +432,10 @@ def train(
     )
     if labeled_idx.size == 0:
         raise NoLabeledDataError("training set has no labeled instances")
-    if val_metric is None:
-        if val_set.n == 0:
-            raise EmptyValidationError("validation set is empty")
-        if not val_set.fully_labeled():
-            raise EmptyValidationError("validation set must be fully labeled")
+    if val_set.n == 0:
+        raise EmptyValidationError("validation set is empty")
+    if not val_set.fully_labeled():
+        raise EmptyValidationError("validation set must be fully labeled")
 
     x_lab = feats[labeled_idx]
     y_lab = _class_indices([labels[i] for i in labeled_idx], model.config.k)
@@ -481,11 +473,7 @@ def train(
             current, state = optimizer_step(current, grads, cfg, state)
             batch_losses.append(loss)
         train_loss = float(np.mean(batch_losses))
-        val_acc = (
-            float(val_metric(current))
-            if val_metric is not None
-            else _validation_accuracy(current, val_set)
-        )
+        val_acc = _validation_accuracy(current, val_set)
         record = EpochRecord(epoch=epoch, train_loss=train_loss, val_accuracy=val_acc)
         records.append(record)
         if on_epoch is not None:

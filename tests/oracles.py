@@ -146,6 +146,33 @@ def pairwise_auc(scores, truth, positive=1) -> float:
     return total / (len(pos) * len(neg))
 
 
+def reference_roc(scores, truth, positive=1):
+    """ROC points and trapezoidal area from a row-by-row threshold sweep.
+
+    Sorts by descending score (stable), walks each group of tied scores,
+    and sums the trapezoids one at a time in curve order.
+    """
+    order = sorted(range(len(scores)), key=lambda i: -float(scores[i]))
+    n_pos = sum(1 for t in truth if t == positive)
+    n_neg = len(truth) - n_pos
+    points = [(0.0, 0.0, float("inf"))]
+    tp = fp = 0
+    i = 0
+    while i < len(order):
+        thr = float(scores[order[i]])
+        while i < len(order) and float(scores[order[i]]) == thr:
+            if truth[order[i]] == positive:
+                tp += 1
+            else:
+                fp += 1
+            i += 1
+        points.append((fp / n_neg, tp / n_pos, thr))
+    area = 0.0
+    for (x0, y0, _), (x1, y1, _) in zip(points[:-1], points[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return tuple(points), area
+
+
 def reference_load_csv(path, class_names=None):
     """Feature CSV parsed cell by cell after reading every row into memory.
 

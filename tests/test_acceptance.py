@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import evidnet.training
 from evidnet import (
     Frame,
     TrainConfig,
@@ -176,7 +177,7 @@ def test_criterion_06_consistency_term_does_not_hurt():
                f"without, 10 seeds, {elapsed:.1f}s")
 
 
-def test_criterion_07_early_stopping_restores_best_epoch():
+def test_criterion_07_early_stopping_restores_best_epoch(monkeypatch):
     """Scripted plateau 0.6, then six 0.7s: patience 5 stops after epoch 7
     and hands back the epoch-2 parameters."""
     train_set, val_set = easy_sets()
@@ -184,12 +185,13 @@ def test_criterion_07_early_stopping_restores_best_epoch():
     script = iter([0.6, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.9, 0.9, 0.9])
     snapshots = []
 
-    def metric(current):
+    def scripted_accuracy(current, _val_set):
         snapshots.append(current.copy())
         return next(script)
 
+    monkeypatch.setattr(evidnet.training, "_validation_accuracy", scripted_accuracy)
     cfg = TrainConfig(max_epochs=50, patience=5, seed=0)
-    best, history = train(model, train_set, val_set, cfg, val_metric=metric)
+    best, history = train(model, train_set, val_set, cfg)
     assert len(history.records) == 7  # the 0.9 epochs are never reached
     assert history.stopped_early
     assert history.best_epoch == 2

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -93,6 +95,8 @@ def test_invalid_flag_values_are_usage_errors(workdir):
     assert run_cli(*base, "--prototypes", "0").returncode == 2
     assert run_cli(*base, "--loss", "eq7").returncode == 2
     assert run_cli(*base, "--lr", "-1").returncode == 2
+    assert run_cli(*base, "--lr", "nan").returncode == 2
+    assert run_cli(*base, "--consistency-weight", "inf").returncode == 2
 
 
 # train
@@ -288,3 +292,15 @@ def test_scripts_run_at_tiny_sizes(tmp_path):
     res = run_python(str(SCRIPTS_DIR / "semisup_compare.py"), "--seeds", "1", *sizes)
     assert res.returncode == 0, res.stderr
     assert re.match(r"seed=0 with=[0-9.]+ without=[0-9.]+\nmedian with=", res.stdout)
+
+
+def test_benchmark_trace_points_resolve():
+    # The traced benchmark run rebinds these module-level names; a renamed or
+    # deleted one would otherwise surface only in the benchmark's own suite.
+    path = SCRIPTS_DIR.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACE_POINTS
+    for module, name, _ in tracing.TRACE_POINTS:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)

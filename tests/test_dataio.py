@@ -55,8 +55,9 @@ def test_feature_dataset_validation():
         FeatureDataset(np.array([[np.nan]]), [0], ("a", "b"))
     with pytest.raises(LengthMismatchError):
         FeatureDataset(np.zeros((2, 1)), [0], ("a", "b"))
-    with pytest.raises(ValueError):
-        FeatureDataset(np.zeros((1, 1)), [2], ("a", "b"))
+    for bad in (2, -1, 0.5, 1.5, 1.0):
+        with pytest.raises(ValueError):
+            FeatureDataset(np.zeros((1, 1)), [bad], ("a", "b"))
 
 
 # csv parsing
@@ -329,6 +330,14 @@ def test_load_model_errors(tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(CorruptFieldError):
         load_model(bad)
+
+    # sizes are JSON integers, never floats, strings or booleans
+    for key, value in (("h", 2.9), ("d_in", "2"), ("r", True)):
+        doc = json.loads(good.read_text())
+        doc["config"][key] = value
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFieldError, match=f"{key} is"):
+            load_model(bad)
 
     doc = json.loads(good.read_text())
     doc["prototypes"] = doc["prototypes"] * 2  # r says 1, file has 2

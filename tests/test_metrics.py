@@ -92,10 +92,10 @@ def test_roc_thresholds_strictly_decrease():
     truth = rng.integers(0, 2, 40)
     truth[0], truth[1] = 0, 1
     curve = roc_points(scores, truth, positive=1)
-    t = curve.thresholds
+    fpr, tpr, t = np.asarray(curve.points).T
     assert np.all(t[:-1] > t[1:])
-    assert np.all(np.diff(curve.fpr) >= 0)
-    assert np.all(np.diff(curve.tpr) >= 0)
+    assert np.all(np.diff(fpr) >= 0)
+    assert np.all(np.diff(tpr) >= 0)
     assert curve.points[-1][:2] == (1.0, 1.0)
 
 
@@ -159,6 +159,28 @@ def test_auc_bounds_and_curve_shape(seed, n):
     assert 0.0 <= auc(scores, truth, positive=1) <= 1.0
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60), st.sampled_from([None, 1, 2]),
+       st.booleans())
+def test_roc_matches_row_by_row_sweep(seed, n, decimals, signed_zeros):
+    # bit-equal points and area, tie-heavy sets and 0.0 / -0.0 ties included
+    rng = np.random.default_rng(seed)
+    scores = rng.random(n)
+    if decimals is not None:
+        scores = np.round(scores, decimals)
+    if signed_zeros:
+        scores[rng.random(n) < 0.5] = 0.0
+        scores[rng.random(n) < 0.3] = -0.0
+    truth = rng.integers(0, 2, n)
+    truth[:2] = [0, 1]
+    for positive in (0, 1):
+        points, area = oracles.reference_roc(scores, truth, positive)
+        curve = roc_points(scores, truth, positive)
+        assert repr(curve.points) == repr(points)
+        assert repr(curve.area) == repr(area)
+        assert repr(auc(scores, truth, positive)) == repr(area)
+
+
 # bundled report
 
 def test_metrics_report_consistent_with_parts():
@@ -170,6 +192,6 @@ def test_metrics_report_consistent_with_parts():
     assert rep.f1 == f1(preds, truth, positive=1)
     assert rep.auc == auc(scores, truth, positive=1)
     assert rep.n == 6
-    tp, fp, fn, tn = rep.confusion
-    assert (tp, fp, fn, tn) == (2, 1, 1, 2)
-    assert tp + fp + fn + tn == rep.n
+    # tp=2, fp=1, fn=1, tn=2
+    assert rep.accuracy == (2 + 2) / 6
+    assert rep.f1 == 2 * 2 / (2 * 2 + 1 + 1)

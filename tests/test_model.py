@@ -245,7 +245,7 @@ def test_forward_worked_example():
     assert out.ignorance == pytest.approx(0.5, abs=1e-12)
     assert out.pl == pytest.approx([0.8, 0.7], abs=1e-12)
     assert out.activations == pytest.approx([0.5], abs=1e-15)
-    assert decide(out) == 0
+    assert decide(out.pl) == 0
     assert out.frame.labels == ("positive", "negative")
 
 
@@ -254,7 +254,7 @@ def test_forward_unreliable_prototypes_give_ignorance():
     out = forward(m, np.array([0.1, 0.2]))
     assert out.ignorance == pytest.approx(1.0, abs=1e-12)
     assert out.pl == pytest.approx([1.0, 1.0], abs=1e-12)
-    assert decide(out) == 0  # full tie goes to the lowest class index
+    assert decide(out.pl) == 0  # full tie goes to the lowest class index
 
 
 def test_forward_certain_prototype():
@@ -264,7 +264,7 @@ def test_forward_certain_prototype():
     assert out.singleton_masses[0] == 1.0
     assert out.singleton_masses[1] == 0.0
     assert out.ignorance == 0.0
-    assert decide(out) == 0
+    assert decide(out.pl) == 0
     # two saturated prototypes that fully disagree leave nothing to normalize
     m = tiny_model(beta=((1.0, 0.0), (0.0, 1.0)), xi=(40.0, 40.0), eta=(1.0, 1.0),
                    center=((0.0, 0.0), (0.0, 0.0)))
@@ -276,7 +276,9 @@ def test_decide_prefers_higher_plausibility():
     m = tiny_model(beta=((0.1, 0.9),))
     out = forward(m, np.zeros(2))
     assert out.pl[1] > out.pl[0]
-    assert decide(out) == 1
+    assert decide(out.pl) == 1
+    # one decision per row of a pl matrix, ties to the lowest index
+    assert decide(np.array([[0.2, 0.7], [0.5, 0.5], [0.9, 0.1]])).tolist() == [1, 0, 0]
 
 
 def test_forward_batch_matches_single_rows():
@@ -419,6 +421,9 @@ def test_init_model_validation():
     cfg = ModelConfig(d_in=3, r=2, h=4, k=2)
     with pytest.raises(ValueError):
         init_model(cfg, X, [5] * len(y), seed=0)
+    for bad in (0.5, 1.7, 1.0, -1):  # fractional or float labels are not truncated
+        with pytest.raises(ValueError):
+            init_model(cfg, X, [bad] + y[1:], seed=0)
     with pytest.raises(DimensionMismatchError):
         init_model(cfg, X, y[:-1], seed=0)
     with pytest.raises(TooFewPointsError):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import evidnet.training
 from evidnet import (
     Batch,
     DimensionMismatchError,
@@ -14,6 +15,7 @@ from evidnet import (
     FeatureDataset,
     ModelConfig,
     NoLabeledDataError,
+    NonFiniteGradientError,
     ShapeMismatchError,
     TrainConfig,
     forward,
@@ -52,6 +54,14 @@ def test_train_config_defaults_are_valid():
         dict(batch_size=0),
         dict(max_epochs=0),
         dict(patience=0),
+        dict(lam=math.nan),
+        dict(lam=math.inf),
+        dict(consistency_weight=math.nan),
+        dict(consistency_weight=math.inf),
+        dict(noise_sigma=math.nan),
+        dict(noise_sigma=math.inf),
+        dict(learning_rate=math.nan),
+        dict(learning_rate=math.inf),
     ],
 )
 def test_train_config_validation(bad):
@@ -211,6 +221,22 @@ def test_gradients_regularizer_only():
         assert np.all(grads[name] == 0.0), name
 
 
+def test_overflowing_row_gives_non_finite_gradient():
+    # d^2 overflows to inf: the clamped loss stays finite, its gradient does not
+    model = tiny_model()
+    far = np.array([1e308, 1e308])
+    cfg = TrainConfig(lam=0.0, max_epochs=1)
+    data = FeatureDataset(np.array([far, [0.0, 0.0]]), [0, 1], ("positive", "negative"))
+    with np.errstate(all="ignore"):
+        assert total_loss(model, Batch(labeled=[(far, 0)]), cfg) == pytest.approx(
+            -math.log(LOG_EPS)
+        )
+        with pytest.raises(NonFiniteGradientError):
+            gradients(model, Batch(labeled=[(far, 0)]), cfg)
+        with pytest.raises(NonFiniteGradientError):
+            train(model, data, data, cfg)
+
+
 def test_gradient_blocks_match_parameter_shapes():
     model, batch, cfg = ce_check_pair(2)
     grads = gradients(model, batch, cfg)
@@ -330,18 +356,19 @@ def fit_model(train_set, seed=0, r=2, h=4):
     return init_model(ModelConfig(d_in=16, r=r, h=h, k=2), feats, labs, seed=seed)
 
 
-def test_train_returns_best_epoch_parameters():
+def test_train_returns_best_epoch_parameters(monkeypatch):
     train_set, val_set = easy_sets()
     model = fit_model(train_set)
     script = iter([0.5, 0.9, 0.7, 0.7])
     snapshots = []
 
-    def metric(current):
+    def scripted_accuracy(current, _val_set):
         snapshots.append(current.copy())
         return next(script)
 
+    monkeypatch.setattr(evidnet.training, "_validation_accuracy", scripted_accuracy)
     cfg = TrainConfig(max_epochs=10, patience=2, seed=0)
-    best, history = train(model, train_set, val_set, cfg, val_metric=metric)
+    best, history = train(model, train_set, val_set, cfg)
     assert [r.epoch for r in history.records] == [1, 2, 3, 4]
     assert history.best_epoch == 2
     assert history.stopped_early
@@ -350,12 +377,13 @@ def test_train_returns_best_epoch_parameters():
         assert np.array_equal(arr, snapshots[1].params()[name]), name
 
 
-def test_train_runs_to_max_epochs_without_improvement_stall():
+def test_train_runs_to_max_epochs_without_improvement_stall(monkeypatch):
     train_set, val_set = easy_sets()
     model = fit_model(train_set)
     values = iter(i / 100.0 for i in range(1, 100))  # strictly improving
+    monkeypatch.setattr(evidnet.training, "_validation_accuracy", lambda m, v: next(values))
     cfg = TrainConfig(max_epochs=6, patience=2, seed=0)
-    _, history = train(model, train_set, val_set, cfg, val_metric=lambda m: next(values))
+    _, history = train(model, train_set, val_set, cfg)
     assert len(history.records) == 6
     assert not history.stopped_early
     assert history.best_epoch == 6
@@ -447,6 +475,3 @@ def test_train_validation_requirements():
     )
     with pytest.raises(ValueError):
         train(model, three, val_set, cfg)
-    # a custom metric lifts the labeled-validation requirement
-    _, history = train(model, train_set, empty, cfg, val_metric=lambda m: 1.0)
-    assert len(history.records) >= 1
