@@ -16,7 +16,9 @@ eta_i^2, u_ik = beta_ik^2 / sum_l beta_il^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+import math
+from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Sequence
 
@@ -41,12 +43,18 @@ PARAM_FIELDS = ("w", "b", "centers", "beta", "xi", "eta")
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, elementwise over an array."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _sq_dists(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distances ||z_n - c_i||^2 as an (n, r) matrix, by the GEMM
+    expansion ||z||^2 - 2 z c^T + ||c||^2, floored at 0 where it cancels."""
+    d2 = z @ c.T
+    d2 *= -2.0
+    d2 += np.einsum("nh,nh->n", z, z)[:, None]
+    d2 += np.einsum("ih,ih->i", c, c)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _exclusive_prod(a: np.ndarray, axis: int) -> np.ndarray:
@@ -84,14 +92,31 @@ class ModelConfig:
         if self.k > MAX_FRAME_SIZE:
             raise ValueError(f"at most {MAX_FRAME_SIZE} classes are supported")
 
+    @property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of each parameter block, in PARAM_FIELDS order."""
+        r, h, k = self.r, self.h, self.k
+        return dict(zip(PARAM_FIELDS, ((h, self.d_in), (h,), (r, h), (r, k), (r,), (r,))))
+
+
+def _blocks(config: ModelConfig, vector: np.ndarray) -> dict[str, np.ndarray]:
+    """Views of a vector laid out like a model's parameters, keyed by block."""
+    out, start = {}, 0
+    for name, shape in config.shapes.items():
+        size = math.prod(shape)
+        out[name] = vector[start : start + size].reshape(shape)
+        start += size
+    return out
+
 
 @dataclass
 class EvidentialModel:
     """Full parameter set: affine reduction plus r stacked prototypes.
 
-    Prototype parameters are stored as stacked arrays (centers (r,h),
-    beta (r,k), xi (r,), eta (r,)) so training touches contiguous
-    blocks.
+    Prototype parameters are stacked arrays (centers (r,h), beta (r,k),
+    xi (r,), eta (r,)). All six blocks are views into one contiguous
+    float64 vector, theta, in PARAM_FIELDS order, so training updates
+    the model with whole-vector operations.
     """
 
     config: ModelConfig
@@ -102,44 +127,49 @@ class EvidentialModel:
     beta: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.class_names = Frame(self.class_names).labels
+        self.frame = Frame(self.class_names)
+        self.class_names = self.frame.labels
         if len(self.class_names) != self.config.k:
             raise DimensionMismatchError(
                 f"{len(self.class_names)} class names for k={self.config.k}"
             )
-        c = self.config
-        shapes = {
-            "w": (c.h, c.d_in),
-            "b": (c.h,),
-            "centers": (c.r, c.h),
-            "beta": (c.r, c.k),
-            "xi": (c.r,),
-            "eta": (c.r,),
-        }
-        for name, want in shapes.items():
+        parts = []
+        for name, want in self.config.shapes.items():
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != want:
                 raise DimensionMismatchError(
                     f"{name} has shape {arr.shape}, expected {want}"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteInputError(f"non-finite entries in {name}")
-            setattr(self, name, arr)
-        if np.any((self.beta**2).sum(axis=1) == 0.0):
+            parts.append(arr.reshape(-1))
+        self._bind(np.concatenate(parts))
+
+    def _bind(self, theta: np.ndarray) -> None:
+        """Make theta the parameter vector; raise unless every entry is
+        finite and every prototype's beta squares have a non-zero sum."""
+        self.theta = theta
+        self.__dict__.update(_blocks(self.config, theta))
+        if not np.isfinite(theta).all():
+            name = next(n for n in PARAM_FIELDS if not np.isfinite(getattr(self, n)).all())
+            raise NonFiniteInputError(f"non-finite entries in {name}")
+        if ((self.beta**2).sum(axis=1) == 0.0).any():
             raise ZeroBetaError("a prototype's beta squares sum to zero")
 
-    @property
-    def frame(self) -> Frame:
-        return Frame(self.class_names)
+    def _with_vector(self, theta: np.ndarray) -> "EvidentialModel":
+        """The same architecture and classes over parameter vector theta."""
+        new = copy.copy(self)
+        new._bind(theta)
+        return new
 
     def params(self) -> dict[str, np.ndarray]:
         """Trainable blocks in a fixed, documented order."""
         return {name: getattr(self, name) for name in PARAM_FIELDS}
 
     def copy(self) -> "EvidentialModel":
-        return replace(self, **{f: getattr(self, f).copy() for f in PARAM_FIELDS})
+        return self._with_vector(self.theta.copy())
 
 
 @dataclass
@@ -175,7 +205,7 @@ def _as_feature_matrix(x, d_in: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"feature matrix has shape {X.shape}, expected (n, {d_in})"
         )
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise NonFiniteInputError("non-finite feature values")
     return X
 
@@ -183,13 +213,12 @@ def _as_feature_matrix(x, d_in: int) -> np.ndarray:
 def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     """Vectorized forward pass over a batch; returns all intermediates.
 
-    Keys: z, diff, d2, alpha, gamma, e, s, one_minus_s, u, cf, a,
+    Keys: x, z, d2, alpha, gamma, e, s, one_minus_s, u, cf, a,
     b_prod, n, m, m_omega, pl. Shapes are (n, ...), prototype axis 1.
     """
     k = model.config.k
     z = X @ model.w.T + model.b
-    diff = z[:, None, :] - model.centers[None, :, :]
-    d2 = np.einsum("nih,nih->ni", diff, diff)
+    d2 = _sq_dists(z, model.centers)
     alpha = _sigmoid(model.xi)
     gamma = model.eta**2
     e = np.exp(-gamma[None, :] * d2)
@@ -202,7 +231,7 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     a = cf.prod(axis=1)
     b_prod = one_minus_s.prod(axis=1)
     n_norm = a.sum(axis=1) - (k - 1) * b_prod
-    if np.any(n_norm <= TOTAL_CONFLICT_FLOOR):
+    if (n_norm <= TOTAL_CONFLICT_FLOOR).any():
         raise TotalConflictError("fused normalizer vanished; sources fully conflict")
     m = (a - b_prod[:, None]) / n_norm[:, None]
     m_omega = b_prod / n_norm
@@ -210,7 +239,6 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     return {
         "x": X,
         "z": z,
-        "diff": diff,
         "d2": d2,
         "alpha": alpha,
         "gamma": gamma,
@@ -262,7 +290,7 @@ def decide(pl):
 def _class_indices(labels, k: int) -> np.ndarray:
     """Labels as an int array; raise unless each is an integer in [0, k)."""
     for lab in labels:
-        if not isinstance(lab, Integral) or not 0 <= lab < k:
+        if isinstance(lab, bool) or not isinstance(lab, Integral) or not 0 <= lab < k:
             raise ValueError(f"label {lab!r} is not a class index in [0, {k})")
     return np.asarray(labels, dtype=int)
 
@@ -288,13 +316,13 @@ def kmeans_init(features, r: int, seed: int) -> np.ndarray:
     centers = X[rng.choice(n, size=r, replace=False)].copy()
     assign = None
     for _ in range(KMEANS_MAX_ITER):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dists(X, centers)
         new_assign = d2.argmin(axis=1)
         for j in range(r):
             if not np.any(new_assign == j):
                 far = int(d2[:, j].argmax())
                 centers[j] = X[far]
-                d2[:, j] = ((X - centers[j]) ** 2).sum(axis=1)
+                d2[:, j] = _sq_dists(X, centers[j : j + 1])[:, 0]
                 new_assign = d2.argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break
@@ -342,7 +370,7 @@ def init_model(
     b = np.zeros(config.h)
     z = X @ w.T + b
     centers = kmeans_init(z, config.r, int(rng.integers(2**32)))
-    d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_dists(z, centers)
     assign = d2.argmin(axis=1)
     beta = np.empty((config.r, config.k))
     eta = np.empty(config.r)
@@ -357,14 +385,5 @@ def init_model(
             msd = 0.0
         beta[i] = np.maximum(0.05, np.sqrt(props))
         eta[i] = np.sqrt(1.0 / msd) if msd > 0.0 else 1.0
-    xi = np.zeros(config.r)
-    return EvidentialModel(
-        config=config,
-        class_names=tuple(class_names),
-        w=w,
-        b=b,
-        centers=centers,
-        beta=beta,
-        xi=xi,
-        eta=eta,
-    )
+    return EvidentialModel(config=config, class_names=tuple(class_names), w=w, b=b,
+                           centers=centers, beta=beta, xi=np.zeros(config.r), eta=eta)

@@ -20,7 +20,7 @@ saturated activations (s_i = 1, zero factors) stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,6 +40,7 @@ from .model import (
     PARAM_FIELDS,
     EvidentialModel,
     _as_feature_matrix,
+    _blocks,
     _class_indices,
     _exclusive_prod,
     _forward_arrays,
@@ -83,22 +84,13 @@ class TrainConfig:
         for name in ("lam", "consistency_weight", "noise_sigma", "learning_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.consistency_weight < 0:
-            raise ValueError("consistency_weight must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.t_perturb < 1:
-            raise ValueError("t_perturb must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name, low in (("lam", 0), ("consistency_weight", 0), ("noise_sigma", 0),
+                          ("t_perturb", 1), ("batch_size", 1), ("max_epochs", 1),
+                          ("patience", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass
@@ -134,11 +126,12 @@ class TrainHistory:
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment accumulators; step counts completed updates."""
+    """Adaptive-moment accumulators, laid out like model.theta; step counts
+    completed updates."""
 
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +229,24 @@ def _loss_and_grads(
 
 
 def _backward_arrays(
-    model: EvidentialModel,
-    cache: dict,
-    gm: np.ndarray,
-    gmo: np.ndarray,
-    lam: float,
-) -> dict[str, np.ndarray]:
+    model: EvidentialModel, cache: dict, gm: np.ndarray, gmo: np.ndarray, lam: float
+) -> np.ndarray:
     """Chain rule from upstream mass gradients down to every parameter.
 
     gm is dLoss/d(singleton masses), gmo is dLoss/d(ignorance mass), per
     batch row. The normalizer's quotient rule folds into a single shared
     scalar per row; leave-one-out products replace division through the
-    fused products so zero factors cannot poison the result. Returns one
-    gradient per parameter block, keyed like model.params().
+    fused products so zero factors cannot poison the result. Returns the
+    gradient as one vector laid out like model.theta.
     """
     k = model.config.k
     m, mo, norm = cache["m"], cache["m_omega"], cache["n"]
     cf, one_minus_s = cache["cf"], cache["one_minus_s"]
     u, s, e, d2 = cache["u"], cache["s"], cache["e"], cache["d2"]
     alpha, gamma = cache["alpha"], cache["gamma"]
-    diff, x = cache["diff"], cache["x"]
+    z, x = cache["z"], cache["x"]
+    grad = np.empty_like(model.theta)
+    out = _blocks(model.config, grad)
 
     shared = (gm * m).sum(axis=1) + gmo * mo
     ga = (gm - shared[:, None]) / norm[:, None]
@@ -269,32 +260,32 @@ def _backward_arrays(
 
     ge = gs * alpha[None, :]
     galpha = (gs * e).sum(axis=0)
-    gxi = (galpha + lam) * alpha * (1.0 - alpha)
+    out["xi"][:] = (galpha + lam) * alpha * (1.0 - alpha)
 
     ggamma = -(ge * d2 * e).sum(axis=0)
-    geta = 2.0 * model.eta * ggamma
+    out["eta"][:] = 2.0 * model.eta * ggamma
     gd2 = -ge * gamma[None, :] * e
 
-    gdiff = 2.0 * gd2[:, :, None] * diff
-    gz = gdiff.sum(axis=1)
-    gcenters = -gdiff.sum(axis=0)
-    gw = gz.T @ x
-    gb_vec = gz.sum(axis=0)
+    # d2 = |z|^2 - 2 z c^T + |c|^2, so its pull on z and on each center
+    # is two matrix products, never an (n, r, h) tensor
+    gz = 2.0 * (gd2.sum(axis=1)[:, None] * z - gd2 @ model.centers)
+    out["centers"][:] = 2.0 * (gd2.sum(axis=0)[:, None] * model.centers - gd2.T @ z)
+    np.matmul(gz.T, x, out=out["w"])
+    gz.sum(axis=0, out=out["b"])
 
     ssum = (model.beta**2).sum(axis=1)
-    gbeta = 2.0 * model.beta / ssum[:, None] * (gu - (gu * u).sum(axis=1)[:, None])
-
-    return {
-        "w": gw, "b": gb_vec, "centers": gcenters, "beta": gbeta, "xi": gxi, "eta": geta
-    }
+    out["beta"][:] = 2.0 * model.beta / ssum[:, None] * (gu - (gu * u).sum(axis=1)[:, None])
+    return grad
 
 
-def _require_finite(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Return grads unchanged; raise if any block holds a non-finite value."""
-    for name, block in grads.items():
-        if not np.all(np.isfinite(block)):
-            raise NonFiniteGradientError(f"non-finite gradient in {name}")
-    return grads
+def _require_finite(model: EvidentialModel, grad: np.ndarray) -> np.ndarray:
+    """Return grad, a vector laid out like model.theta, unchanged; raise,
+    naming the block, if it holds a non-finite value."""
+    if not np.isfinite(grad).all():
+        blocks = _blocks(model.config, grad).items()
+        name = next(n for n, block in blocks if not np.isfinite(block).all())
+        raise NonFiniteGradientError(f"non-finite gradient in {name}")
+    return grad
 
 
 def total_loss(model: EvidentialModel, batch: Batch, cfg: TrainConfig) -> float:
@@ -309,8 +300,8 @@ def gradients(
 ) -> dict[str, np.ndarray]:
     """Analytic gradient of total_loss, keyed like model.params()."""
     arrays = _stack_batch(batch, model.config.k)
-    _, grads = _loss_and_grads(model, *arrays, cfg, want_grads=True)
-    return _require_finite(grads)
+    _, grad = _loss_and_grads(model, *arrays, cfg, want_grads=True)
+    return _blocks(model.config, _require_finite(model, grad))
 
 
 def grad_check(
@@ -323,24 +314,21 @@ def grad_check(
     """
     if step <= 0:
         raise ValueError("step must be > 0")
-    analytic = gradients(model, batch, cfg)
+    analytic = np.concatenate([g.reshape(-1) for g in gradients(model, batch, cfg).values()])
     work = model.copy()
+    theta = work.theta  # the blocks total_loss reads are views of it
     worst = 0.0
-    for name in PARAM_FIELDS:
-        arr = getattr(work, name)
-        flat = arr.reshape(-1)
-        ana_flat = analytic[name].reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            up = total_loss(work, batch, cfg)
-            flat[j] = orig - step
-            down = total_loss(work, batch, cfg)
-            flat[j] = orig
-            numeric = (up - down) / (2.0 * step)
-            err = abs(float(ana_flat[j]) - numeric)
-            rel = err / max(1e-8, abs(float(ana_flat[j])) + abs(numeric))
-            worst = max(worst, rel)
+    for j in range(theta.size):
+        orig = theta[j]
+        theta[j] = orig + step
+        up = total_loss(work, batch, cfg)
+        theta[j] = orig - step
+        down = total_loss(work, batch, cfg)
+        theta[j] = orig
+        numeric = (up - down) / (2.0 * step)
+        err = abs(float(analytic[j]) - numeric)
+        rel = err / max(1e-8, abs(float(analytic[j])) + abs(numeric))
+        worst = max(worst, rel)
     return worst
 
 
@@ -349,50 +337,40 @@ def grad_check(
 
 
 def init_optimizer(model: EvidentialModel) -> OptimizerState:
-    zeros = {name: np.zeros_like(arr) for name, arr in model.params().items()}
-    return OptimizerState(
-        step=0,
-        m={k: v.copy() for k, v in zeros.items()},
-        v={k: v.copy() for k, v in zeros.items()},
-    )
+    return OptimizerState(step=0, m=np.zeros_like(model.theta), v=np.zeros_like(model.theta))
 
 
 def optimizer_step(
     model: EvidentialModel,
-    grads: dict[str, np.ndarray],
+    grads: np.ndarray | dict[str, np.ndarray],
     cfg: TrainConfig,
     state: OptimizerState,
 ) -> tuple[EvidentialModel, OptimizerState]:
     """One Adam update; returns a new model and advanced state.
 
-    grads holds one block per parameter, keyed like model.params(). Adam
-    keeps exponential first/second moment averages (decay 0.9 / 0.999,
-    epsilon 1e-8) with bias correction.
+    grads is a vector laid out like model.theta, or one block per
+    parameter keyed like model.params(). Adam keeps exponential
+    first/second moment averages (decay 0.9 / 0.999, epsilon 1e-8) with
+    bias correction. Raises at the step that makes a parameter
+    non-finite or a prototype's beta row zero.
     """
-    if set(grads) != set(PARAM_FIELDS):
-        raise ShapeMismatchError(
-            f"gradient blocks {sorted(grads)}, parameters {sorted(PARAM_FIELDS)}"
-        )
-    step = state.step + 1
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for name in PARAM_FIELDS:
-        param = getattr(model, name)
-        g = grads[name]
-        if g.shape != param.shape:
+    g = grads
+    if isinstance(g, dict):
+        shapes = {name: np.shape(block) for name, block in g.items()}
+        if shapes != model.config.shapes:
             raise ShapeMismatchError(
-                f"gradient {name} has shape {g.shape}, parameter {param.shape}"
+                f"gradient blocks {shapes}, parameters {model.config.shapes}"
             )
-        m1 = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v1 = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m1 / (1.0 - ADAM_BETA1**step)
-        v_hat = v1 / (1.0 - ADAM_BETA2**step)
-        new_params[name] = param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        new_m[name] = m1
-        new_v[name] = v1
-    new_model = replace(model, **new_params)
-    return new_model, OptimizerState(step=step, m=new_m, v=new_v)
+        g = np.concatenate([g[name].reshape(-1) for name in PARAM_FIELDS])
+    if g.shape != model.theta.shape:
+        raise ShapeMismatchError(f"gradient shape {g.shape}, parameters {model.theta.shape}")
+    step = state.step + 1
+    m1 = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v1 = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m1 / (1.0 - ADAM_BETA1**step)
+    v_hat = v1 / (1.0 - ADAM_BETA2**step)
+    theta = model.theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return model._with_vector(theta), OptimizerState(step=step, m=m1, v=v1)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +447,7 @@ def train(
             loss, grads = _loss_and_grads(
                 current, x, y_lab[chunk_l], len(chunk_u), cfg, want_grads=True
             )
-            _require_finite(grads)
+            _require_finite(current, grads)
             current, state = optimizer_step(current, grads, cfg, state)
             batch_losses.append(loss)
         train_loss = float(np.mean(batch_losses))

@@ -3,10 +3,13 @@
 Everything here enumerates full subset tables, all instance pairs, or
 one prototype and one row at a time in scalar arithmetic, on purpose:
 these are slow, obviously-correct baselines that the library's
-optimized code is checked against. They share no code with the package
-beyond building and reading mass values through mass_new(),
-combine_all() (itself checked against brute_combine) and
-MassFunction.mass(), and raising the package's error classes.
+optimized code is checked against. A few keep an earlier array form of
+a rewritten kernel (the masked sigmoid, distances through the
+difference tensor, Adam block by block) as the reference the new form
+must match. They share no code with the package beyond building and
+reading mass values through mass_new(), combine_all() (itself checked
+against brute_combine) and MassFunction.mass(), raising the package's
+error classes, and the Adam constants.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import numpy as np
 
 from evidnet.belief import combine_all, mass_new
+from evidnet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from evidnet.errors import (
     EmptyFileError,
     MissingHeaderError,
@@ -84,6 +88,36 @@ def brute_combine3(m1, m2, m3) -> dict[int, float]:
 
 def sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function as two boolean-mask scatters, one per sign."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def tensor_sq_dists(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(n, r) squared distances through the (n, r, h) difference tensor."""
+    diff = z[:, None, :] - c[None, :, :]
+    return np.einsum("nih,nih->ni", diff, diff)
+
+
+def reference_adam(params: dict, m: dict, v: dict, grads: dict, step: int, lr: float):
+    """One Adam update block by block; returns new (params, m, v) dicts."""
+    out = ({}, {}, {})
+    for name, p in params.items():
+        g = grads[name]
+        m1 = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+        v1 = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m1 / (1.0 - ADAM_BETA1**step)
+        v_hat = v1 / (1.0 - ADAM_BETA2**step)
+        out[0][name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        out[1][name], out[2][name] = m1, v1
+    return out
 
 
 def prototype_masses(model, x) -> list:

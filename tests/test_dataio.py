@@ -55,9 +55,11 @@ def test_feature_dataset_validation():
         FeatureDataset(np.array([[np.nan]]), [0], ("a", "b"))
     with pytest.raises(LengthMismatchError):
         FeatureDataset(np.zeros((2, 1)), [0], ("a", "b"))
-    for bad in (2, -1, 0.5, 1.5, 1.0):
+    for bad in (2, -1, 0.5, 1.5, 1.0, True, False):
         with pytest.raises(ValueError):
             FeatureDataset(np.zeros((1, 1)), [bad], ("a", "b"))
+    with pytest.raises(ValueError):  # bool is an Integral, but not a class index
+        FeatureDataset(np.zeros((2, 1)), [True, None], ("a", "b"))
 
 
 # csv parsing

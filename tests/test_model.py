@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from evidnet import (
     DimensionMismatchError,
@@ -21,6 +23,8 @@ from evidnet import (
     init_model,
     kmeans_init,
 )
+
+from evidnet.model import _sigmoid, _sq_dists
 
 import oracles
 from helpers import random_prototype_model, random_wide_model
@@ -421,7 +425,8 @@ def test_init_model_validation():
     cfg = ModelConfig(d_in=3, r=2, h=4, k=2)
     with pytest.raises(ValueError):
         init_model(cfg, X, [5] * len(y), seed=0)
-    for bad in (0.5, 1.7, 1.0, -1):  # fractional or float labels are not truncated
+    # fractional or float labels are not truncated; a bool is not a class index
+    for bad in (0.5, 1.7, 1.0, -1, True, False):
         with pytest.raises(ValueError):
             init_model(cfg, X, [bad] + y[1:], seed=0)
     with pytest.raises(DimensionMismatchError):
@@ -438,3 +443,60 @@ def test_init_model_custom_names():
     model = init_model(cfg, X, y, seed=0, class_names=("sick", "healthy"))
     assert model.class_names == ("sick", "healthy")
     assert model.frame.labels == ("sick", "healthy")
+
+
+# kernels against their earlier array forms
+
+EDGE_FLOATS = (0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 800.0, -800.0)
+
+
+@settings(max_examples=300)
+@given(arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(-800.0, 800.0), st.floats(allow_nan=False)
+)))
+def test_sigmoid_matches_masked_form_bit_for_bit(x):
+    assert _sigmoid(x).tobytes() == oracles.masked_sigmoid(x).tobytes()
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 6), st.integers(1, 5), st.integers(1, 8), st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-3, 1.0, 1e3]), st.sampled_from([0.0, 1.0, -1e3, 1e6]),
+)
+def test_sq_dists_matches_difference_tensor(n, r, h, seed, spread, shift):
+    rng = np.random.default_rng(seed)
+    c = spread * rng.standard_normal((r, h)) + shift
+    z = spread * rng.standard_normal((n, h)) + shift
+    on = min(n, r)
+    z[:on] = c[:on]  # rows on a center: the expansion cancels to rounding error there
+    got = _sq_dists(z, c)
+    want = oracles.tensor_sq_dists(z, c)
+    # each of |z|^2, 2 z c^T and |c|^2 is off by at most about h ulps of
+    # |z|^2 + |c|^2, and the oracle by at most about h ulps of d2 <= 2 (|z|^2 + |c|^2)
+    scale = (z * z).sum(axis=1)[:, None] + (c * c).sum(axis=1)
+    assert np.all(got >= 0.0)
+    assert np.all(np.abs(got - want) <= 2 * (h + 2) * np.finfo(float).eps * scale)
+
+
+def test_forward_batch_builds_no_distance_tensor():
+    # an (n, r, h) float64 temporary would take n * r * h * 8 = 32.8 MB here
+    n, r, h, d_in = 2000, 32, 64, 16
+    rng = np.random.default_rng(0)
+    model = EvidentialModel(
+        config=ModelConfig(d_in=d_in, r=r, h=h, k=2),
+        class_names=("positive", "negative"),
+        w=rng.uniform(-0.25, 0.25, (h, d_in)),
+        b=np.zeros(h),
+        centers=rng.standard_normal((r, h)),
+        beta=rng.uniform(0.2, 1.0, (r, 2)),
+        xi=np.zeros(r),
+        eta=np.full(r, 0.1),
+    )
+    X = rng.standard_normal((n, d_in))
+    tracemalloc.start()
+    try:
+        forward_batch(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * r * h * 8 / 4

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from evidnet import (
     ModelConfig,
     NoLabeledDataError,
     NonFiniteGradientError,
+    NonFiniteInputError,
     ShapeMismatchError,
     TrainConfig,
+    ZeroBetaError,
     forward,
     forward_batch,
     grad_check,
@@ -28,10 +31,18 @@ from evidnet import (
     total_loss,
     train,
 )
+from evidnet.model import _blocks, _sigmoid
 from evidnet.training import LOG_EPS
 
 import oracles
-from helpers import blob_split, ce_check_pair, labeled_subset, mse_check_pair
+from helpers import (
+    blob_split,
+    ce_check_pair,
+    check_labels,
+    labeled_subset,
+    mse_check_pair,
+    random_model,
+)
 from test_model import three_class_model, tiny_model
 
 
@@ -260,6 +271,25 @@ def test_grad_check_agrees_on_multiclass_pairs(k):
         assert grad_check(*ce_check_pair(seed, k=k), step=1e-5) < 1e-4, seed
 
 
+@pytest.mark.parametrize("pair, bound", [(mse_check_pair, 1e-6), (ce_check_pair, 1e-4)])
+def test_grad_check_with_labeled_rows_on_centers(pair, bound):
+    # W = [I | 0] and b = 0 make z the first h features exactly, so the first
+    # r labeled rows sit on the centers, where |z|^2 - 2 z c^T + |c|^2 cancels.
+    # eta is halved so the off-center rows still pull on every center: a
+    # center gradient near 1e-6 is below what central differences at 1e-5
+    # resolve (mse seed 4 at full eta reads 5.5e-6 with the difference
+    # tensor and with the expansion alike). Seeds 0-9 measured worst:
+    # mse 6e-8, ce 3e-8.
+    for seed in range(10):
+        model, batch, cfg = pair(seed)
+        rows = np.array([x for x, _ in batch.labeled[: model.config.r]])
+        w = np.eye(model.config.h, model.config.d_in)
+        model = replace(model, w=w, b=np.zeros(model.config.h), centers=rows @ w.T,
+                        eta=model.eta / 2)
+        assert np.array_equal(forward(model, rows[0]).activations[0], _sigmoid(model.xi[0]))
+        assert grad_check(model, batch, cfg, step=1e-5) < bound, seed
+
+
 def test_grad_check_error_grows_with_step():
     model, batch, cfg = mse_check_pair(0)
     fine = grad_check(model, batch, cfg, step=1e-5)
@@ -314,9 +344,50 @@ def test_adam_first_step_moves_by_learning_rate():
     stepped, state = optimizer_step(model, grads, cfg, init_optimizer(model))
     assert np.allclose(stepped.w, model.w - 0.1, atol=1e-8)
     assert state.step == 1
-    # accumulators carry the expected moments
-    assert np.allclose(state.m["w"], 0.1 * 2.0, atol=1e-15)
-    assert np.allclose(state.v["w"], 0.001 * 4.0, atol=1e-15)
+    # accumulators carry the expected moments, laid out like model.theta
+    m, v = _blocks(model.config, state.m), _blocks(model.config, state.v)
+    assert np.allclose(m["w"], 0.1 * 2.0, atol=1e-15)
+    assert np.allclose(v["w"], 0.001 * 4.0, atol=1e-15)
+
+
+def test_flat_adam_matches_per_block_reference():
+    model, _, _ = mse_check_pair(3)
+    rng = np.random.default_rng(7)
+    cfg = TrainConfig(learning_rate=0.01)
+    current, state = model, init_optimizer(model)
+    ref = model.copy().params(), zero_grads(model), zero_grads(model)
+    for step in range(1, 21):
+        grads = {name: rng.standard_normal(arr.shape) for name, arr in model.params().items()}
+        # train passes one vector laid out like theta; tests and callers may pass blocks
+        flat = np.concatenate([g.reshape(-1) for g in grads.values()])
+        current, state = optimizer_step(current, flat if step % 2 else grads, cfg, state)
+        ref = oracles.reference_adam(*ref, grads, step, cfg.learning_rate)
+        moments = _blocks(model.config, state.m), _blocks(model.config, state.v)
+        for name in grads:
+            assert current.params()[name].tobytes() == ref[0][name].tobytes(), (step, name)
+            assert moments[0][name].tobytes() == ref[1][name].tobytes(), (step, name)
+            assert moments[1][name].tobytes() == ref[2][name].tobytes(), (step, name)
+    assert state.step == 20
+
+
+def test_optimizer_raises_at_the_step_that_breaks_the_model():
+    model, _, _ = mse_check_pair(1)
+    state = init_optimizer(model)
+    grads = zero_grads(model)
+    grads["eta"] = np.ones_like(model.eta)
+    huge = TrainConfig(learning_rate=1e308)
+    # each step moves eta by about 1e308: the first stays finite, the second overflows
+    stepped, state = optimizer_step(model, grads, huge, state)
+    assert np.all(np.isfinite(stepped.eta))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteInputError, match="eta"):
+        optimizer_step(stepped, grads, huge, state)
+    # a first step moves each entry by lr * g / (|g| + eps), which is lr
+    # for a large g: it lands a whole beta row on zero, and is refused
+    model = replace(model, beta=np.full((model.config.r, 2), 0.5))
+    grads = zero_grads(model)
+    grads["beta"][0] = 2.0**40
+    with pytest.raises(ZeroBetaError):
+        optimizer_step(model, grads, TrainConfig(learning_rate=0.5), init_optimizer(model))
 
 
 def test_optimizer_shape_mismatch():
@@ -324,7 +395,8 @@ def test_optimizer_shape_mismatch():
     wrong_shape = {**zero_grads(model), "b": np.zeros(model.b.size + 1)}
     missing = {k: v for k, v in zero_grads(model).items() if k != "eta"}
     extra = {**zero_grads(model), "alpha": np.zeros(model.config.r)}
-    for grads in (wrong_shape, missing, extra):
+    short = np.zeros(model.theta.size - 1)
+    for grads in (wrong_shape, missing, extra, short):
         with pytest.raises(ShapeMismatchError):
             optimizer_step(model, grads, TrainConfig(), init_optimizer(model))
 
