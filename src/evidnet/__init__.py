@@ -38,6 +38,7 @@ from .errors import (
     FrameMismatchError,
     InvalidMaskError,
     LengthMismatchError,
+    MalformedCsvError,
     MissingHeaderError,
     NegativeMassError,
     NoLabeledDataError,

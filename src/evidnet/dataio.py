@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import array
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyFileError,
     LengthMismatchError,
+    MalformedCsvError,
     MissingHeaderError,
     NonFiniteInputError,
     NonNumericFeatureError,
@@ -104,6 +106,27 @@ def _check_cells(path: Path, rownum: int, cells: Sequence[str]) -> None:
             )
 
 
+def _records(fh, path: Path):
+    """Cells of each record of a CSV file opened with newline="".
+
+    Lines are split on "," directly until the first one that holds a quote
+    or a carriage return; csv.reader parses that line and the rest of the
+    file, so quoted cells and CR or CRLF line ends read as csv.reader reads
+    them. An empty line is a record of no cells, as in csv.reader.
+    """
+    try:
+        for line in fh:
+            if '"' in line or "\r" in line:
+                yield from csv.reader(itertools.chain((line,), fh))
+                return
+            line = line.rstrip("\n")
+            yield line.split(",") if line else []
+    except UnicodeDecodeError as exc:
+        raise MalformedCsvError(f"{path}: not valid UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise MalformedCsvError(f"{path}: {exc}") from None
+
+
 def load_csv(path, class_names: Sequence[str] | None = None) -> FeatureDataset:
     """Parse a feature CSV; row numbers in errors are 1-based data rows.
 
@@ -120,7 +143,7 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> FeatureDataset:
     features = array.array("d")
     labels: list[Optional[int]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _records(fh, path)
         header = next(reader, None)
         if header is None:
             raise EmptyFileError(f"{path}: no content")
@@ -241,6 +264,8 @@ def load_model(path) -> EvidentialModel:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CorruptFieldError(f"{path}: not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CorruptFieldError(f"{path}: not valid UTF-8: {exc.reason}") from None
     if not isinstance(doc, dict):
         raise CorruptFieldError(f"{path}: expected a JSON object")
     version = _require(doc, "format_version")

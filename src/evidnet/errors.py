@@ -111,6 +111,11 @@ class EmptyFileError(EvidnetError):
     """The file has no content at all."""
 
 
+class MalformedCsvError(EvidnetError):
+    """A CSV file is not UTF-8 text, or csv parsing of its quoted cells
+    failed (a field past csv's size limit, say)."""
+
+
 class UnsupportedVersionError(EvidnetError):
     """The model document declares a format version this code cannot read."""
 

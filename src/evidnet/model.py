@@ -44,7 +44,7 @@ PARAM_FIELDS = ("w", "b", "centers", "beta", "xi", "eta")
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, elementwise over an array."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _sq_dists(z: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -57,18 +57,21 @@ def _sq_dists(z: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _exclusive_prod(a: np.ndarray, axis: int) -> np.ndarray:
-    """Leave-one-out product along an axis, without division.
+def _exclusive_prod(a: np.ndarray) -> np.ndarray:
+    """Leave-one-out product along axis 1 of an (n, r, c) array.
 
-    out[..., i, ...] is the product of a over the axis with element i
-    removed. Division-free so zero factors are handled exactly.
+    out[:, i] is the product of a[:, j] over every j != i, as prefix
+    times suffix running products, so zero factors are handled exactly
+    and no division is made. For r = 1 the product is empty: all ones.
     """
-    a = np.moveaxis(a, axis, -1)
-    ones = np.ones_like(a[..., :1])
-    prefix = np.concatenate([ones, np.cumprod(a[..., :-1], axis=-1)], axis=-1)
-    rev = np.cumprod(a[..., ::-1], axis=-1)[..., ::-1]
-    suffix = np.concatenate([rev[..., 1:], ones], axis=-1)
-    return np.moveaxis(prefix * suffix, -1, axis)
+    prefix = np.empty_like(a)
+    prefix[:, 0] = 1.0
+    np.cumprod(a[:, :-1], axis=1, out=prefix[:, 1:])
+    suffix = np.empty_like(a)
+    suffix[:, -1] = 1.0
+    np.cumprod(a[:, :0:-1], axis=1, out=suffix[:, -2::-1])
+    prefix *= suffix
+    return prefix
 
 
 @dataclass(frozen=True)
@@ -213,8 +216,12 @@ def _as_feature_matrix(x, d_in: int) -> np.ndarray:
 def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     """Vectorized forward pass over a batch; returns all intermediates.
 
-    Keys: x, z, d2, alpha, gamma, e, s, one_minus_s, u, cf, a,
-    b_prod, n, m, m_omega, pl. Shapes are (n, ...), prototype axis 1.
+    Keys: x, z, d2, alpha, gamma, e, s, u, cf, a, b_prod, n, m,
+    m_omega, pl. Shapes are (n, ...), prototype axis 1. cf is (n, r, K+1):
+    cf[:, i, k] = u_ik s_i + (1 - s_i) is prototype i's factor for class k,
+    and column K, the same rule with u = 0, is its ignorance factor 1 - s_i.
+    One product over prototypes gives a (its first K columns) and b_prod
+    (column K).
     """
     k = model.config.k
     z = X @ model.w.T + model.b
@@ -223,13 +230,20 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     gamma = model.eta**2
     e = np.exp(-gamma[None, :] * d2)
     s = alpha[None, :] * e
-    one_minus_s = 1.0 - s
+    u = np.zeros((model.config.r, k + 1))
     bsq = model.beta**2
-    u = bsq / bsq.sum(axis=1)[:, None]
-    # cf[n,i,k] is prototype i's contribution factor for class k
-    cf = u[None, :, :] * s[:, :, None] + one_minus_s[:, :, None]
-    a = cf.prod(axis=1)
-    b_prod = one_minus_s.prod(axis=1)
+    np.divide(bsq, bsq.sum(axis=1)[:, None], out=u[:, :k])
+    # stored (r, K+1, n) so that every product over prototypes runs over
+    # whole contiguous rows; cf is the (n, r, K+1) view of that array
+    s_t = s.T.copy()
+    cf = u[:, :, None] * s_t[:, None, :]
+    cf += (1.0 - s_t)[:, None, :]
+    # written row-major (n, K+1), so a.sum(axis=1) below adds a row in the
+    # same order whatever K
+    prod = np.empty((X.shape[0], k + 1))
+    cf.prod(axis=0, out=prod.T)
+    cf = cf.transpose(2, 0, 1)
+    a, b_prod = prod[:, :k], prod[:, k]
     n_norm = a.sum(axis=1) - (k - 1) * b_prod
     if (n_norm <= TOTAL_CONFLICT_FLOOR).any():
         raise TotalConflictError("fused normalizer vanished; sources fully conflict")
@@ -244,8 +258,7 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
         "gamma": gamma,
         "e": e,
         "s": s,
-        "one_minus_s": one_minus_s,
-        "u": u,
+        "u": u[:, :k],
         "cf": cf,
         "a": a,
         "b_prod": b_prod,
@@ -264,7 +277,7 @@ def forward_batch(model: EvidentialModel, X) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _mass_from_rows(frame: Frame, m_row: np.ndarray, m_omega: float) -> MassFunction:
-    masses = {frame.singleton(j): float(m_row[j]) for j in range(frame.k)}
+    masses = {frame.singleton(j): value for j, value in enumerate(m_row.tolist())}
     masses[frame.full_mask] = float(m_omega)
     return MassFunction(frame, masses)
 

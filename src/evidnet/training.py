@@ -12,9 +12,12 @@ its Gaussian-perturbed copies. The total objective is
 
 where the last term discourages prototypes from claiming reliability.
 Gradients are hand-derived for every parameter block and checked against
-central finite differences (grad_check). The backward pass through the
-fused masses uses leave-one-out products rather than division, so
-saturated activations (s_i = 1, zero factors) stay exact.
+central finite differences (grad_check). The forward pass forms the K
+class products and the ignorance product of the fusion as one product
+over prototypes of an (n, r, K+1) factor array whose column K is 1 - s_i.
+The backward pass takes one leave-one-out product of that array rather
+than dividing by a factor, so saturated activations (s_i = 1, zero
+factors) stay exact.
 """
 
 from __future__ import annotations
@@ -235,28 +238,33 @@ def _backward_arrays(
 
     gm is dLoss/d(singleton masses), gmo is dLoss/d(ignorance mass), per
     batch row. The normalizer's quotient rule folds into a single shared
-    scalar per row; leave-one-out products replace division through the
-    fused products so zero factors cannot poison the result. Returns the
-    gradient as one vector laid out like model.theta.
+    scalar per row; one leave-one-out product over the (n, r, K+1) factor
+    array replaces division through the fused products, so zero factors
+    cannot poison the result. Returns the gradient as one vector laid out
+    like model.theta.
     """
     k = model.config.k
-    m, mo, norm = cache["m"], cache["m_omega"], cache["n"]
-    cf, one_minus_s = cache["cf"], cache["one_minus_s"]
+    m, mo, norm, cf = cache["m"], cache["m_omega"], cache["n"], cache["cf"]
     u, s, e, d2 = cache["u"], cache["s"], cache["e"], cache["d2"]
     alpha, gamma = cache["alpha"], cache["gamma"]
     z, x = cache["z"], cache["x"]
     grad = np.empty_like(model.theta)
     out = _blocks(model.config, grad)
 
+    # g = [ga, gb]: the pull on each class product a_k, then on b_prod
+    g = np.empty((x.shape[0], k + 1))
     shared = (gm * m).sum(axis=1) + gmo * mo
-    ga = (gm - shared[:, None]) / norm[:, None]
-    gb = (gmo - gm.sum(axis=1) + (k - 1) * shared) / norm
+    np.divide(gm - shared[:, None], norm[:, None], out=g[:, :k])
+    g[:, k] = (gmo - gm.sum(axis=1) + (k - 1) * shared) / norm
 
-    gcf = ga[:, None, :] * _exclusive_prod(cf, axis=1)
-    g_oms = gb[:, None] * _exclusive_prod(one_minus_s, axis=1)
+    # the pull on each factor, column K being the pull on 1 - s. It is
+    # written C-contiguous because einsum picks its summation order from
+    # its operands' memory layout, and the gradient's last bits, so the
+    # bytes of trained model files, follow that order.
+    gcf = np.multiply(_exclusive_prod(cf), g[:, None, :], out=np.empty(cf.shape))
 
-    gu = np.einsum("nik,ni->ik", gcf, s)
-    gs = np.einsum("nik,ik->ni", gcf, u - 1.0) - g_oms
+    gu = np.einsum("nik,ni->ik", gcf[:, :, :k], s)
+    gs = np.einsum("nik,ik->ni", gcf[:, :, :k], u - 1.0) - gcf[:, :, k]
 
     ge = gs * alpha[None, :]
     galpha = (gs * e).sum(axis=0)

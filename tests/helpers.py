@@ -109,21 +109,23 @@ def check_labels(n: int, k: int) -> list[int]:
     return [(1 - i) % k for i in range(n)]
 
 
-def mse_check_pair(seed: int, k: int = 2):
-    """k-class model + batch for finite-difference checks in squared-error mode."""
+def mse_check_pair(seed: int, k: int = 2, r: int = 3):
+    """k-class model with r prototypes + batch for finite-difference checks
+    in squared-error mode."""
     rng = np.random.default_rng(seed)
-    model = random_model(rng, k=k)
+    model = random_model(rng, r=r, k=k)
     xs = rng.uniform(-1.5, 1.5, size=(6, 5))
     batch = Batch(labeled=list(zip(xs, check_labels(6, k))), unlabeled=[])
     cfg = TrainConfig(loss_mode="mse_pl", lam=0.01, seed=0)
     return model, batch, cfg
 
 
-def ce_check_pair(seed: int, k: int = 2):
-    """k-class model + batch for finite-difference checks in cross-entropy
-    mode, with unlabeled instances so the consistency path is exercised too."""
+def ce_check_pair(seed: int, k: int = 2, r: int = 3):
+    """k-class model with r prototypes + batch for finite-difference checks
+    in cross-entropy mode, with unlabeled instances so the consistency path
+    is exercised too."""
     rng = np.random.default_rng(seed)
-    model = random_model(rng, k=k)
+    model = random_model(rng, r=r, k=k)
     xs = rng.uniform(-1.5, 1.5, size=(4, 5))
     labeled = list(zip(xs, check_labels(4, k)))
     unlabeled = []

@@ -5,11 +5,13 @@ one prototype and one row at a time in scalar arithmetic, on purpose:
 these are slow, obviously-correct baselines that the library's
 optimized code is checked against. A few keep an earlier array form of
 a rewritten kernel (the masked sigmoid, distances through the
-difference tensor, Adam block by block) as the reference the new form
-must match. They share no code with the package beyond building and
-reading mass values through mass_new(), combine_all() (itself checked
-against brute_combine) and MassFunction.mass(), raising the package's
-error classes, and the Adam constants.
+difference tensor, the fusion's two separate products and its
+leave-one-out product through moveaxis, Adam block by block) as the
+reference the new form must match. They share no code with the package
+beyond building and reading mass values through mass_new(),
+combine_all() (itself checked against brute_combine) and
+MassFunction.mass(), raising the package's error classes, and the Adam
+constants.
 """
 
 from __future__ import annotations
@@ -104,6 +106,25 @@ def tensor_sq_dists(z: np.ndarray, c: np.ndarray) -> np.ndarray:
     """(n, r) squared distances through the (n, r, h) difference tensor."""
     diff = z[:, None, :] - c[None, :, :]
     return np.einsum("nih,nih->ni", diff, diff)
+
+
+def moveaxis_exclusive_prod(a: np.ndarray, axis: int) -> np.ndarray:
+    """Leave-one-out product along an axis: the axis moved last, prefix and
+    reversed suffix running products concatenated with ones, moved back."""
+    a = np.moveaxis(a, axis, -1)
+    ones = np.ones_like(a[..., :1])
+    prefix = np.concatenate([ones, np.cumprod(a[..., :-1], axis=-1)], axis=-1)
+    rev = np.cumprod(a[..., ::-1], axis=-1)[..., ::-1]
+    suffix = np.concatenate([rev[..., 1:], ones], axis=-1)
+    return np.moveaxis(prefix * suffix, -1, axis)
+
+
+def separate_products(s: np.ndarray, u: np.ndarray):
+    """(a, b_prod) of the fusion as two products over prototypes: one over
+    the (n, r, K) class factors u s + (1 - s), one over the (n, r) 1 - s."""
+    one_minus_s = 1.0 - s
+    cf = u[None, :, :] * s[:, :, None] + one_minus_s[:, :, None]
+    return cf.prod(axis=1), one_minus_s.prod(axis=1)
 
 
 def reference_adam(params: dict, m: dict, v: dict, grads: dict, step: int, lr: float):

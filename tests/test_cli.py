@@ -210,6 +210,21 @@ def test_evaluate_missing_file_is_runtime_error(workdir):
     assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("which, content", [
+    ("data", b"f0,label\n1,\xff\n"),
+    ("data", b'f0,label\n1,"' + b"y" * 200_000 + b'"\n'),
+    ("model", b'{"format_version": "\xff"}'),
+], ids=["csv-not-utf8", "csv-quoted-cell-too-long", "model-not-utf8"])
+def test_unreadable_input_is_runtime_error(workdir, tmp_path, which, content):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    paths = {"model": workdir / "model.json", "data": workdir / "test.csv", which: bad}
+    res = run_cli("evaluate", "--model", str(paths["model"]), "--data", str(paths["data"]))
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"error: {bad}: ")
+    assert "Traceback" not in res.stderr
+
+
 # predict
 
 def test_predict_writes_mass_table(workdir, tmp_path):

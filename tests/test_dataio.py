@@ -13,6 +13,7 @@ from evidnet import (
     EmptyFileError,
     FeatureDataset,
     LengthMismatchError,
+    MalformedCsvError,
     MissingHeaderError,
     NonFiniteInputError,
     NonNumericFeatureError,
@@ -142,6 +143,8 @@ def test_load_csv_row_errors_cite_one_based_rows(tmp_path):
 
 
 NAMES = ("a", "b", "c")
+# labels that only a quoted cell can hold: a comma, a doubled quote, a newline
+QUOTED_NAMES = ("x,y", 'x"y', "x\ny")
 NUMBER_CELLS = st.one_of(
     st.sampled_from(
         ["-0.0", "0", "42", "-7", "1e-300", "5e-324", "1.7e308", "-1.7e308",
@@ -150,7 +153,7 @@ NUMBER_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10 ** 20), 10 ** 20).map(str),
 )
-NON_NUMERIC_CELLS = st.sampled_from(["abc", "", "1.0.0", "0x10", "--1", "1e"])
+NON_NUMERIC_CELLS = st.sampled_from(["abc", "", "1.0.0", "0x10", "--1", "1e", "1\x00", 'x"y'])
 NON_FINITE_CELLS = st.sampled_from(["nan", "inf", "-inf", "NaN", " Infinity", "1e999"])
 FUZZ_SETTINGS = settings(
     deadline=None,
@@ -160,8 +163,27 @@ FUZZ_SETTINGS = settings(
 
 
 @st.composite
+def file_layouts(draw, n_rows, d):
+    """How a file's rows are written: the line end, whether the last line
+    ends, and which cells are quoted. Quoted cells start at a drawn row, so
+    the rows before it are plain; a cell that needs quotes is quoted
+    wherever it is. No row is followed by a blank line."""
+    quote_from = draw(st.integers(0, n_rows))
+    cells = [(i, j) for i in range(quote_from, n_rows) for j in range(d + 1)]
+    return {
+        "eol": draw(st.sampled_from(["\n", "\r\n", "\r"])),
+        "final_eol": draw(st.booleans()),
+        "blank_after": set(),
+        "quoted": set(draw(st.lists(st.sampled_from(cells), max_size=6))) if cells else set(),
+        "quote_from": quote_from,
+    }
+
+
+@st.composite
 def feature_files(draw, min_rows=0):
-    """(d, rows, class_names) of a valid feature file; rows end in the label."""
+    """(d, rows, class_names, layout) of a valid feature file; rows end in
+    the label. Rows from the layout's quote_from on may carry labels that
+    need quotes, when the class names allow them."""
     d = draw(st.integers(1, 4))
     row = st.tuples(
         st.lists(NUMBER_CELLS, min_size=d, max_size=d), st.sampled_from(NAMES + ("?",))
@@ -172,8 +194,15 @@ def feature_files(draw, min_rows=0):
         | st.permutations(NAMES)
         | st.permutations(NAMES + ("d",))
         | st.permutations(NAMES + ("a",))
+        | st.permutations(NAMES + QUOTED_NAMES)
     )
-    return d, [cells + [label] for cells, label in rows], names
+    rows = [cells + [label] for cells, label in rows]
+    layout = draw(file_layouts(len(rows), d))
+    if names is None or QUOTED_NAMES[0] in names:
+        for i in range(layout["quote_from"], len(rows)):
+            if draw(st.booleans()):
+                rows[i][d] = draw(st.sampled_from(QUOTED_NAMES))
+    return d, rows, names, layout
 
 
 @st.composite
@@ -182,8 +211,10 @@ def faulty_feature_files(draw):
 
     A faulty row is either ragged, or has one or more bad feature cells
     and/or an unknown label; an unknown label forces fixed class names.
+    Blank lines, each a row of no cells, may follow any row.
     """
-    d, rows, names = draw(feature_files(min_rows=1))
+    d, rows, names, layout = draw(feature_files(min_rows=1))
+    layout["blank_after"] = set(draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)))
     targets = draw(
         st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3, unique=True)
     )
@@ -204,21 +235,37 @@ def faulty_feature_files(draw):
             else:
                 cells = NON_NUMERIC_CELLS if fault == "non_numeric" else NON_FINITE_CELLS
                 row[draw(st.integers(0, d - 1))] = draw(cells)
-    return d, rows, names
+    return d, rows, names, layout
 
 
-def _write_feature_file(path, d, rows):
-    lines = [[f"f{j}" for j in range(d)] + ["label"]] + rows
-    path.write_text("".join(",".join(cells) + "\n" for cells in lines))
+PLAIN = {"eol": "\n", "final_eol": True, "blank_after": set(), "quoted": set(),
+         "quote_from": 0}
+
+
+def _write_feature_file(path, d, rows, layout=PLAIN):
+    def cell(i, j, text):
+        if (i, j) in layout["quoted"] or any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines = [",".join([f"f{j}" for j in range(d)] + ["label"])]
+    for i, cells in enumerate(rows):
+        lines.append(",".join(cell(i, j, text) for j, text in enumerate(cells)))
+        if i in layout["blank_after"]:
+            lines.append("")
+    text = layout["eol"].join(lines) + (layout["eol"] if layout["final_eol"] else "")
+    path.write_bytes(text.encode("utf-8"))
 
 
 @FUZZ_SETTINGS
 @given(feature_files())
-@example((2, [["1.7e308", "1.7e308", "a"], ["-1.7e308", "-1.7e308", "?"]], None))
+@example((2, [["1.7e308", "1.7e308", "a"], ["-1.7e308", "-1.7e308", "?"]], None, PLAIN))
+@example((1, [["1", "a"], ["2", "x,y"], ["3", 'x"y'], ["4", "x\ny"]], None,
+          {**PLAIN, "quote_from": 1, "final_eol": False}))
 def test_load_csv_matches_reference_on_valid_files(tmp_path, file):
-    d, rows, names = file
+    d, rows, names, layout = file
     p = tmp_path / "fuzz.csv"
-    _write_feature_file(p, d, rows)
+    _write_feature_file(p, d, rows, layout)
     features, labels, class_names = reference_load_csv(p, class_names=names)
     ds = load_csv(p, class_names=names)
     assert ds.features.shape == features.shape
@@ -229,17 +276,33 @@ def test_load_csv_matches_reference_on_valid_files(tmp_path, file):
 
 @FUZZ_SETTINGS
 @given(faulty_feature_files())
-@example((2, [["1.7e308", "1.7e308", "a"], ["1.0", "nan", "zzz"]], NAMES))
+@example((2, [["1.7e308", "1.7e308", "a"], ["1.0", "nan", "zzz"]], NAMES, PLAIN))
+@example((1, [["1", "a"], ["2", "b"]], None, {**PLAIN, "blank_after": {0}}))
 def test_load_csv_matches_reference_on_faulty_files(tmp_path, file):
-    d, rows, names = file
+    d, rows, names, layout = file
     p = tmp_path / "fuzz.csv"
-    _write_feature_file(p, d, rows)
+    _write_feature_file(p, d, rows, layout)
     with pytest.raises(Exception) as expected:
         reference_load_csv(p, class_names=names)
     with pytest.raises(expected.type) as got:
         load_csv(p, class_names=names)
     assert got.type is expected.type
     assert str(got.value) == str(expected.value)
+
+
+def test_unreadable_csv_names_the_file(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"f0,label\n1,\xff\n")
+    with pytest.raises(MalformedCsvError, match="bad.csv: not valid UTF-8"):
+        load_csv(bad)
+    # csv's field size limit binds only on the quoted cells that csv parses
+    long_label = "y" * 200_000
+    bad.write_text(f'f0,label\n1,"{long_label}"\n')
+    with pytest.raises(MalformedCsvError, match="bad.csv: field larger than field limit"):
+        load_csv(bad)
+    good = tmp_path / "good.csv"
+    good.write_text(f"f0,label\n1,{long_label}\n")
+    assert load_csv(good).class_names == (long_label,)
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -307,6 +370,9 @@ def test_load_model_errors(tmp_path):
     notjson = tmp_path / "x.json"
     notjson.write_text("{ not json")
     with pytest.raises(CorruptFieldError):
+        load_model(notjson)
+    notjson.write_bytes(b'{"format_version": "\xff"}')
+    with pytest.raises(CorruptFieldError, match="x.json: not valid UTF-8"):
         load_model(notjson)
 
     array = tmp_path / "arr.json"

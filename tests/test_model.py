@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,7 +24,7 @@ from evidnet import (
     kmeans_init,
 )
 
-from evidnet.model import _sigmoid, _sq_dists
+from evidnet.model import _exclusive_prod, _forward_arrays, _sigmoid, _sq_dists
 
 import oracles
 from helpers import random_prototype_model, random_wide_model
@@ -476,6 +476,54 @@ def test_sq_dists_matches_difference_tensor(n, r, h, seed, spread, shift):
     scale = (z * z).sum(axis=1)[:, None] + (c * c).sum(axis=1)
     assert np.all(got >= 0.0)
     assert np.all(np.abs(got - want) <= 2 * (h + 2) * np.finfo(float).eps * scale)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 5), st.integers(1, 8), st.integers(3, 6), st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.1, 0.5]), st.booleans(),
+)
+@example(3, 1, 3, 0, 0.5, False)
+@example(3, 2, 3, 1, 0.5, True)
+def test_exclusive_prod_matches_moveaxis_form(n, r, c, seed, zero_rate, prototype_major):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.5, (n, r, c))
+    a[rng.random((n, r, c)) < zero_rate] = 0.0
+    if prototype_major:  # the (r, K+1, n) memory order the forward pass stores
+        a = np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+    want = oracles.moveaxis_exclusive_prod(a, axis=1)
+    assert _exclusive_prod(a).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 10), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_fused_products_match_separate_products(k, r, n, seed, saturated):
+    rng = np.random.default_rng(seed)
+    h = 3
+    centers = rng.integers(-4, 5, (r, h)) * 0.25  # quarters: the GEMM distances are exact
+    xi = rng.uniform(-3.0, 3.0, r)
+    if saturated:
+        xi[0] = 40.0  # sigmoid(40) rounds to 1
+    model = EvidentialModel(
+        config=ModelConfig(d_in=h, r=r, h=h, k=k),
+        class_names=tuple(f"c{j}" for j in range(k)),
+        w=np.eye(h),
+        b=np.zeros(h),
+        centers=centers,
+        beta=rng.uniform(0.2, 1.5, (r, k)),
+        xi=xi,
+        eta=rng.uniform(0.4, 1.2, r),
+    )
+    X = rng.uniform(-1.0, 1.0, (n, h))
+    X[0] = centers[0]
+    cache = _forward_arrays(model, X)
+    if saturated:
+        assert cache["s"][0, 0] == 1.0 and cache["b_prod"][0] == 0.0
+    a, b_prod = oracles.separate_products(cache["s"], cache["u"])
+    assert cache["a"].tobytes() == a.tobytes()
+    assert cache["b_prod"].tobytes() == b_prod.tobytes()
+    assert cache["n"].tobytes() == (a.sum(axis=1) - (k - 1) * b_prod).tobytes()
 
 
 def test_forward_batch_builds_no_distance_tensor():
