@@ -20,6 +20,7 @@ from .errors import (
     FrameMismatchError,
     InvalidMaskError,
     NegativeMassError,
+    NonFiniteInputError,
     NotNormalizedError,
     TotalConflictError,
 )
@@ -85,8 +86,8 @@ class MassFunction:
     """Normalized basic belief assignment, stored by focal set.
 
     Construction validates everything: masks fit the frame, masses are
-    non-negative, the empty set carries no mass, and the total is 1 within
-    ``SUM_TOLERANCE``. Exact zero assignments are dropped.
+    non-negative and not NaN, the empty set carries no mass, and the total
+    is 1 within ``SUM_TOLERANCE``. Exact zero assignments are dropped.
     """
 
     frame: Frame
@@ -97,7 +98,9 @@ class MassFunction:
         for mask, value in self.masses.items():
             self.frame.check_mask(mask)
             value = float(value)
-            if value < 0.0:
+            if not value >= 0.0:  # also true for NaN, which compares false
+                if value != value:
+                    raise NonFiniteInputError(f"mass {value} for subset {mask:#b}")
                 raise NegativeMassError(f"mass {value} for subset {mask:#b}")
             if mask == 0 and value > 0.0:
                 raise EmptySetMassError(f"empty set carries mass {value}")
@@ -132,8 +135,9 @@ def mass_new(
     """Build a mass function from (subset mask, mass) pairs.
 
     Repeated masks accumulate. Raises ``NegativeMassError``,
-    ``EmptySetMassError``, ``InvalidMaskError`` or ``NotNormalizedError``
-    when the assignment is not a normalized mass function.
+    ``NonFiniteInputError`` (a NaN mass), ``EmptySetMassError``,
+    ``InvalidMaskError`` or ``NotNormalizedError`` when the assignment is
+    not a normalized mass function.
     """
     if isinstance(assignments, Mapping):
         assignments = assignments.items()

@@ -292,8 +292,17 @@ def load_model(path) -> EvidentialModel:
     def block(values, name):
         try:
             arr = np.asarray(values, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CorruptFieldError(f"{path}: bad field {name!r}: {exc}") from exc
+        # asarray also converts "1.5", true and null; a parameter is a
+        # JSON number (bool is an int subclass, and not a number here)
+        cells = [values] if arr.ndim == 0 else values
+        for _ in range(arr.ndim - 1):
+            cells = itertools.chain.from_iterable(cells)
+        wrong = set(map(type, cells)) - {int, float}
+        if wrong:
+            kinds = ", ".join(sorted(kind.__name__ for kind in wrong))
+            raise CorruptFieldError(f"{path}: bad field {name!r}: holds {kinds}, not numbers")
         return arr
     w = block(_require(doc, "w"), "w")
     b = block(_require(doc, "b"), "b")

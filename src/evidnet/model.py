@@ -12,6 +12,13 @@ decision picks the class of maximum plausibility.
 Constrained quantities are re-expressed through unconstrained parameters
 so the optimizer never projects: alpha_i = sigmoid(xi_i), gamma_i =
 eta_i^2, u_ik = beta_ik^2 / sum_l beta_il^2.
+
+A model's parameters never change in place: they are read-only, and a
+new parameter set is a new model (dataclasses.replace, or the
+optimizer's step). So the quantities that depend on the parameters
+alone (alpha, gamma, u, the squared center norms and the beta row sums)
+are derived once, when the model is built, and every forward and
+backward pass reads them from the model.
 """
 
 from __future__ import annotations
@@ -47,13 +54,19 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _sq_dists(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a matrix."""
+    return np.einsum("ih,ih->i", a, a)
+
+
+def _sq_dists(z: np.ndarray, c: np.ndarray, c_sq: np.ndarray | None = None) -> np.ndarray:
     """Squared distances ||z_n - c_i||^2 as an (n, r) matrix, by the GEMM
-    expansion ||z||^2 - 2 z c^T + ||c||^2, floored at 0 where it cancels."""
+    expansion ||z||^2 - 2 z c^T + ||c||^2, floored at 0 where it cancels.
+    c_sq is _sq_norms(c), computed here when not given."""
     d2 = z @ c.T
     d2 *= -2.0
-    d2 += np.einsum("nh,nh->n", z, z)[:, None]
-    d2 += np.einsum("ih,ih->i", c, c)
+    d2 += _sq_norms(z)[:, None]
+    d2 += _sq_norms(c) if c_sq is None else c_sq
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -120,6 +133,14 @@ class EvidentialModel:
     xi (r,), eta (r,)). All six blocks are views into one contiguous
     float64 vector, theta, in PARAM_FIELDS order, so training updates
     the model with whole-vector operations.
+
+    theta and its blocks are read-only: an in-place write raises
+    ValueError. Parameters change only by building a new model, through
+    dataclasses.replace or the optimizer's step, because binding a
+    vector also derives, read-only, the constants the kernel reads:
+    alpha = sigmoid(xi) (r,), gamma = eta^2 (r,), u (r, K+1) whose
+    first K columns are beta_ik^2 / beta_sq_sum_i and whose column K is
+    0, c_sq = ||centers_i||^2 (r,) and beta_sq_sum = sum_k beta_ik^2 (r,).
     """
 
     config: ModelConfig
@@ -132,6 +153,11 @@ class EvidentialModel:
     eta: np.ndarray
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     frame: Frame = field(init=False, repr=False, compare=False)
+    alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    gamma: np.ndarray = field(init=False, repr=False, compare=False)
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+    c_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    beta_sq_sum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.frame = Frame(self.class_names)
@@ -151,15 +177,36 @@ class EvidentialModel:
         self._bind(np.concatenate(parts))
 
     def _bind(self, theta: np.ndarray) -> None:
-        """Make theta the parameter vector; raise unless every entry is
-        finite and every prototype's beta squares have a non-zero sum."""
+        """Make theta, now read-only, the parameter vector and derive the
+        model's constants from it; raise unless every entry is finite and
+        every prototype's beta squares have a non-zero sum."""
+        theta.setflags(write=False)
         self.theta = theta
         self.__dict__.update(_blocks(self.config, theta))
         if not np.isfinite(theta).all():
             name = next(n for n in PARAM_FIELDS if not np.isfinite(getattr(self, n)).all())
             raise NonFiniteInputError(f"non-finite entries in {name}")
-        if ((self.beta**2).sum(axis=1) == 0.0).any():
-            raise ZeroBetaError("a prototype's beta squares sum to zero")
+        # a finite parameter may still square past the float range: the
+        # constant is then inf (NaN in u) and the forward pass yields what
+        # that arithmetic gives, but building the model does not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            bsq = self.beta**2
+            ssum = bsq.sum(axis=1)
+            if (ssum == 0.0).any():
+                raise ZeroBetaError("a prototype's beta squares sum to zero")
+            k = self.config.k
+            u = np.zeros((self.config.r, k + 1))
+            np.divide(bsq, ssum[:, None], out=u[:, :k])
+            constants = {
+                "alpha": _sigmoid(self.xi),
+                "gamma": self.eta**2,
+                "u": u,
+                "c_sq": _sq_norms(self.centers),
+                "beta_sq_sum": ssum,
+            }
+        for value in constants.values():
+            value.setflags(write=False)
+        self.__dict__.update(constants)
 
     def _with_vector(self, theta: np.ndarray) -> "EvidentialModel":
         """The same architecture and classes over parameter vector theta."""
@@ -216,27 +263,22 @@ def _as_feature_matrix(x, d_in: int) -> np.ndarray:
 def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     """Vectorized forward pass over a batch; returns all intermediates.
 
-    Keys: x, z, d2, alpha, gamma, e, s, u, cf, a, b_prod, n, m,
-    m_omega, pl. Shapes are (n, ...), prototype axis 1. cf is (n, r, K+1):
-    cf[:, i, k] = u_ik s_i + (1 - s_i) is prototype i's factor for class k,
-    and column K, the same rule with u = 0, is its ignorance factor 1 - s_i.
-    One product over prototypes gives a (its first K columns) and b_prod
-    (column K).
+    Keys: x, z, d2, e, s, cf, a, b_prod, n, m, m_omega, pl. Shapes are
+    (n, ...), prototype axis 1. cf is (n, r, K+1): cf[:, i, k] = u_ik s_i
+    + (1 - s_i) is prototype i's factor for class k, and column K, the
+    same rule with u = 0, is its ignorance factor 1 - s_i. One product
+    over prototypes gives a (its first K columns) and b_prod (column K).
+    alpha, gamma and u are the model's own constants.
     """
     k = model.config.k
     z = X @ model.w.T + model.b
-    d2 = _sq_dists(z, model.centers)
-    alpha = _sigmoid(model.xi)
-    gamma = model.eta**2
-    e = np.exp(-gamma[None, :] * d2)
-    s = alpha[None, :] * e
-    u = np.zeros((model.config.r, k + 1))
-    bsq = model.beta**2
-    np.divide(bsq, bsq.sum(axis=1)[:, None], out=u[:, :k])
+    d2 = _sq_dists(z, model.centers, model.c_sq)
+    e = np.exp(-model.gamma[None, :] * d2)
+    s = model.alpha[None, :] * e
     # stored (r, K+1, n) so that every product over prototypes runs over
     # whole contiguous rows; cf is the (n, r, K+1) view of that array
     s_t = s.T.copy()
-    cf = u[:, :, None] * s_t[:, None, :]
+    cf = model.u[:, :, None] * s_t[:, None, :]
     cf += (1.0 - s_t)[:, None, :]
     # written row-major (n, K+1), so a.sum(axis=1) below adds a row in the
     # same order whatever K
@@ -254,11 +296,8 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
         "x": X,
         "z": z,
         "d2": d2,
-        "alpha": alpha,
-        "gamma": gamma,
         "e": e,
         "s": s,
-        "u": u[:, :k],
         "cf": cf,
         "a": a,
         "b_prod": b_prod,

@@ -224,8 +224,7 @@ def _loss_and_grads(
             gm[n_lab : n_lab + n_unl] += coef * dif.sum(axis=1)
             gm[n_lab + n_unl :] += (-coef * dif).reshape(-1, k)
 
-    alpha = cache["alpha"]
-    loss = sup + cfg.consistency_weight * cons + cfg.lam * float(alpha.sum())
+    loss = sup + cfg.consistency_weight * cons + cfg.lam * float(model.alpha.sum())
     if not want_grads:
         return loss, None
     return loss, _backward_arrays(model, cache, gm, gmo, cfg.lam)
@@ -245,8 +244,8 @@ def _backward_arrays(
     """
     k = model.config.k
     m, mo, norm, cf = cache["m"], cache["m_omega"], cache["n"], cache["cf"]
-    u, s, e, d2 = cache["u"], cache["s"], cache["e"], cache["d2"]
-    alpha, gamma = cache["alpha"], cache["gamma"]
+    s, e, d2 = cache["s"], cache["e"], cache["d2"]
+    alpha, gamma, u = model.alpha, model.gamma, model.u[:, :k]
     z, x = cache["z"], cache["x"]
     grad = np.empty_like(model.theta)
     out = _blocks(model.config, grad)
@@ -281,7 +280,7 @@ def _backward_arrays(
     np.matmul(gz.T, x, out=out["w"])
     gz.sum(axis=0, out=out["b"])
 
-    ssum = (model.beta**2).sum(axis=1)
+    ssum = model.beta_sq_sum
     out["beta"][:] = 2.0 * model.beta / ssum[:, None] * (gu - (gu * u).sum(axis=1)[:, None])
     return grad
 
@@ -318,21 +317,24 @@ def grad_check(
     """Worst relative disagreement between analytic and numeric gradients.
 
     Central differences with the given step, compared as
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|). Each probe
+    is a model bound to a perturbed copy of model.theta.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
     analytic = np.concatenate([g.reshape(-1) for g in gradients(model, batch, cfg).values()])
-    work = model.copy()
-    theta = work.theta  # the blocks total_loss reads are views of it
+    theta = model.theta
+
+    def probe_loss(j: int, value: float) -> float:
+        probe = theta.copy()
+        probe[j] = value
+        return total_loss(model._with_vector(probe), batch, cfg)
+
     worst = 0.0
     for j in range(theta.size):
         orig = theta[j]
-        theta[j] = orig + step
-        up = total_loss(work, batch, cfg)
-        theta[j] = orig - step
-        down = total_loss(work, batch, cfg)
-        theta[j] = orig
+        up = probe_loss(j, orig + step)
+        down = probe_loss(j, orig - step)
         numeric = (up - down) / (2.0 * step)
         err = abs(float(analytic[j]) - numeric)
         rel = err / max(1e-8, abs(float(analytic[j])) + abs(numeric))
@@ -432,12 +434,14 @@ def train(
     n_batches = max(math.ceil(n_lab / cfg.batch_size), math.ceil(n_unl / cfg.batch_size))
 
     rng = np.random.default_rng(cfg.seed)
-    current = model.copy()
+    # models are immutable, so the current and best models are shared,
+    # never copied
+    current = model
     state = init_optimizer(current)
     records: list[EpochRecord] = []
     best_acc = -math.inf
     best_epoch = 0
-    best_model = current.copy()
+    best_model = current
     streak = 0
     stopped_early = False
 
@@ -467,7 +471,7 @@ def train(
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_model = current.copy()
+            best_model = current
             streak = 0
         else:
             streak += 1

@@ -7,11 +7,14 @@ optimized code is checked against. A few keep an earlier array form of
 a rewritten kernel (the masked sigmoid, distances through the
 difference tensor, the fusion's two separate products and its
 leave-one-out product through moveaxis, Adam block by block) as the
-reference the new form must match. They share no code with the package
-beyond building and reading mass values through mass_new(),
-combine_all() (itself checked against brute_combine) and
-MassFunction.mass(), raising the package's error classes, and the Adam
-constants.
+reference the new form must match. The forward and backward kernels
+as they were before the model cached its constants are kept whole, so
+the bits of every intermediate and of the gradient stay pinned. They
+share no code with the package beyond building and reading mass values
+through mass_new(), combine_all() (itself checked against
+brute_combine) and MassFunction.mass(), raising the package's error
+classes, the model's block layout (_blocks), and the Adam and
+total-conflict constants.
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ import math
 import numpy as np
 
 from evidnet.belief import combine_all, mass_new
+from evidnet.model import TOTAL_CONFLICT_FLOOR, _blocks
 from evidnet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from evidnet.errors import (
     EmptyFileError,
     MissingHeaderError,
     NonNumericFeatureError,
     RaggedRowError,
+    TotalConflictError,
     UnknownLabelError,
 )
 
@@ -125,6 +130,102 @@ def separate_products(s: np.ndarray, u: np.ndarray):
     one_minus_s = 1.0 - s
     cf = u[None, :, :] * s[:, :, None] + one_minus_s[:, :, None]
     return cf.prod(axis=1), one_minus_s.prod(axis=1)
+
+
+def gemm_sq_dists(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(n, r) squared distances by the GEMM expansion, both norms computed
+    here, floored at 0."""
+    d2 = z @ c.T
+    d2 *= -2.0
+    d2 += np.einsum("nh,nh->n", z, z)[:, None]
+    d2 += np.einsum("ih,ih->i", c, c)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def reference_forward_arrays(model, X: np.ndarray) -> dict:
+    """The batched forward kernel with alpha, gamma and u derived from the
+    parameters on every call; same keys as the package's, plus alpha,
+    gamma and u (r, K)."""
+    k = model.config.k
+    z = X @ model.w.T + model.b
+    d2 = gemm_sq_dists(z, model.centers)
+    alpha = masked_sigmoid(model.xi)
+    gamma = model.eta**2
+    e = np.exp(-gamma[None, :] * d2)
+    s = alpha[None, :] * e
+    u = np.zeros((model.config.r, k + 1))
+    bsq = model.beta**2
+    np.divide(bsq, bsq.sum(axis=1)[:, None], out=u[:, :k])
+    s_t = s.T.copy()
+    cf = u[:, :, None] * s_t[:, None, :]
+    cf += (1.0 - s_t)[:, None, :]
+    prod = np.empty((X.shape[0], k + 1))
+    cf.prod(axis=0, out=prod.T)
+    cf = cf.transpose(2, 0, 1)
+    a, b_prod = prod[:, :k], prod[:, k]
+    n_norm = a.sum(axis=1) - (k - 1) * b_prod
+    if (n_norm <= TOTAL_CONFLICT_FLOOR).any():
+        raise TotalConflictError("fused normalizer vanished; sources fully conflict")
+    m = (a - b_prod[:, None]) / n_norm[:, None]
+    m_omega = b_prod / n_norm
+    pl = m + m_omega[:, None]
+    return {
+        "x": X,
+        "z": z,
+        "d2": d2,
+        "alpha": alpha,
+        "gamma": gamma,
+        "e": e,
+        "s": s,
+        "u": u[:, :k],
+        "cf": cf,
+        "a": a,
+        "b_prod": b_prod,
+        "n": n_norm,
+        "m": m,
+        "m_omega": m_omega,
+        "pl": pl,
+    }
+
+
+def reference_backward_arrays(model, cache: dict, gm, gmo, lam: float) -> np.ndarray:
+    """The backward kernel over a reference_forward_arrays cache, with the
+    beta row sums derived here; returns the gradient laid out like
+    model.theta."""
+    k = model.config.k
+    m, mo, norm, cf = cache["m"], cache["m_omega"], cache["n"], cache["cf"]
+    u, s, e, d2 = cache["u"], cache["s"], cache["e"], cache["d2"]
+    alpha, gamma = cache["alpha"], cache["gamma"]
+    z, x = cache["z"], cache["x"]
+    grad = np.empty_like(model.theta)
+    out = _blocks(model.config, grad)
+
+    g = np.empty((x.shape[0], k + 1))
+    shared = (gm * m).sum(axis=1) + gmo * mo
+    np.divide(gm - shared[:, None], norm[:, None], out=g[:, :k])
+    g[:, k] = (gmo - gm.sum(axis=1) + (k - 1) * shared) / norm
+
+    gcf = np.multiply(moveaxis_exclusive_prod(cf, 1), g[:, None, :], out=np.empty(cf.shape))
+
+    gu = np.einsum("nik,ni->ik", gcf[:, :, :k], s)
+    gs = np.einsum("nik,ik->ni", gcf[:, :, :k], u - 1.0) - gcf[:, :, k]
+
+    ge = gs * alpha[None, :]
+    galpha = (gs * e).sum(axis=0)
+    out["xi"][:] = (galpha + lam) * alpha * (1.0 - alpha)
+
+    ggamma = -(ge * d2 * e).sum(axis=0)
+    out["eta"][:] = 2.0 * model.eta * ggamma
+    gd2 = -ge * gamma[None, :] * e
+
+    gz = 2.0 * (gd2.sum(axis=1)[:, None] * z - gd2 @ model.centers)
+    out["centers"][:] = 2.0 * (gd2.sum(axis=0)[:, None] * model.centers - gd2.T @ z)
+    np.matmul(gz.T, x, out=out["w"])
+    gz.sum(axis=0, out=out["b"])
+
+    ssum = (model.beta**2).sum(axis=1)
+    out["beta"][:] = 2.0 * model.beta / ssum[:, None] * (gu - (gu * u).sum(axis=1)[:, None])
+    return grad
 
 
 def reference_adam(params: dict, m: dict, v: dict, grads: dict, step: int, lr: float):

@@ -15,6 +15,7 @@ from evidnet import (
     InvalidMaskError,
     MassFunction,
     NegativeMassError,
+    NonFiniteInputError,
     NotNormalizedError,
     TotalConflictError,
     bel,
@@ -122,6 +123,23 @@ def test_mass_function_direct_construction_validates():
         MassFunction(ABC, {0b001: 0.4})
     with pytest.raises(NegativeMassError):
         MassFunction(ABC, {0b001: -0.5, 0b111: 1.5})
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 6), st.data())
+def test_nan_mass_is_refused_naming_its_subset(k, data):
+    # NaN compares false both ways, so it is neither negative nor kept:
+    # without its own check it would drop out and leave the rest
+    frame = Frame(tuple(f"c{j}" for j in range(k)))
+    nan_mask = data.draw(st.integers(0, frame.full_mask))
+    drawn = data.draw(st.dictionaries(st.integers(1, frame.full_mask),
+                                      st.floats(0.0, 1.0), max_size=4))
+    table = {mask: v / (1.0 + sum(drawn.values())) for mask, v in drawn.items()}
+    table[frame.full_mask] = table.get(frame.full_mask, 0.0) + 1.0 - sum(table.values())
+    table[nan_mask] = data.draw(st.sampled_from([math.nan, -math.nan]))
+    for build in (mass_new, MassFunction):
+        with pytest.raises(NonFiniteInputError, match=f"for subset {nan_mask:#b}$"):
+            build(frame, table)
 
 
 # bel / pl

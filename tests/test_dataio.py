@@ -436,6 +436,28 @@ def test_load_model_errors(tmp_path):
     with pytest.raises(CorruptFieldError):
         load_model(bad)
 
+    # every parameter cell is a JSON number: never a string or a boolean,
+    # even where numpy would convert it
+    for field in ("w", "center", "beta", "xi", "eta"):
+        for cell in ("1.5", True, False):
+            doc = json.loads(good.read_text())
+            if field == "w":
+                doc["w"][0][0] = cell
+            elif field in ("xi", "eta"):
+                doc["prototypes"][0][field] = cell
+            else:
+                doc["prototypes"][0][field][0] = cell
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(CorruptFieldError, match=f"bad field '{field}': holds"):
+                load_model(bad)
+
+    # an integer past the float range is corruption, not an OverflowError
+    doc = json.loads(good.read_text())
+    doc["b"][0] = 10**400
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFieldError, match="bad field 'b'"):
+        load_model(bad)
+
     # non-finite parameters are data corruption, not a crash
     text = good.read_text().replace("1.0", "NaN", 1)
     bad.write_text(text)

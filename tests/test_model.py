@@ -24,6 +24,7 @@ from evidnet import (
     kmeans_init,
 )
 
+import evidnet.model
 from evidnet.model import _exclusive_prod, _forward_arrays, _sigmoid, _sq_dists
 
 import oracles
@@ -167,8 +168,10 @@ def test_model_validation():
 def test_model_copy_is_independent():
     m = tiny_model()
     c = m.copy()
-    c.w[0, 0] = 99.0
+    with pytest.raises(ValueError, match="read-only"):
+        c.w[0, 0] = 99.0
     assert m.w[0, 0] == 1.0
+    assert not np.shares_memory(c.theta, m.theta)
     assert list(m.params()) == ["w", "b", "centers", "beta", "xi", "eta"]
 
 
@@ -520,7 +523,7 @@ def test_fused_products_match_separate_products(k, r, n, seed, saturated):
     cache = _forward_arrays(model, X)
     if saturated:
         assert cache["s"][0, 0] == 1.0 and cache["b_prod"][0] == 0.0
-    a, b_prod = oracles.separate_products(cache["s"], cache["u"])
+    a, b_prod = oracles.separate_products(cache["s"], model.u[:, :k])
     assert cache["a"].tobytes() == a.tobytes()
     assert cache["b_prod"].tobytes() == b_prod.tobytes()
     assert cache["n"].tobytes() == (a.sum(axis=1) - (k - 1) * b_prod).tobytes()
@@ -548,3 +551,19 @@ def test_forward_batch_builds_no_distance_tensor():
     finally:
         tracemalloc.stop()
     assert peak < n * r * h * 8 / 4
+
+
+def test_forward_reads_the_models_constants(monkeypatch):
+    # alpha, gamma, u and the center norms depend on the parameters alone:
+    # binding a parameter vector derives them, and no forward pass does
+    model = three_class_model()
+    X = np.random.default_rng(0).standard_normal((100, 2))
+    calls = []
+    real = evidnet.model._sigmoid
+    monkeypatch.setattr(evidnet.model, "_sigmoid", lambda x: calls.append(x) or real(x))
+    for row in X:
+        forward(model, row)
+    forward_batch(model, X)
+    assert calls == []
+    model.copy()  # a new parameter vector: the counter does count
+    assert len(calls) == 1

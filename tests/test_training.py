@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import evidnet.training
 from evidnet import (
@@ -13,12 +16,14 @@ from evidnet import (
     EmptyBatchError,
     EmptyListError,
     EmptyValidationError,
+    EvidentialModel,
     FeatureDataset,
     ModelConfig,
     NoLabeledDataError,
     NonFiniteGradientError,
     NonFiniteInputError,
     ShapeMismatchError,
+    TotalConflictError,
     TrainConfig,
     ZeroBetaError,
     forward,
@@ -27,12 +32,14 @@ from evidnet import (
     gradients,
     init_model,
     init_optimizer,
+    load_model,
     optimizer_step,
+    save_model,
     total_loss,
     train,
 )
-from evidnet.model import _blocks, _sigmoid
-from evidnet.training import LOG_EPS
+from evidnet.model import _blocks, _forward_arrays, _sigmoid
+from evidnet.training import LOG_EPS, LOSS_MODES
 
 import oracles
 from helpers import (
@@ -298,6 +305,72 @@ def test_grad_check_with_labeled_rows_on_centers(pair, bound):
         assert grad_check(model, batch, cfg, step=1e-5) < bound, seed
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 16), st.integers(1, 19), st.sampled_from(LOSS_MODES),
+       st.integers(0, 4), st.integers(0, 3), st.integers(1, 2), st.integers(0, 2**32 - 1),
+       st.booleans(), st.booleans(), st.booleans(), st.booleans())
+def test_kernel_matches_reference_kernel_bit_for_bit(
+    k, r, loss_mode, n_lab, n_unl, t, seed, on_center, saturated, zero_beta, huge_eta
+):
+    # every forward intermediate, the model's constants and the gradient
+    # against the kernel that derived its constants per call
+    assume(n_lab + n_unl > 0)
+    rng = np.random.default_rng(seed)
+    d_in, h = 4, 3
+    x = rng.standard_normal((n_lab + n_unl * (1 + t), d_in))
+    w = rng.uniform(-0.6, 0.6, (h, d_in))
+    b = rng.uniform(-0.1, 0.1, h)
+    centers = rng.standard_normal((r, h)) * 0.7
+    if on_center:  # rows on prototypes, where the distance cancels to ~0
+        on = min(r, x.shape[0])
+        centers[:on] = (x @ w.T + b)[:on]
+    beta = rng.uniform(0.05, 1.5, (r, k))
+    if zero_beta:
+        beta[0, rng.integers(k)] = 0.0
+    xi = rng.uniform(-3.0, 3.0, r)
+    if saturated:
+        xi[0] = 40.0  # sigmoid(40) rounds to 1, so s = 1 on a center
+    eta = rng.uniform(0.3, 1.5, r)
+    if huge_eta:
+        eta[-1] = rng.choice([-1e200, 1e200])  # eta^2 overflows to inf
+    with np.errstate(all="ignore"):
+        model = EvidentialModel(
+            config=ModelConfig(d_in=d_in, r=r, h=h, k=k),
+            class_names=tuple(f"c{j}" for j in range(k)),
+            w=w, b=b, centers=centers, beta=beta, xi=xi, eta=eta,
+        )
+        try:
+            want = oracles.reference_forward_arrays(model, x)
+        except TotalConflictError:
+            with pytest.raises(TotalConflictError):
+                _forward_arrays(model, x)
+            return
+        got = _forward_arrays(model, x)
+        assert set(want) == set(got) | {"alpha", "gamma", "u"}
+        for key, value in got.items():
+            assert value.tobytes() == want[key].tobytes(), key
+        assert model.alpha.tobytes() == want["alpha"].tobytes()
+        assert model.gamma.tobytes() == want["gamma"].tobytes()
+        assert model.u[:, :k].tobytes() == want["u"].tobytes()
+
+        upstream = {}
+        backward = evidnet.training._backward_arrays
+
+        def spy(model, cache, gm, gmo, lam):
+            upstream.update(gm=gm, gmo=gmo)
+            return backward(model, cache, gm, gmo, lam)
+
+        cfg = TrainConfig(loss_mode=loss_mode, lam=0.01)
+        with mock.patch.object(evidnet.training, "_backward_arrays", spy):
+            _, grad = evidnet.training._loss_and_grads(
+                model, x, rng.integers(0, k, n_lab), n_unl, cfg, want_grads=True
+            )
+        ref = oracles.reference_backward_arrays(
+            model, want, upstream["gm"], upstream["gmo"], cfg.lam
+        )
+    assert grad.tobytes() == ref.tobytes()
+
+
 def test_grad_check_error_grows_with_step():
     model, batch, cfg = mse_check_pair(0)
     fine = grad_check(model, batch, cfg, step=1e-5)
@@ -421,6 +494,46 @@ def test_optimizer_minimizes_quadratic():
     assert np.all(np.abs(current.w - 3.0) < 1e-3)
     # untouched blocks never move
     assert np.array_equal(current.b, model.b)
+
+
+# every way to a model gives read-only parameters and fresh constants
+
+def assert_frozen_with_fresh_constants(model):
+    for name, block in {"theta": model.theta, **model.params()}.items():
+        with pytest.raises(ValueError, match="read-only"):
+            block[(0,) * block.ndim] = 5.0
+    bsq = model.beta**2
+    fresh = {
+        "alpha": oracles.masked_sigmoid(model.xi),
+        "gamma": model.eta**2,
+        "u": np.hstack([bsq / bsq.sum(axis=1)[:, None], np.zeros((model.config.r, 1))]),
+        "c_sq": np.einsum("ih,ih->i", model.centers, model.centers),
+        "beta_sq_sum": bsq.sum(axis=1),
+    }
+    for name, want in fresh.items():
+        got = getattr(model, name)
+        assert got.tobytes() == want.tobytes(), name
+        with pytest.raises(ValueError, match="read-only"):
+            got[(0,) * got.ndim] = 5.0
+
+
+def test_every_constructor_path_freezes_parameters_and_derives_constants(tmp_path):
+    model = three_class_model()
+    assert_frozen_with_fresh_constants(model)
+    assert_frozen_with_fresh_constants(replace(model, xi=model.xi + 1.0, eta=model.eta * 3))
+    assert_frozen_with_fresh_constants(model.copy())
+    grads = {name: np.full(block.shape, 0.5) for name, block in model.params().items()}
+    stepped, _ = optimizer_step(model, grads, TrainConfig(learning_rate=0.1),
+                                init_optimizer(model))
+    assert_frozen_with_fresh_constants(stepped)
+    save_model(stepped, tmp_path / "m.json")
+    assert_frozen_with_fresh_constants(load_model(tmp_path / "m.json"))
+
+    train_set, val_set = easy_sets()
+    fitted = fit_model(train_set)
+    assert_frozen_with_fresh_constants(fitted)
+    best, _ = train(fitted, train_set, val_set, TrainConfig(max_epochs=3, seed=0))
+    assert_frozen_with_fresh_constants(best)
 
 
 # training loop
