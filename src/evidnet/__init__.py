@@ -7,7 +7,6 @@ binary evaluation metrics, and CSV/JSON persistence behind a small CLI.
 """
 
 from .belief import (
-    MAX_FRAME_SIZE,
     Frame,
     MassFunction,
     bel,
@@ -16,7 +15,6 @@ from .belief import (
     dempster_combine,
     mass_new,
     pl,
-    vacuous,
 )
 from .dataio import (
     FeatureDataset,
@@ -57,8 +55,6 @@ from .errors import (
     ZeroBetaError,
 )
 from .metrics import (
-    MetricsReport,
-    RocCurve,
     accuracy,
     auc,
     f1,
@@ -68,22 +64,16 @@ from .metrics import (
 from .model import (
     EvidentialModel,
     ModelConfig,
-    OutputMass,
     decide,
     forward,
     forward_batch,
     init_model,
-    kmeans_init,
 )
 from .training import (
     Batch,
-    EpochRecord,
-    OptimizerState,
     TrainConfig,
-    TrainHistory,
     grad_check,
     gradients,
-    init_optimizer,
     optimizer_step,
     total_loss,
     train,

@@ -275,9 +275,6 @@ def load_model(path) -> EvidentialModel:
         )
     raw_cfg = _require(doc, "config")
     sizes = {key: _require(raw_cfg, key) for key in ("d_in", "r", "h", "k")}
-    for key, value in sizes.items():
-        if type(value) is not int:  # bool is an int subclass, and not a size
-            raise CorruptFieldError(f"{path}: bad config: {key} is {value!r}, not an integer")
     try:
         config = ModelConfig(**sizes)
     except ValueError as exc:

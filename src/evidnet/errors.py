@@ -72,7 +72,7 @@ class NonFiniteGradientError(EvidnetError):
 
 
 class ShapeMismatchError(EvidnetError):
-    """Gradient block shapes do not mirror the model parameters."""
+    """A gradient vector's shape differs from the model's theta."""
 
 
 class NoLabeledDataError(EvidnetError):

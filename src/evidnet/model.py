@@ -87,6 +87,14 @@ def _exclusive_prod(a: np.ndarray) -> np.ndarray:
     return prefix
 
 
+def _require_ints(config, names: Sequence[str]) -> None:
+    """Raise ValueError unless each named field of config is an int."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not int:  # a bool is an int subclass, and is refused too
+            raise ValueError(f"{name} is {value!r}, not an integer")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture sizes: input dim, prototype count, reduced dim, classes."""
@@ -97,6 +105,7 @@ class ModelConfig:
     k: int = 2
 
     def __post_init__(self) -> None:
+        _require_ints(self, ("d_in", "r", "h", "k"))
         if self.d_in < 1:
             raise ValueError("d_in must be >= 1")
         if self.h < 1:
@@ -213,13 +222,6 @@ class EvidentialModel:
         new = copy.copy(self)
         new._bind(theta)
         return new
-
-    def params(self) -> dict[str, np.ndarray]:
-        """Trainable blocks in a fixed, documented order."""
-        return {name: getattr(self, name) for name in PARAM_FIELDS}
-
-    def copy(self) -> "EvidentialModel":
-        return self._with_vector(self.theta.copy())
 
 
 @dataclass

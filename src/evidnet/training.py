@@ -40,13 +40,13 @@ from .errors import (
 )
 from .metrics import accuracy
 from .model import (
-    PARAM_FIELDS,
     EvidentialModel,
     _as_feature_matrix,
     _blocks,
     _class_indices,
     _exclusive_prod,
     _forward_arrays,
+    _require_ints,
     decide,
     forward_batch,
 )
@@ -82,6 +82,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_ints(self, ("t_perturb", "batch_size", "max_epochs", "patience", "seed"))
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
         for name in ("lam", "consistency_weight", "noise_sigma", "learning_rate"):
@@ -91,7 +92,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         for name, low in (("lam", 0), ("consistency_weight", 0), ("noise_sigma", 0),
                           ("t_perturb", 1), ("batch_size", 1), ("max_epochs", 1),
-                          ("patience", 1)):
+                          ("patience", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
 
@@ -304,11 +305,13 @@ def total_loss(model: EvidentialModel, batch: Batch, cfg: TrainConfig) -> float:
 
 def gradients(
     model: EvidentialModel, batch: Batch, cfg: TrainConfig
-) -> dict[str, np.ndarray]:
-    """Analytic gradient of total_loss, keyed like model.params()."""
+) -> np.ndarray:
+    """Analytic gradient of total_loss as one vector laid out like
+    model.theta (model.config.shapes gives its blocks' order and shapes);
+    raises NonFiniteGradientError, naming the block, on a non-finite entry."""
     arrays = _stack_batch(batch, model.config.k)
     _, grad = _loss_and_grads(model, *arrays, cfg, want_grads=True)
-    return _blocks(model.config, _require_finite(model, grad))
+    return _require_finite(model, grad)
 
 
 def grad_check(
@@ -322,7 +325,7 @@ def grad_check(
     """
     if step <= 0:
         raise ValueError("step must be > 0")
-    analytic = np.concatenate([g.reshape(-1) for g in gradients(model, batch, cfg).values()])
+    analytic = gradients(model, batch, cfg)
     theta = model.theta
 
     def probe_loss(j: int, value: float) -> float:
@@ -352,31 +355,25 @@ def init_optimizer(model: EvidentialModel) -> OptimizerState:
 
 def optimizer_step(
     model: EvidentialModel,
-    grads: np.ndarray | dict[str, np.ndarray],
+    grads: np.ndarray,
     cfg: TrainConfig,
     state: OptimizerState,
 ) -> tuple[EvidentialModel, OptimizerState]:
     """One Adam update; returns a new model and advanced state.
 
-    grads is a vector laid out like model.theta, or one block per
-    parameter keyed like model.params(). Adam keeps exponential
-    first/second moment averages (decay 0.9 / 0.999, epsilon 1e-8) with
-    bias correction. Raises at the step that makes a parameter
-    non-finite or a prototype's beta row zero.
+    grads is the gradient as one vector laid out like model.theta, as
+    gradients returns it; another shape raises ShapeMismatchError. Adam
+    keeps exponential first/second moment averages (decay 0.9 / 0.999,
+    epsilon 1e-8) with bias correction. Raises at the step that makes a
+    parameter non-finite or a prototype's beta row zero.
     """
-    g = grads
-    if isinstance(g, dict):
-        shapes = {name: np.shape(block) for name, block in g.items()}
-        if shapes != model.config.shapes:
-            raise ShapeMismatchError(
-                f"gradient blocks {shapes}, parameters {model.config.shapes}"
-            )
-        g = np.concatenate([g[name].reshape(-1) for name in PARAM_FIELDS])
-    if g.shape != model.theta.shape:
-        raise ShapeMismatchError(f"gradient shape {g.shape}, parameters {model.theta.shape}")
+    if grads.shape != model.theta.shape:
+        raise ShapeMismatchError(
+            f"gradient shape {grads.shape}, parameters {model.theta.shape}"
+        )
     step = state.step + 1
-    m1 = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    v1 = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m1 = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v1 = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
     m_hat = m1 / (1.0 - ADAM_BETA1**step)
     v_hat = v1 / (1.0 - ADAM_BETA2**step)
     theta = model.theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

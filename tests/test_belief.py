@@ -24,8 +24,8 @@ from evidnet import (
     dempster_combine,
     mass_new,
     pl,
-    vacuous,
 )
+from evidnet.belief import vacuous
 
 import oracles
 from helpers import random_mass

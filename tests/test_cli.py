@@ -97,6 +97,7 @@ def test_invalid_flag_values_are_usage_errors(workdir):
     assert run_cli(*base, "--lr", "-1").returncode == 2
     assert run_cli(*base, "--lr", "nan").returncode == 2
     assert run_cli(*base, "--consistency-weight", "inf").returncode == 2
+    assert run_cli(*base, "--seed", "-1").returncode == 2
 
 
 # train
@@ -307,6 +308,44 @@ def test_scripts_run_at_tiny_sizes(tmp_path):
     res = run_python(str(SCRIPTS_DIR / "semisup_compare.py"), "--seeds", "1", *sizes)
     assert res.returncode == 0, res.stderr
     assert re.match(r"seed=0 with=[0-9.]+ without=[0-9.]+\nmedian with=", res.stdout)
+
+
+def test_readme_tour_runs(tmp_path, monkeypatch):
+    # every python block of the README, in order and in one namespace, with
+    # data/ holding a tiny make_blobs.py set
+    sizes = ("--n-train", "10", "--n-val", "5", "--n-test", "5")
+    res = run_python(str(SCRIPTS_DIR / "make_blobs.py"), "--out-dir", str(tmp_path / "data"),
+                     *sizes)
+    assert res.returncode == 0, res.stderr
+    readme = (SCRIPTS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
+PUBLIC_NAMES = """
+    Batch CorruptFieldError DimensionMismatchError EmptyBatchError EmptyFileError
+    EmptyListError EmptySetMassError EmptyValidationError EvidentialModel EvidnetError
+    FeatureDataset Frame FrameMismatchError InvalidMaskError LengthMismatchError
+    MalformedCsvError MassFunction MissingHeaderError ModelConfig NegativeMassError
+    NoLabeledDataError NonFiniteGradientError NonFiniteInputError NonNumericFeatureError
+    NotNormalizedError RaggedRowError ShapeMismatchError SingleClassError TooFewPointsError
+    TotalConflictError TrainConfig UnknownLabelError UnsupportedVersionError
+    WriteFailureError ZeroBetaError accuracy auc bel combine_all conflict decide
+    dempster_combine export_predictions f1 forward forward_batch grad_check gradients
+    init_model load_csv load_model mass_new metrics_report optimizer_step pl roc_points
+    save_model total_loss train write_csv
+""".split()
+
+
+def test_public_names_are_pinned():
+    # a name added to or dropped from evidnet/__init__.py changes this list too
+    public = {name for name, value in vars(evidnet).items()
+              if not name.startswith("_") and not isinstance(value, type(evidnet))}
+    assert public == set(PUBLIC_NAMES)
 
 
 def test_benchmark_trace_points_resolve():

@@ -21,11 +21,10 @@ from evidnet import (
     forward,
     forward_batch,
     init_model,
-    kmeans_init,
 )
 
 import evidnet.model
-from evidnet.model import _exclusive_prod, _forward_arrays, _sigmoid, _sq_dists
+from evidnet.model import _exclusive_prod, _forward_arrays, _sigmoid, _sq_dists, kmeans_init
 
 import oracles
 from helpers import random_prototype_model, random_wide_model
@@ -80,6 +79,11 @@ def test_model_config_validation():
         dict(d_in=1, r=1, h=0, k=2),
         dict(d_in=1, r=1, h=1, k=1),
         dict(d_in=1, r=1, h=1, k=17),
+        # sizes are ints: not floats, booleans or strings, checked before range
+        dict(d_in=3, r=2.0, h=2, k=2),
+        dict(d_in=1, r=1, h=1, k=2.0),
+        dict(d_in=True, r=1, h=1, k=2),
+        dict(d_in=1, r=1, h="2", k=2),
     ):
         with pytest.raises(ValueError):
             ModelConfig(**bad)
@@ -163,16 +167,6 @@ def test_model_validation():
     with pytest.raises(ZeroBetaError):
         # squares underflow to zero, which is just as undefined
         EvidentialModel(**{**ok, "beta": np.array([[0.0, 1e-200]])})
-
-
-def test_model_copy_is_independent():
-    m = tiny_model()
-    c = m.copy()
-    with pytest.raises(ValueError, match="read-only"):
-        c.w[0, 0] = 99.0
-    assert m.w[0, 0] == 1.0
-    assert not np.shares_memory(c.theta, m.theta)
-    assert list(m.params()) == ["w", "b", "centers", "beta", "xi", "eta"]
 
 
 # single-prototype evidence
@@ -419,7 +413,7 @@ def test_init_model_determinism_and_seeding():
     a = init_model(cfg, X, y, seed=5)
     b = init_model(cfg, X, y, seed=5)
     c = init_model(cfg, X, y, seed=6)
-    assert all(np.array_equal(a.params()[f], b.params()[f]) for f in a.params())
+    assert a.theta.tobytes() == b.theta.tobytes()
     assert not np.array_equal(a.w, c.w)
 
 
@@ -565,5 +559,5 @@ def test_forward_reads_the_models_constants(monkeypatch):
         forward(model, row)
     forward_batch(model, X)
     assert calls == []
-    model.copy()  # a new parameter vector: the counter does count
+    model._with_vector(model.theta.copy())  # a new parameter vector: the counter counts
     assert len(calls) == 1

@@ -31,15 +31,14 @@ from evidnet import (
     grad_check,
     gradients,
     init_model,
-    init_optimizer,
     load_model,
     optimizer_step,
     save_model,
     total_loss,
     train,
 )
-from evidnet.model import _blocks, _forward_arrays, _sigmoid
-from evidnet.training import LOG_EPS, LOSS_MODES
+from evidnet.model import PARAM_FIELDS, _blocks, _forward_arrays, _sigmoid
+from evidnet.training import LOG_EPS, LOSS_MODES, init_optimizer
 
 import oracles
 from helpers import (
@@ -80,6 +79,13 @@ def test_train_config_defaults_are_valid():
         dict(noise_sigma=math.inf),
         dict(learning_rate=math.nan),
         dict(learning_rate=math.inf),
+        # counts and the seed are ints: not floats, booleans or strings
+        dict(max_epochs=2.5),
+        dict(batch_size=2.5),
+        dict(t_perturb=True),
+        dict(patience="2"),
+        dict(seed=True),
+        dict(seed=-1),
     ],
 )
 def test_train_config_validation(bad):
@@ -114,7 +120,7 @@ def test_supervised_ce_clamps_vanishing_mass():
     batch = Batch(labeled=[(X0, 0)])
     assert total_loss(model, batch, CE) == pytest.approx(-math.log(1e-12), abs=1e-9)
     # a clamped row pulls on nothing
-    for name, block in gradients(model, batch, CE).items():
+    for name, block in _blocks(model.config, gradients(model, batch, CE)).items():
         assert np.all(block == 0.0), name
 
 
@@ -223,7 +229,7 @@ def test_gradients_zero_at_flat_consistency_minimum():
     batch = Batch(unlabeled=[(x, [x.copy(), x.copy()])])
     cfg = TrainConfig(loss_mode="evidential_ce", lam=0.0, consistency_weight=1.0)
     assert total_loss(model, batch, cfg) == 0.0
-    for name, block in gradients(model, batch, cfg).items():
+    for name, block in _blocks(model.config, gradients(model, batch, cfg)).items():
         assert np.all(block == 0.0), name
 
 
@@ -232,7 +238,7 @@ def test_gradients_regularizer_only():
     x = np.linspace(-1, 1, 5)
     batch = Batch(unlabeled=[(x, [x.copy(), x.copy()])])
     cfg = TrainConfig(loss_mode="evidential_ce", lam=0.01, consistency_weight=1.0)
-    grads = gradients(model, batch, cfg)
+    grads = _blocks(model.config, gradients(model, batch, cfg))
     alpha = np.array([oracles.sigmoid(v) for v in model.xi])
     assert np.allclose(grads["xi"], 0.01 * alpha * (1 - alpha), atol=1e-15)
     for name in ("w", "b", "centers", "beta", "eta"):
@@ -257,10 +263,12 @@ def test_overflowing_row_gives_non_finite_gradient():
 
 def test_gradient_blocks_match_parameter_shapes():
     model, batch, cfg = ce_check_pair(2)
-    grads = gradients(model, batch, cfg)
-    assert list(grads) == list(model.params())
-    for name, block in grads.items():
-        assert block.shape == model.params()[name].shape
+    grad = gradients(model, batch, cfg)
+    assert grad.shape == model.theta.shape
+    blocks = _blocks(model.config, grad)
+    assert list(blocks) == list(PARAM_FIELDS) == ["w", "b", "centers", "beta", "xi", "eta"]
+    for name, block in blocks.items():
+        assert block.shape == getattr(model, name).shape
 
 
 def test_grad_check_agrees_on_sample_pairs():
@@ -397,30 +405,31 @@ def test_perturb_zero_sigma_copies_exactly():
     (best_on, hist_on), (best_off, hist_off) = runs
     for on, off in zip(hist_on.records, hist_off.records):
         assert on.train_loss == pytest.approx(off.train_loss, rel=0, abs=1e-12)
-    for name, arr in best_on.params().items():
-        assert np.allclose(arr, best_off.params()[name], rtol=0, atol=1e-9), name
+    assert np.allclose(best_on.theta, best_off.theta, rtol=0, atol=1e-9)
 
 
 # optimizer
 
 def zero_grads(model):
-    return {name: np.zeros_like(arr) for name, arr in model.params().items()}
+    """A zero gradient vector laid out like model.theta, and its blocks,
+    which are writable views into it."""
+    grads = np.zeros_like(model.theta)
+    return grads, _blocks(model.config, grads)
 
 
 def test_optimizer_zero_gradient_is_a_fixpoint():
     model, _, _ = mse_check_pair(1)
     cfg = TrainConfig(learning_rate=0.5)
-    stepped, state = optimizer_step(model, zero_grads(model), cfg, init_optimizer(model))
+    stepped, state = optimizer_step(model, zero_grads(model)[0], cfg, init_optimizer(model))
     assert state.step == 1
-    for name, arr in stepped.params().items():
-        assert np.array_equal(arr, model.params()[name]), name
+    assert np.array_equal(stepped.theta, model.theta)
 
 
 def test_adam_first_step_moves_by_learning_rate():
     # bias corrections cancel on step one: update = lr * g / (|g| + eps)
     model, _, _ = mse_check_pair(1)
-    grads = zero_grads(model)
-    grads["w"] = np.full_like(model.w, 2.0)
+    grads, blocks = zero_grads(model)
+    blocks["w"][:] = 2.0
     cfg = TrainConfig(learning_rate=0.1)
     stepped, state = optimizer_step(model, grads, cfg, init_optimizer(model))
     assert np.allclose(stepped.w, model.w - 0.1, atol=1e-8)
@@ -436,26 +445,25 @@ def test_flat_adam_matches_per_block_reference():
     rng = np.random.default_rng(7)
     cfg = TrainConfig(learning_rate=0.01)
     current, state = model, init_optimizer(model)
-    ref = model.copy().params(), zero_grads(model), zero_grads(model)
+    ref = _blocks(model.config, model.theta), zero_grads(model)[1], zero_grads(model)[1]
     for step in range(1, 21):
-        grads = {name: rng.standard_normal(arr.shape) for name, arr in model.params().items()}
-        # train passes one vector laid out like theta; tests and callers may pass blocks
-        flat = np.concatenate([g.reshape(-1) for g in grads.values()])
-        current, state = optimizer_step(current, flat if step % 2 else grads, cfg, state)
-        ref = oracles.reference_adam(*ref, grads, step, cfg.learning_rate)
-        moments = _blocks(model.config, state.m), _blocks(model.config, state.v)
-        for name in grads:
-            assert current.params()[name].tobytes() == ref[0][name].tobytes(), (step, name)
-            assert moments[0][name].tobytes() == ref[1][name].tobytes(), (step, name)
-            assert moments[1][name].tobytes() == ref[2][name].tobytes(), (step, name)
+        grads = rng.standard_normal(model.theta.shape)
+        current, state = optimizer_step(current, grads, cfg, state)
+        ref = oracles.reference_adam(*ref, _blocks(model.config, grads), step,
+                                     cfg.learning_rate)
+        got = [_blocks(model.config, v) for v in (current.theta, state.m, state.v)]
+        for name in PARAM_FIELDS:
+            assert got[0][name].tobytes() == ref[0][name].tobytes(), (step, name)
+            assert got[1][name].tobytes() == ref[1][name].tobytes(), (step, name)
+            assert got[2][name].tobytes() == ref[2][name].tobytes(), (step, name)
     assert state.step == 20
 
 
 def test_optimizer_raises_at_the_step_that_breaks_the_model():
     model, _, _ = mse_check_pair(1)
     state = init_optimizer(model)
-    grads = zero_grads(model)
-    grads["eta"] = np.ones_like(model.eta)
+    grads, blocks = zero_grads(model)
+    blocks["eta"][:] = 1.0
     huge = TrainConfig(learning_rate=1e308)
     # each step moves eta by about 1e308: the first stays finite, the second overflows
     stepped, state = optimizer_step(model, grads, huge, state)
@@ -465,19 +473,16 @@ def test_optimizer_raises_at_the_step_that_breaks_the_model():
     # a first step moves each entry by lr * g / (|g| + eps), which is lr
     # for a large g: it lands a whole beta row on zero, and is refused
     model = replace(model, beta=np.full((model.config.r, 2), 0.5))
-    grads = zero_grads(model)
-    grads["beta"][0] = 2.0**40
+    grads, blocks = zero_grads(model)
+    blocks["beta"][0] = 2.0**40
     with pytest.raises(ZeroBetaError):
         optimizer_step(model, grads, TrainConfig(learning_rate=0.5), init_optimizer(model))
 
 
 def test_optimizer_shape_mismatch():
     model, _, _ = mse_check_pair(1)
-    wrong_shape = {**zero_grads(model), "b": np.zeros(model.b.size + 1)}
-    missing = {k: v for k, v in zero_grads(model).items() if k != "eta"}
-    extra = {**zero_grads(model), "alpha": np.zeros(model.config.r)}
-    short = np.zeros(model.theta.size - 1)
-    for grads in (wrong_shape, missing, extra, short):
+    size = model.theta.size
+    for grads in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((1, size))):
         with pytest.raises(ShapeMismatchError):
             optimizer_step(model, grads, TrainConfig(), init_optimizer(model))
 
@@ -488,8 +493,8 @@ def test_optimizer_minimizes_quadratic():
     state = init_optimizer(model)
     current = model
     for _ in range(2000):
-        grads = zero_grads(current)
-        grads["w"] = 2.0 * (current.w - 3.0)
+        grads, blocks = zero_grads(current)
+        blocks["w"][:] = 2.0 * (current.w - 3.0)
         current, state = optimizer_step(current, grads, cfg, state)
     assert np.all(np.abs(current.w - 3.0) < 1e-3)
     # untouched blocks never move
@@ -499,7 +504,8 @@ def test_optimizer_minimizes_quadratic():
 # every way to a model gives read-only parameters and fresh constants
 
 def assert_frozen_with_fresh_constants(model):
-    for name, block in {"theta": model.theta, **model.params()}.items():
+    for name in ("theta", *PARAM_FIELDS):
+        block = getattr(model, name)
         with pytest.raises(ValueError, match="read-only"):
             block[(0,) * block.ndim] = 5.0
     bsq = model.beta**2
@@ -521,8 +527,7 @@ def test_every_constructor_path_freezes_parameters_and_derives_constants(tmp_pat
     model = three_class_model()
     assert_frozen_with_fresh_constants(model)
     assert_frozen_with_fresh_constants(replace(model, xi=model.xi + 1.0, eta=model.eta * 3))
-    assert_frozen_with_fresh_constants(model.copy())
-    grads = {name: np.full(block.shape, 0.5) for name, block in model.params().items()}
+    grads = np.full(model.theta.shape, 0.5)
     stepped, _ = optimizer_step(model, grads, TrainConfig(learning_rate=0.1),
                                 init_optimizer(model))
     assert_frozen_with_fresh_constants(stepped)
@@ -556,7 +561,7 @@ def test_train_returns_best_epoch_parameters(monkeypatch):
     snapshots = []
 
     def scripted_accuracy(current, _val_set):
-        snapshots.append(current.copy())
+        snapshots.append(current)  # models are immutable: a reference is a snapshot
         return next(script)
 
     monkeypatch.setattr(evidnet.training, "_validation_accuracy", scripted_accuracy)
@@ -566,8 +571,7 @@ def test_train_returns_best_epoch_parameters(monkeypatch):
     assert history.best_epoch == 2
     assert history.stopped_early
     assert history.best_val_accuracy == 0.9
-    for name, arr in best.params().items():
-        assert np.array_equal(arr, snapshots[1].params()[name]), name
+    assert best.theta.tobytes() == snapshots[1].theta.tobytes()
 
 
 def test_train_runs_to_max_epochs_without_improvement_stall(monkeypatch):
@@ -589,8 +593,7 @@ def test_train_is_deterministic():
     best1, hist1 = train(model, train_set, val_set, cfg)
     best2, hist2 = train(model, train_set, val_set, cfg)
     assert hist1.records == hist2.records
-    for name, arr in best1.params().items():
-        assert np.array_equal(arr, best2.params()[name])
+    assert best1.theta.tobytes() == best2.theta.tobytes()
 
 
 def test_train_improves_or_holds_on_separable_data():
