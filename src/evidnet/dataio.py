@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import array
 import csv
+import io
 import itertools
 import json
 import math
@@ -78,10 +79,6 @@ class FeatureDataset:
     @property
     def d_in(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def n_labeled(self) -> int:
-        return sum(1 for lab in self.labels if lab is not None)
 
     def fully_labeled(self) -> bool:
         return all(lab is not None for lab in self.labels)
@@ -185,19 +182,35 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> FeatureDataset:
     )
 
 
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes it after another cell of a row.
+
+    Minimal quoting: a cell holding a comma, a quote or an LF is quoted,
+    with its quotes doubled; any other cell, the empty one too, is written
+    bare. A CR alone does not trigger quoting, as csv.writer quotes only
+    the characters of its line terminator.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(("", text))
+    return buf.getvalue()[1:-1]
+
+
 def write_csv(dataset: FeatureDataset, path) -> None:
-    """Inverse of load_csv; floats are written with round-trip precision."""
+    """Inverse of load_csv; floats are written with round-trip precision.
+
+    Rows are formatted one at a time, so memory stays flat in the row
+    count. The bytes are those csv.writer writes for the same cells.
+    """
     path = Path(path)
+    # the last entry serves unlabeled rows, whose label is None
+    label_cells = [_csv_cell(name) for name in (*dataset.class_names, UNLABELED)]
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_expected_header(dataset.d_in))
-            for i in range(dataset.n):
-                lab = dataset.labels[i]
-                name = UNLABELED if lab is None else dataset.class_names[lab]
-                writer.writerow(
-                    [repr(float(v)) for v in dataset.features[i]] + [name]
-                )
+            fh.write(",".join(_expected_header(dataset.d_in)) + "\n")
+            for row, lab in zip(dataset.features, dataset.labels):
+                cells = [*map(repr, row.tolist()), label_cells[-1 if lab is None else lab]]
+                # csv.writer writes a row of one empty cell as ""
+                fh.write((",".join(cells) or '""') + "\n")
     except OSError as exc:
         raise WriteFailureError(f"{path}: {exc}") from exc
 
@@ -348,18 +361,10 @@ def export_predictions(model: EvidentialModel, dataset: FeatureDataset, path) ->
     lines = [PREDICTIONS_HEADER]
     if dataset.n:
         m, m_omega, pl = forward_batch(model, dataset.features)
-        winners = decide(pl)
-        for i in range(dataset.n):
-            cells = [
-                str(i),
-                repr(float(m[i, 0])),
-                repr(float(m[i, 1])),
-                repr(float(m_omega[i])),
-                repr(float(pl[i, 0])),
-                repr(float(pl[i, 1])),
-                model.class_names[winners[i]],
-            ]
-            lines.append(",".join(cells))
+        names = [_csv_cell(name) for name in model.class_names]
+        rows = zip(m.tolist(), m_omega.tolist(), pl.tolist(), decide(pl).tolist())
+        for i, ((m_pos, m_neg), m_om, (pl_pos, pl_neg), win) in enumerate(rows):
+            lines.append(f"{i},{m_pos!r},{m_neg!r},{m_om!r},{pl_pos!r},{pl_neg!r},{names[win]}")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -344,7 +344,9 @@ def decide(pl):
 def _class_indices(labels, k: int) -> np.ndarray:
     """Labels as an int array; raise unless each is an integer in [0, k)."""
     for lab in labels:
-        if isinstance(lab, bool) or not isinstance(lab, Integral) or not 0 <= lab < k:
+        # an exact int skips the slower ABC check; a bool is an int subclass
+        if (type(lab) is not int and (isinstance(lab, bool) or not isinstance(lab, Integral))
+                or not 0 <= lab < k):
             raise ValueError(f"label {lab!r} is not a class index in [0, {k})")
     return np.asarray(labels, dtype=int)
 

@@ -7,7 +7,8 @@ optimized code is checked against. A few keep an earlier array form of
 a rewritten kernel (the masked sigmoid, distances through the
 difference tensor, the fusion's two separate products and its
 leave-one-out product through moveaxis, Adam block by block) as the
-reference the new form must match. The forward and backward kernels
+reference the new form must match, as does the feature-CSV writer
+that went through csv.writer. The forward and backward kernels
 as they were before the model cached its constants are kept whole, so
 the bits of every intermediate and of the gradient stay pinned. They
 share no code with the package beyond building and reading mass values
@@ -377,3 +378,15 @@ def reference_load_csv(path, class_names=None):
                 f"{path}: row {rownum}: label {cell!r} not among {fixed_names}"
             )
     return features, labels, tuple(seen)
+
+
+def reference_write_csv(dataset, path) -> None:
+    """Feature CSV written through csv.writer, one numpy scalar at a time;
+    evidnet.write_csv must write the same bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"f{j}" for j in range(dataset.d_in)] + ["label"])
+        for i in range(dataset.n):
+            lab = dataset.labels[i]
+            name = "?" if lab is None else dataset.class_names[lab]
+            writer.writerow([repr(float(v)) for v in dataset.features[i]] + [name])

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from evidnet import (
     UnsupportedVersionError,
     WriteFailureError,
     export_predictions,
+    forward_batch,
     load_csv,
     load_model,
     save_model,
@@ -30,7 +34,7 @@ from evidnet import (
 from evidnet.dataio import PREDICTIONS_HEADER
 
 from helpers import random_wide_model
-from oracles import reference_load_csv
+from oracles import reference_load_csv, reference_write_csv
 from test_model import three_class_model, tiny_model
 
 
@@ -44,7 +48,7 @@ def test_feature_dataset_properties():
     )
     assert ds.n == 3
     assert ds.d_in == 2
-    assert ds.n_labeled == 2
+    assert sum(lab is not None for lab in ds.labels) == 2
     assert not ds.fully_labeled()
     assert FeatureDataset(np.zeros((1, 2)), [1], ("a", "b")).fully_labeled()
 
@@ -61,6 +65,12 @@ def test_feature_dataset_validation():
             FeatureDataset(np.zeros((1, 1)), [bad], ("a", "b"))
     with pytest.raises(ValueError):  # bool is an Integral, but not a class index
         FeatureDataset(np.zeros((2, 1)), [True, None], ("a", "b"))
+    for bad in (np.int64(2), np.int64(-1), np.True_, np.float64(1.0)):
+        with pytest.raises(ValueError):
+            FeatureDataset(np.zeros((1, 1)), [bad], ("a", "b"))
+    # any other Integral in range is a class index
+    ds = FeatureDataset(np.zeros((3, 1)), [np.int64(1), np.uint8(0), None], ("a", "b"))
+    assert ds.labels == [1, 0, None]
 
 
 # csv parsing
@@ -80,7 +90,7 @@ def test_load_csv_unlabeled_marker(tmp_path):
     ds = load_csv(p)
     assert ds.labels == [None, 0]
     assert ds.class_names == ("yes",)
-    assert ds.n_labeled == 1
+    assert sum(lab is not None for lab in ds.labels) == 1
 
 
 def test_load_csv_with_fixed_names(tmp_path):
@@ -323,6 +333,58 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert back.class_names == ds.class_names
 
 
+# floats whose repr is hard to get right, and names only a quoted cell holds
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300,
+               1.7e308, -1.7e308, 12345678901234567.0, 0.1)
+NAME_CHARS = st.sampled_from(["a", "b", " ", ",", '"', "\r", "\n", "?", "\u00e9"])
+
+
+@st.composite
+def feature_datasets(draw):
+    """A FeatureDataset of up to 6 rows of d in [0, 4] finite floats, with
+    up to 3 distinct class names built from plain and special characters."""
+    d = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 6))
+    cell = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(cell, min_size=n * d, max_size=n * d))
+    names = draw(st.lists(st.text(NAME_CHARS, max_size=4), max_size=3, unique=True))
+    label = st.none() | st.integers(0, len(names) - 1) if names else st.none()
+    labels = draw(st.lists(label, min_size=n, max_size=n))
+    return FeatureDataset(np.array(values, dtype=float).reshape(n, d), labels, names)
+
+
+@FUZZ_SETTINGS
+@given(feature_datasets())
+@example(FeatureDataset(np.array([[1e-300], [-0.0], [5e-324]]), [0, None, 1],
+                        ("a,b", 'say "hi"')))
+@example(FeatureDataset(np.zeros((2, 0)), [0, None], ("",)))
+def test_write_csv_matches_reference_writer(tmp_path, ds):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(ds, got)
+    reference_write_csv(ds, want)
+    assert got.read_bytes() == want.read_bytes()
+    # csv.writer leaves a CR bare, and a name "?" reads back as unlabeled;
+    # every other file with a feature column reads back bit for bit
+    if ds.d_in and not any("\r" in name or name == "?" for name in ds.class_names):
+        back = load_csv(got, class_names=ds.class_names)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels == ds.labels
+
+
+def test_write_csv_memory_is_flat_in_rows(tmp_path):
+    rng = np.random.default_rng(13)
+    labels = [None if i % 3 == 0 else i % 2 for i in range(5000)]
+    ds = FeatureDataset(rng.standard_normal((5000, 128)), labels, ("positive", "negative"))
+    tracemalloc.start()
+    try:
+        write_csv(ds, tmp_path / "big.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one row at a time; the whole matrix as Python floats would be ~20 MB
+    assert peak < 2 * 2**20
+
+
 def test_write_csv_failure(tmp_path):
     ds = FeatureDataset(np.zeros((1, 1)), [None], ())
     with pytest.raises(WriteFailureError):
@@ -510,6 +572,25 @@ def test_export_predictions_decisions_match_plausibility(tmp_path):
         m_pos, m_neg, m_om = (float(c) for c in cells[1:4])
         assert m_pos + m_neg + m_om == pytest.approx(1.0, abs=1e-9)
         assert pl_pos == pytest.approx(m_pos + m_om, abs=1e-15)
+
+
+@pytest.mark.parametrize("names", [("a,b", 'say "hi"'), ("x\ny", "plain")])
+def test_export_predictions_quotes_class_names(tmp_path, names):
+    model = tiny_model(beta=((0.2, 0.8), (0.7, 0.3)), xi=(0.5, 0.5),
+                       eta=(1.0, 0.5), center=((0.0, 0.0), (1.0, 1.0)))
+    model = dataclasses.replace(model, class_names=names)
+    feats = np.random.default_rng(12).uniform(-2, 2, (20, 2))
+    p = tmp_path / "pred.csv"
+    export_predictions(model, FeatureDataset(feats, [None] * 20, names), p)
+    with open(p, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert ",".join(header) == PREDICTIONS_HEADER
+    assert len(rows) == 20
+    assert all(len(row) == 7 for row in rows)
+    _, _, pl = forward_batch(model, feats)
+    assert [row[6] for row in rows] == [names[0] if a >= b else names[1] for a, b in pl]
+    assert {row[6] for row in rows} == set(names)
+    assert (",plain\n" in p.read_text()) == ("plain" in names)  # written bare, as before
 
 
 def test_export_predictions_empty_and_errors(tmp_path):

@@ -86,6 +86,11 @@ def test_train_config_defaults_are_valid():
         dict(patience="2"),
         dict(seed=True),
         dict(seed=-1),
+        # the float fields are real numbers: not strings, None or booleans
+        dict(lam="0.1"),
+        dict(noise_sigma=None),
+        dict(learning_rate=True),
+        dict(consistency_weight=False),
     ],
 )
 def test_train_config_validation(bad):
