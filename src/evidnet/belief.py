@@ -2,17 +2,19 @@
 
 A frame is an ordered tuple of class labels; subsets of it are packed into
 integer bitmasks (bit k set means label k belongs to the subset), so a frame
-may hold at most 16 labels. Mass functions are stored sparsely: only focal
-sets (subsets with strictly positive mass) are kept, every other subset reads
-as zero. All values are immutable after construction and every operation here
-is a pure function.
+may hold at most 16 labels. A frame fixes its size k and its full mask when
+it is built. Mass functions are stored sparsely: only focal sets (subsets
+with strictly positive mass) are kept, every other subset reads as zero.
+Each mass function is validated once, in one pass over its assignments, when
+it is built. All values are immutable after construction and every
+operation here is a pure function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyListError,
@@ -36,9 +38,16 @@ TOTAL_CONFLICT_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class Frame:
-    """Ordered set of mutually exclusive class labels."""
+    """Ordered set of mutually exclusive class labels.
+
+    k, the number of labels, and full_mask, the bitmask of the whole frame
+    (total ignorance), are derived from the labels when the frame is built;
+    equality and hashing read the labels alone.
+    """
 
     labels: tuple[str, ...]
+    k: int = field(init=False, repr=False, compare=False)
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -50,35 +59,24 @@ class Frame:
             raise ValueError("frame labels must be non-empty strings")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("frame labels must be unique")
-
-    @property
-    def k(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        """Bitmask of the whole frame (total ignorance)."""
-        return (1 << self.k) - 1
+        object.__setattr__(self, "k", len(self.labels))
+        object.__setattr__(self, "full_mask", (1 << self.k) - 1)
 
     def singleton(self, index: int) -> int:
         if not 0 <= index < self.k:
             raise InvalidMaskError(f"class index {index} outside frame of size {self.k}")
         return 1 << index
 
-    def complement(self, mask: int) -> int:
-        self.check_mask(mask)
-        return self.full_mask & ~mask
-
     def check_mask(self, mask: int) -> int:
+        # an exact int in range needs no more; a bool or another int subclass
+        # takes the checks below
+        if type(mask) is int and 0 <= mask <= self.full_mask:
+            return mask
         if not isinstance(mask, int) or isinstance(mask, bool):
             raise InvalidMaskError(f"subset mask must be an int, got {type(mask).__name__}")
         if not 0 <= mask <= self.full_mask:
             raise InvalidMaskError(f"mask {mask!r} out of range for frame of size {self.k}")
         return mask
-
-    def subset_labels(self, mask: int) -> tuple[str, ...]:
-        self.check_mask(mask)
-        return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -94,18 +92,20 @@ class MassFunction:
     masses: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_mask = self.frame.check_mask
+        # dict keys are unique, so each positive mass is stored as it is
         clean: dict[int, float] = {}
         for mask, value in self.masses.items():
-            self.frame.check_mask(mask)
+            check_mask(mask)
             value = float(value)
-            if not value >= 0.0:  # also true for NaN, which compares false
+            if value > 0.0:
+                if mask == 0:
+                    raise EmptySetMassError(f"empty set carries mass {value}")
+                clean[mask] = value
+            elif not value >= 0.0:  # negative, or NaN, which compares false
                 if value != value:
                     raise NonFiniteInputError(f"mass {value} for subset {mask:#b}")
                 raise NegativeMassError(f"mass {value} for subset {mask:#b}")
-            if mask == 0 and value > 0.0:
-                raise EmptySetMassError(f"empty set carries mass {value}")
-            if value > 0.0:
-                clean[mask] = clean.get(mask, 0.0) + value
         total = sum(clean.values())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise NotNormalizedError(f"masses sum to {total!r}, expected 1")
@@ -115,17 +115,6 @@ class MassFunction:
         """Mass of an arbitrary subset; non-focal subsets read as 0."""
         self.frame.check_mask(mask)
         return self.masses.get(mask, 0.0)
-
-    def focal(self) -> Iterator[tuple[int, float]]:
-        return iter(self.masses.items())
-
-    def is_vacuous(self) -> bool:
-        return set(self.masses) == {self.frame.full_mask}
-
-
-def vacuous(frame: Frame) -> MassFunction:
-    """Total ignorance: all mass on the full frame."""
-    return MassFunction(frame, {frame.full_mask: 1.0})
 
 
 def mass_new(
@@ -154,13 +143,13 @@ def mass_new(
 def bel(m: MassFunction, a: int) -> float:
     """Belief of a subset: total mass of its non-empty subsets."""
     m.frame.check_mask(a)
-    return sum(v for b, v in m.focal() if b & ~a == 0)
+    return sum(v for b, v in m.masses.items() if b & ~a == 0)
 
 
 def pl(m: MassFunction, a: int) -> float:
     """Plausibility of a subset: total mass of everything intersecting it."""
     m.frame.check_mask(a)
-    return sum(v for b, v in m.focal() if b & a)
+    return sum(v for b, v in m.masses.items() if b & a)
 
 
 def _check_shared_frame(m1: MassFunction, m2: MassFunction) -> None:
@@ -173,9 +162,8 @@ def _check_shared_frame(m1: MassFunction, m2: MassFunction) -> None:
 def conflict(m1: MassFunction, m2: MassFunction) -> float:
     """Degree of conflict: mass the two sources place on disjoint subsets."""
     _check_shared_frame(m1, m2)
-    return sum(
-        v1 * v2 for b, v1 in m1.focal() for c, v2 in m2.focal() if b & c == 0
-    )
+    focal2 = m2.masses.items()
+    return sum(v1 * v2 for b, v1 in m1.masses.items() for c, v2 in focal2 if b & c == 0)
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -186,10 +174,12 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """
     _check_shared_frame(m1, m2)
     acc: dict[int, float] = {}
-    for b, v1 in m1.focal():
-        for c, v2 in m2.focal():
+    get = acc.get
+    focal2 = m2.masses.items()
+    for b, v1 in m1.masses.items():
+        for c, v2 in focal2:
             inter = b & c
-            acc[inter] = acc.get(inter, 0.0) + v1 * v2
+            acc[inter] = get(inter, 0.0) + v1 * v2
     kappa = acc.pop(0, 0.0)
     if kappa >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
         raise TotalConflictError(f"conflict {kappa!r} leaves nothing to renormalize")

@@ -185,14 +185,14 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> FeatureDataset:
 def _csv_cell(text: str) -> str:
     """text as csv.writer writes it after another cell of a row.
 
-    Minimal quoting: a cell holding a comma, a quote or an LF is quoted,
-    with its quotes doubled; any other cell, the empty one too, is written
-    bare. A CR alone does not trigger quoting, as csv.writer quotes only
-    the characters of its line terminator.
+    Minimal quoting: a cell holding a comma, a quote, a CR or an LF is
+    quoted, with its quotes doubled; any other cell, the empty one too, is
+    written bare. csv.writer quotes the characters of its line terminator,
+    so the terminator here is CRLF, which is then stripped.
     """
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(("", text))
-    return buf.getvalue()[1:-1]
+    csv.writer(buf, lineterminator="\r\n").writerow(("", text))
+    return buf.getvalue()[1:-2]
 
 
 def write_csv(dataset: FeatureDataset, path) -> None:

@@ -275,8 +275,8 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     k = model.config.k
     z = X @ model.w.T + model.b
     d2 = _sq_dists(z, model.centers, model.c_sq)
-    e = np.exp(-model.gamma[None, :] * d2)
-    s = model.alpha[None, :] * e
+    e = np.exp(-model.gamma * d2)
+    s = model.alpha * e
     # stored (r, K+1, n) so that every product over prototypes runs over
     # whole contiguous rows; cf is the (n, r, K+1) view of that array
     s_t = s.T.copy()
@@ -318,8 +318,8 @@ def forward_batch(model: EvidentialModel, X) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _mass_from_rows(frame: Frame, m_row: np.ndarray, m_omega: float) -> MassFunction:
-    masses = {frame.singleton(j): value for j, value in enumerate(m_row.tolist())}
-    masses[frame.full_mask] = float(m_omega)
+    masses = {1 << j: value for j, value in enumerate(m_row.tolist())}
+    masses[frame.full_mask] = m_omega
     return MassFunction(frame, masses)
 
 
@@ -330,7 +330,7 @@ def forward(model: EvidentialModel, x) -> OutputMass:
         raise DimensionMismatchError(f"expected a single vector, got shape {x.shape}")
     X = _as_feature_matrix(x[None, :], model.config.d_in)
     cache = _forward_arrays(model, X)
-    mass = _mass_from_rows(model.frame, cache["m"][0], float(cache["m_omega"][0]))
+    mass = _mass_from_rows(model.frame, cache["m"][0], cache["m_omega"].item())
     return OutputMass(mass=mass, pl=cache["pl"][0], activations=cache["s"][0])
 
 

@@ -8,30 +8,45 @@ a rewritten kernel (the masked sigmoid, distances through the
 difference tensor, the fusion's two separate products and its
 leave-one-out product through moveaxis, Adam block by block) as the
 reference the new form must match, as does the feature-CSV writer
-that went through csv.writer. The forward and backward kernels
+that went through csv.writer. The belief layer's mask check, mass
+validation, Dempster's rule, bel, pl and conflict are kept as they were
+before the frame stored its size and full mask, so their output bits and
+their errors stay pinned. The forward and backward kernels
 as they were before the model cached its constants are kept whole, so
 the bits of every intermediate and of the gradient stay pinned. They
 share no code with the package beyond building and reading mass values
 through mass_new(), combine_all() (itself checked against
 brute_combine) and MassFunction.mass(), raising the package's error
-classes, the model's block layout (_blocks), and the Adam and
-total-conflict constants.
+classes, the model's block layout (_blocks), and the Adam, sum-tolerance
+and total-conflict constants.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 
 import numpy as np
 
-from evidnet.belief import combine_all, mass_new
+from evidnet.belief import (
+    SUM_TOLERANCE,
+    TOTAL_CONFLICT_TOLERANCE,
+    combine_all,
+    mass_new,
+)
 from evidnet.model import TOTAL_CONFLICT_FLOOR, _blocks
 from evidnet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from evidnet.errors import (
     EmptyFileError,
+    EmptySetMassError,
+    FrameMismatchError,
+    InvalidMaskError,
     MissingHeaderError,
+    NegativeMassError,
+    NonFiniteInputError,
     NonNumericFeatureError,
+    NotNormalizedError,
     RaggedRowError,
     TotalConflictError,
     UnknownLabelError,
@@ -92,6 +107,83 @@ def brute_combine3(m1, m2, m3) -> dict[int, float]:
     kappa = acc.pop(0)
     scale = 1.0 / (1.0 - kappa)
     return {mask: v * scale for mask, v in acc.items()}
+
+
+def reference_check_mask(frame, mask) -> int:
+    """Frame.check_mask with the frame's size and full mask derived from
+    its labels on every call."""
+    k = len(frame.labels)
+    full_mask = (1 << k) - 1
+    if not isinstance(mask, int) or isinstance(mask, bool):
+        raise InvalidMaskError(f"subset mask must be an int, got {type(mask).__name__}")
+    if not 0 <= mask <= full_mask:
+        raise InvalidMaskError(f"mask {mask!r} out of range for frame of size {k}")
+    return mask
+
+
+def reference_clean_masses(frame, masses) -> dict[int, float]:
+    """The focal sets MassFunction(frame, masses) keeps, validated and
+    accumulated one assignment at a time."""
+    clean: dict[int, float] = {}
+    for mask, value in masses.items():
+        reference_check_mask(frame, mask)
+        value = float(value)
+        if not value >= 0.0:  # also true for NaN, which compares false
+            if value != value:
+                raise NonFiniteInputError(f"mass {value} for subset {mask:#b}")
+            raise NegativeMassError(f"mass {value} for subset {mask:#b}")
+        if mask == 0 and value > 0.0:
+            raise EmptySetMassError(f"empty set carries mass {value}")
+        if value > 0.0:
+            clean[mask] = clean.get(mask, 0.0) + value
+    total = sum(clean.values())
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise NotNormalizedError(f"masses sum to {total!r}, expected 1")
+    return clean
+
+
+def reference_bel(m, a: int) -> float:
+    reference_check_mask(m.frame, a)
+    return sum(v for b, v in m.masses.items() if b & ~a == 0)
+
+
+def reference_pl(m, a: int) -> float:
+    reference_check_mask(m.frame, a)
+    return sum(v for b, v in m.masses.items() if b & a)
+
+
+def _reference_shared_frame(m1, m2) -> None:
+    if m1.frame != m2.frame:
+        raise FrameMismatchError(
+            f"frames differ: {m1.frame.labels} vs {m2.frame.labels}"
+        )
+
+
+def reference_conflict(m1, m2) -> float:
+    _reference_shared_frame(m1, m2)
+    return sum(
+        v1 * v2 for b, v1 in m1.masses.items() for c, v2 in m2.masses.items()
+        if b & c == 0
+    )
+
+
+def reference_dempster_combine(m1, m2) -> dict[int, float]:
+    """The focal sets of dempster_combine(m1, m2), summed pair by pair in
+    the same order and renormalized by the fsum of what was kept."""
+    _reference_shared_frame(m1, m2)
+    acc: dict[int, float] = {}
+    for b, v1 in m1.masses.items():
+        for c, v2 in m2.masses.items():
+            inter = b & c
+            acc[inter] = acc.get(inter, 0.0) + v1 * v2
+    kappa = acc.pop(0, 0.0)
+    if kappa >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
+        raise TotalConflictError(f"conflict {kappa!r} leaves nothing to renormalize")
+    remaining = math.fsum(acc.values())
+    if remaining <= 0.0:
+        raise TotalConflictError(f"conflict {kappa!r} leaves nothing to renormalize")
+    scale = 1.0 / remaining
+    return reference_clean_masses(m1.frame, {mask: v * scale for mask, v in acc.items()})
 
 
 def sigmoid(x: float) -> float:
@@ -382,11 +474,21 @@ def reference_load_csv(path, class_names=None):
 
 def reference_write_csv(dataset, path) -> None:
     """Feature CSV written through csv.writer, one numpy scalar at a time;
-    evidnet.write_csv must write the same bytes."""
+    evidnet.write_csv must write the same bytes. Each row is formatted
+    with a CRLF terminator, so that a cell holding a CR is quoted as well
+    as one holding an LF, and written ending in LF."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+
+    def line(cells) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(cells)
+        return buf.getvalue()[:-2] + "\n"
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{j}" for j in range(dataset.d_in)] + ["label"])
+        fh.write(line([f"f{j}" for j in range(dataset.d_in)] + ["label"]))
         for i in range(dataset.n):
             lab = dataset.labels[i]
             name = "?" if lab is None else dataset.class_names[lab]
-            writer.writerow([repr(float(v)) for v in dataset.features[i]] + [name])
+            fh.write(line([repr(float(v)) for v in dataset.features[i]] + [name]))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from evidnet import (
     EmptyListError,
     EmptySetMassError,
+    EvidnetError,
     Frame,
     FrameMismatchError,
     InvalidMaskError,
@@ -25,12 +27,15 @@ from evidnet import (
     mass_new,
     pl,
 )
-from evidnet.belief import vacuous
-
 import oracles
 from helpers import random_mass
 
 ABC = Frame(("a", "b", "c"))
+
+
+def vacuous(frame):
+    """Total ignorance: all mass on the full frame."""
+    return MassFunction(frame, {frame.full_mask: 1.0})
 
 
 def masses_close(m1, m2, tol=1e-12):
@@ -48,10 +53,10 @@ def test_frame_size_and_masks():
     assert f.full_mask == 0b11
     assert f.singleton(0) == 0b01
     assert f.singleton(1) == 0b10
-    assert f.complement(0b01) == 0b10
-    assert f.subset_labels(0b11) == ("x", "y")
-    assert f.subset_labels(0b10) == ("y",)
-    assert f.subset_labels(0) == ()
+    assert f.full_mask & ~0b01 == 0b10
+    assert f.singleton(0) | f.singleton(1) == 0b11
+    assert f.singleton(f.labels.index("y")) == 0b10
+    assert f.check_mask(0) == 0
 
 
 def test_frame_validation():
@@ -66,6 +71,21 @@ def test_frame_validation():
     with pytest.raises(ValueError):
         Frame((1, 2))  # labels are strings
     Frame(tuple(f"c{i}" for i in range(16)))  # boundary is allowed
+
+
+def test_frame_equality_and_hash_read_the_labels_alone():
+    f, g = Frame(("x", "y")), Frame(["x", "y"])
+    assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
+    assert f != Frame(("y", "x"))
+    assert repr(f) == "Frame(labels=('x', 'y'))"
+    assert [fl.name for fl in dataclasses.fields(Frame) if fl.compare] == ["labels"]
+    h = dataclasses.replace(f, labels=("x", "y", "z"))
+    assert (h.k, h.full_mask) == (3, 0b111)
+    assert (f.k, f.full_mask) == (2, 0b11)
+    with pytest.raises(ValueError):
+        dataclasses.replace(f, k=3)  # derived, never given
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.full_mask = 0b111  # type: ignore[misc]
 
 
 def test_mask_validation():
@@ -89,7 +109,7 @@ def test_mass_new_accumulates_and_drops_zeros():
     m = mass_new(ABC, [(0b001, 0.25), (0b001, 0.25), (0b111, 0.5), (0b010, 0.0)])
     assert m.mass(0b001) == 0.5
     assert m.mass(0b111) == 0.5
-    assert dict(m.focal()) == {0b001: 0.5, 0b111: 0.5}
+    assert m.masses == {0b001: 0.5, 0b111: 0.5}
     assert m.mass(0b010) == 0.0
 
 
@@ -108,14 +128,18 @@ def test_mass_new_validation():
     mass_new(ABC, {0b111: 1.0 + 5e-10})
     # zero-mass empty set is fine, it just gets dropped
     m = mass_new(ABC, {0b000: 0.0, 0b111: 1.0})
-    assert m.is_vacuous()
+    assert m.masses == {ABC.full_mask: 1.0}
+    # mass_new checks each pair before accumulating: a negative pair is
+    # refused even where the accumulated mass of its subset is positive
+    with pytest.raises(NegativeMassError):
+        mass_new(ABC, [(0b001, -0.1), (0b001, 0.2), (0b111, 0.9)])
 
 
 def test_vacuous():
-    m = vacuous(ABC)
-    assert m.is_vacuous()
+    m = MassFunction(ABC, {ABC.full_mask: 1.0})
+    assert m.masses == {ABC.full_mask: 1.0}
     assert m.mass(ABC.full_mask) == 1.0
-    assert not mass_new(ABC, {0b001: 1.0}).is_vacuous()
+    assert mass_new(ABC, {0b001: 1.0}).masses != {ABC.full_mask: 1.0}
 
 
 def test_mass_function_direct_construction_validates():
@@ -147,7 +171,7 @@ def test_nan_mass_is_refused_naming_its_subset(k, data):
 def test_bel_pl_worked_example():
     m = mass_new(ABC, {0b001: 0.5, 0b011: 0.2, 0b111: 0.3})
     assert bel(m, 0b011) == 0.7
-    assert pl(m, ABC.complement(0b011)) == 0.3
+    assert pl(m, 0b100) == 0.3
     assert bel(m, 0b001) == 0.5
     assert pl(m, 0b001) == 1.0
     assert bel(m, 0) == 0.0
@@ -195,7 +219,7 @@ def test_bel_pl_duality_and_bounds(fm):
         b, p = bel(m, a), pl(m, a)
         assert -1e-12 <= b <= p + 1e-12
         assert p <= 1.0 + 1e-12
-        assert abs(p - (1.0 - bel(m, frame.complement(a)))) <= 1e-9
+        assert abs(p - (1.0 - bel(m, frame.full_mask & ~a))) <= 1e-9
     assert abs(bel(m, frame.full_mask) - 1.0) <= 1e-9
     assert abs(pl(m, frame.full_mask) - 1.0) <= 1e-9
 
@@ -229,7 +253,7 @@ def test_dempster_worked_example():
     assert out.mass(0b001) == pytest.approx(3.0 / 7.0, abs=1e-12)
     assert out.mass(0b010) == pytest.approx(2.0 / 7.0, abs=1e-12)
     assert out.mass(0b111) == pytest.approx(2.0 / 7.0, abs=1e-12)
-    assert sum(v for _, v in out.focal()) == pytest.approx(1.0, abs=1e-9)
+    assert sum(out.masses.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_dempster_vacuous_is_neutral():
@@ -305,13 +329,101 @@ def test_combine_all_edges():
     a, b, c = (random_mass(np.random.default_rng(s), ABC) for s in (1, 2, 3))
     folded = combine_all([a, b, c])
     manual = dempster_combine(dempster_combine(a, b), c)
-    assert dict(folded.focal()) == dict(manual.focal())
+    assert folded.masses == manual.masses
 
 
 def test_combined_mass_is_normalized():
     rng = np.random.default_rng(29)
     for _ in range(50):
         out = dempster_combine(random_mass(rng, ABC), random_mass(rng, ABC))
-        total = math.fsum(v for _, v in out.focal())
+        total = math.fsum(out.masses.values())
         assert abs(total - 1.0) <= 1e-9
-        assert all(v >= 0.0 for _, v in out.focal())
+        assert all(v >= 0.0 for v in out.masses.values())
+
+
+# the fast paths against the belief layer as it was before the frame kept
+# its size and full mask: same output bits, same errors
+
+def outcome(fn, *args):
+    """repr of fn's result, or the type and message of the error it raised."""
+    try:
+        return repr(fn(*args))
+    except EvidnetError as exc:
+        return type(exc), str(exc)
+
+
+BAD_MASKS = st.sampled_from([-1, True, False, 1.0, np.int64(1), "1"])
+
+
+@st.composite
+def assignments(draw, frame):
+    """A {mask: mass} table over frame: normalized focal sets, then maybe one
+    corruption (a bad or out-of-range mask, a NaN, negative, empty-set or
+    zero mass, or a total off by more than the tolerance)."""
+    masks = draw(st.lists(st.integers(1, frame.full_mask), min_size=1, max_size=6,
+                          unique=True))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(masks), max_size=len(masks)))
+    total = sum(raw)
+    table = {mask: w / total for mask, w in zip(masks, raw)}
+    kind = draw(st.sampled_from(["none", "mask", "range", "nan", "negative", "empty",
+                                 "zero", "unnormalized"]))
+    if kind == "mask":
+        # True, 1.0 and np.int64(1) are equal to the key 1, so they go first
+        # in a table of their own rather than overwrite it
+        bad = draw(BAD_MASKS)
+        table = {bad: 0.0, **{mask: v for mask, v in table.items() if mask != bad}}
+    elif kind == "range":
+        table[frame.full_mask + 1] = 0.0
+    elif kind == "nan":
+        table[draw(st.sampled_from(masks))] = math.nan
+    elif kind == "negative":
+        table[draw(st.sampled_from(masks))] = -draw(st.floats(1e-12, 1.0))
+    elif kind == "empty":
+        table[0] = draw(st.floats(1e-12, 1.0))
+    elif kind == "zero":
+        table[draw(st.integers(0, frame.full_mask))] = 0.0
+    elif kind == "unnormalized":
+        table = {mask: v * draw(st.sampled_from([0.5, 1.0 + 1e-6, 2.0]))
+                 for mask, v in table.items()}
+    return table
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 16), st.data())
+def test_belief_layer_matches_reference_bits_and_errors(k, data):
+    frame = Frame(tuple(f"c{j}" for j in range(k)))
+    tables = [data.draw(assignments(frame)) for _ in range(2)]
+    built = []
+    for table in tables:
+        got = outcome(lambda t: MassFunction(frame, t).masses, table)
+        assert got == outcome(oracles.reference_clean_masses, frame, table)
+        if isinstance(got, str):
+            built.append(MassFunction(frame, table))
+    queries = [data.draw(st.integers(0, frame.full_mask)) for _ in range(4)]
+    queries += [frame.full_mask + 1, data.draw(BAD_MASKS)]
+    for a in queries:
+        assert outcome(frame.check_mask, a) == outcome(oracles.reference_check_mask, frame, a)
+        for m in built:
+            assert outcome(bel, m, a) == outcome(oracles.reference_bel, m, a)
+            assert outcome(pl, m, a) == outcome(oracles.reference_pl, m, a)
+    if len(built) == 2:
+        m1, m2 = built
+        for x, y in ((m1, m2), (m2, m1), (m1, m1)):
+            assert outcome(conflict, x, y) == outcome(oracles.reference_conflict, x, y)
+            assert (outcome(lambda p, q: dempster_combine(p, q).masses, x, y)
+                    == outcome(oracles.reference_dempster_combine, x, y))
+        other = vacuous(Frame(tuple(f"d{j}" for j in range(k))))
+        assert outcome(conflict, m1, other) == outcome(oracles.reference_conflict, m1, other)
+        assert (outcome(dempster_combine, m1, other)
+                == outcome(oracles.reference_dempster_combine, m1, other))
+
+
+@pytest.mark.parametrize("k", [2, 4, 16])
+def test_total_conflict_errors_match_reference(k):
+    frame = Frame(tuple(f"c{j}" for j in range(k)))
+    m1 = MassFunction(frame, {1: 1.0})
+    m2 = MassFunction(frame, {frame.full_mask & ~1: 1.0})
+    for x, y in ((m1, m2), (m2, m1)):
+        want = outcome(oracles.reference_dempster_combine, x, y)
+        assert want[0] is TotalConflictError
+        assert outcome(dempster_combine, x, y) == want
