@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -85,11 +86,13 @@ class MassFunction:
 
     Construction validates everything: masks fit the frame, masses are
     non-negative and not NaN, the empty set carries no mass, and the total
-    is 1 within ``SUM_TOLERANCE``. Exact zero assignments are dropped.
+    is 1 within ``SUM_TOLERANCE``. Exact zero assignments are dropped, and
+    the focal sets are kept in a read-only mapping. Equality and hashing
+    read the frame and the focal sets with their masses.
     """
 
     frame: Frame
-    masses: dict[int, float] = field(default_factory=dict)
+    masses: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_mask = self.frame.check_mask
@@ -109,7 +112,10 @@ class MassFunction:
         total = sum(clean.values())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise NotNormalizedError(f"masses sum to {total!r}, expected 1")
-        object.__setattr__(self, "masses", clean)
+        object.__setattr__(self, "masses", MappingProxyType(clean))
+
+    def __hash__(self) -> int:
+        return hash((self.frame, frozenset(self.masses.items())))
 
     def mass(self, mask: int) -> float:
         """Mass of an arbitrary subset; non-focal subsets read as 0."""

@@ -1,7 +1,10 @@
 """Dataset CSV ingestion, model serialization, and prediction export.
 
 Feature files are plain CSV with header ``f0,f1,...,f{d-1},label``; the
-label cell holds a class name or ``?`` for unlabeled rows. Models are
+label cell holds a class name or ``?`` for unlabeled rows. A plain LF file
+is parsed by numpy's reader in one pass; it accepts the same cells, and
+gives the same values and errors, as float() and the row-by-row reader
+that every other file, and every faulty one, goes through. Models are
 stored as JSON documents whose floats round-trip bit-exactly (Python's
 shortest-repr float rendering). No timestamps or environment data are
 written, so identical models produce identical bytes.
@@ -32,6 +35,7 @@ from .errors import (
     NonFiniteInputError,
     NonNumericFeatureError,
     RaggedRowError,
+    SingleClassError,
     UnknownLabelError,
     UnsupportedVersionError,
     WriteFailureError,
@@ -124,59 +128,133 @@ def _records(fh, path: Path):
         raise MalformedCsvError(f"{path}: {exc}") from None
 
 
+def _names_index(fixed_names: tuple[str, ...] | None) -> dict[str, int]:
+    """Class index of each fixed name; a repeated name keeps its first."""
+    index: dict[str, int] = {}
+    for i, name in enumerate(fixed_names or ()):
+        index.setdefault(name, i)
+    return index
+
+
+def _label_index(index: dict[str, int], fixed_names, label: str) -> Optional[int]:
+    """Class index of a label cell; None for an unlabeled row.
+
+    A name not in index is added to it when no names are fixed, and raises
+    KeyError otherwise.
+    """
+    if label == UNLABELED:
+        return None
+    if fixed_names is None:
+        return index.setdefault(label, len(index))
+    return index[label]
+
+
+class _NotPlain(Exception):
+    """The file is left to the row walk, which gives its result or error."""
+
+
+def _load_plain(fh, fixed_names):
+    """Features, labels and class index of a plain file, parsed by one
+    np.loadtxt pass.
+
+    Plain means: LF line ends, a valid header, at least one data row, and
+    in each row exactly d commas and none of the characters that only the
+    row walk reads as float() does: a quote or a CR, which csv.reader
+    parses, or one of the separators U+001C to U+001F, which numpy's
+    reader takes as whitespace around a number and float() refuses.
+    Raises _NotPlain on any other file, on a cell numpy refuses, a
+    non-finite value, or a label that is not a class name. Every other
+    cell numpy parses bit for bit as float() does.
+    """
+    header = fh.readline()
+    names = header.rstrip("\n").split(",")
+    d = len(names) - 1
+    if d < 1 or names != _expected_header(d):  # also a header holding a CR or a quote
+        raise _NotPlain
+    first = fh.readline()
+    if not first:  # np.loadtxt warns on a file with no data rows
+        raise _NotPlain
+    index = _names_index(fixed_names)
+    labels: list[Optional[int]] = []
+
+    def lines():
+        for line in itertools.chain((first,), fh):
+            if (line.count(",") != d or '"' in line or "\r" in line or "\x1c" in line
+                    or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+                raise _NotPlain
+            label = line[line.rfind(",") + 1:].rstrip("\n")
+            labels.append(_label_index(index, fixed_names, label))
+            yield line
+
+    try:
+        features = np.loadtxt(lines(), delimiter=",", comments=None, usecols=range(d),
+                              dtype=float, ndmin=2)
+    except (KeyError, ValueError):  # an unknown label, a bad cell, or bad UTF-8
+        raise _NotPlain from None
+    if features.shape != (len(labels), d) or not np.isfinite(features).all():
+        raise _NotPlain
+    return features, labels, index
+
+
+def _walk(fh, path: Path, fixed_names):
+    """Features, labels and class index of any file, read one row at a
+    time; the first faulty row in file order raises."""
+    features = array.array("d")
+    labels: list[Optional[int]] = []
+    index = _names_index(fixed_names)
+    reader = _records(fh, path)
+    header = next(reader, None)
+    if header is None:
+        raise EmptyFileError(f"{path}: no content")
+    if len(header) < 2 or header != _expected_header(len(header) - 1):
+        raise MissingHeaderError(
+            f"{path}: header must be f0,...,f{{d-1}},label, got {','.join(header)}"
+        )
+    d = len(header) - 1
+    for rownum, row in enumerate(reader, start=1):
+        if len(row) != d + 1:
+            raise RaggedRowError(
+                f"{path}: row {rownum} has {len(row)} cells, expected {d + 1}"
+            )
+        label = row.pop()
+        try:
+            values = list(map(float, row))
+        except ValueError:
+            values = None
+        # A finite sum means every value is finite; a non-finite one means
+        # a bad cell or finite values that overflow, which the walk tells apart.
+        if values is None or not math.isfinite(sum(values)):
+            _check_cells(path, rownum, row)
+        features.extend(values)
+        try:
+            labels.append(_label_index(index, fixed_names, label))
+        except KeyError:
+            raise UnknownLabelError(
+                f"{path}: row {rownum}: label {label!r} not among {fixed_names}"
+            ) from None
+    return np.frombuffer(features, dtype=float).reshape(-1, d), labels, index
+
+
 def load_csv(path, class_names: Sequence[str] | None = None) -> FeatureDataset:
     """Parse a feature CSV; row numbers in errors are 1-based data rows.
 
     With class_names given, labels must come from that list (order
     defines the index mapping); otherwise names are collected in order
-    of first appearance. The file is read in one pass, one row at a
-    time, and the first faulty row in file order raises.
+    of first appearance. A plain file is parsed by one np.loadtxt pass;
+    any other file, and every faulty one, is read again from the top one
+    row at a time, and the first faulty row in file order raises. Either
+    way the file is streamed, never held whole in memory.
     """
     path = Path(path)
     fixed_names = tuple(class_names) if class_names is not None else None
-    index: dict[str, int] = {}
-    for i, name in enumerate(fixed_names or ()):
-        index.setdefault(name, i)
-    features = array.array("d")
-    labels: list[Optional[int]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _records(fh, path)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyFileError(f"{path}: no content")
-        if len(header) < 2 or header != _expected_header(len(header) - 1):
-            raise MissingHeaderError(
-                f"{path}: header must be f0,...,f{{d-1}},label, got {','.join(header)}"
-            )
-        d = len(header) - 1
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != d + 1:
-                raise RaggedRowError(
-                    f"{path}: row {rownum} has {len(row)} cells, expected {d + 1}"
-                )
-            label = row.pop()
-            try:
-                values = list(map(float, row))
-            except ValueError:
-                values = None
-            # A finite sum means every value is finite; a non-finite one means
-            # a bad cell or finite values that overflow, which the walk tells apart.
-            if values is None or not math.isfinite(sum(values)):
-                _check_cells(path, rownum, row)
-            features.extend(values)
-            if label == UNLABELED:
-                labels.append(None)
-            elif label in index:
-                labels.append(index[label])
-            elif fixed_names is None:
-                index[label] = len(index)
-                labels.append(index[label])
-            else:
-                raise UnknownLabelError(
-                    f"{path}: row {rownum}: label {label!r} not among {fixed_names}"
-                )
+        try:
+            features, labels, index = _load_plain(fh, fixed_names)
+        except (_NotPlain, UnicodeDecodeError):
+            fh.seek(0)
+            features, labels, index = _walk(fh, path, fixed_names)
     return FeatureDataset(
-        features=np.frombuffer(features, dtype=float).reshape(-1, d),
+        features=features,
         labels=labels,
         class_names=fixed_names if fixed_names is not None else tuple(index),
     )
@@ -353,7 +431,9 @@ def export_predictions(model: EvidentialModel, dataset: FeatureDataset, path) ->
     with 0-based row indices in input order.
     """
     if model.config.k != 2:
-        raise ValueError("prediction export is defined for binary models")
+        raise SingleClassError(
+            f"prediction export is defined for binary models, got {model.config.k} classes"
+        )
     if dataset.d_in != model.config.d_in:
         raise DimensionMismatchError(
             f"dataset has {dataset.d_in} features, model expects {model.config.d_in}"

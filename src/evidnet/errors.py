@@ -86,7 +86,9 @@ class EmptyValidationError(EvidnetError):
 # --- metrics -----------------------------------------------------------------
 
 class SingleClassError(EvidnetError):
-    """ROC/AUC need both classes present in the truth labels."""
+    """A binary task met other than two classes: ROC/AUC need both classes
+    in the truth labels, and training and prediction export need two-class
+    data and models."""
 
 
 # --- data io -----------------------------------------------------------------

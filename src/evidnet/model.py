@@ -76,15 +76,21 @@ def _exclusive_prod(a: np.ndarray) -> np.ndarray:
     out[:, i] is the product of a[:, j] over every j != i, as prefix
     times suffix running products, so zero factors are handled exactly
     and no division is made. For r = 1 the product is empty: all ones.
+    The running products take one multiply per prototype over its whole
+    (c, n) block, in cumprod's order; in the (r, c, n) memory order the
+    forward pass stores, each block is contiguous.
     """
-    prefix = np.empty_like(a)
-    prefix[:, 0] = 1.0
-    np.cumprod(a[:, :-1], axis=1, out=prefix[:, 1:])
-    suffix = np.empty_like(a)
-    suffix[:, -1] = 1.0
-    np.cumprod(a[:, :0:-1], axis=1, out=suffix[:, -2::-1])
+    blocks = a.transpose(1, 2, 0)
+    prefix = np.empty_like(blocks)
+    suffix = np.empty_like(blocks)
+    prefix[0] = 1.0
+    suffix[-1] = 1.0
+    factor, pre, suf = list(blocks), list(prefix), list(suffix)
+    for i in range(1, len(factor)):
+        np.multiply(pre[i - 1], factor[i - 1], out=pre[i])
+        np.multiply(suf[-i], factor[-i], out=suf[-i - 1])
     prefix *= suffix
-    return prefix
+    return prefix.transpose(2, 0, 1)
 
 
 def _require_ints(config, names: Sequence[str]) -> None:

@@ -142,6 +142,25 @@ def test_vacuous():
     assert mass_new(ABC, {0b001: 1.0}).masses != {ABC.full_mask: 1.0}
 
 
+def test_mass_function_is_read_only_and_hashes_as_it_compares():
+    m = mass_new(ABC, {0b111: 1.0})
+    with pytest.raises(TypeError):
+        m.masses[0] = 0.5  # would put mass on the empty set
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.masses = {0: 1.0}
+    assert bel(m, 0b111) == 1.0 and m.mass(0) == 0.0
+    # a source dict changed later does not reach the mass function
+    table = {0b001: 0.25, 0b111: 0.75}
+    built = MassFunction(ABC, table)
+    table[0b001] = 0.5
+    assert built.masses == {0b001: 0.25, 0b111: 0.75}
+    # equal mass functions hash alike, whatever the order or the zero entries
+    same = MassFunction(ABC, {0b111: 0.75, 0b010: 0.0, 0b001: 0.25})
+    assert same == built and hash(same) == hash(built) and {built: 1}[same] == 1
+    assert len({built, same, m, MassFunction(Frame(("x", "y", "z")), {0b111: 1.0})}) == 3
+    assert built != mass_new(ABC, {0b001: 0.5, 0b111: 0.5})
+
+
 def test_mass_function_direct_construction_validates():
     with pytest.raises(NotNormalizedError):
         MassFunction(ABC, {0b001: 0.4})
@@ -395,7 +414,7 @@ def test_belief_layer_matches_reference_bits_and_errors(k, data):
     tables = [data.draw(assignments(frame)) for _ in range(2)]
     built = []
     for table in tables:
-        got = outcome(lambda t: MassFunction(frame, t).masses, table)
+        got = outcome(lambda t: dict(MassFunction(frame, t).masses), table)
         assert got == outcome(oracles.reference_clean_masses, frame, table)
         if isinstance(got, str):
             built.append(MassFunction(frame, table))
@@ -410,7 +429,7 @@ def test_belief_layer_matches_reference_bits_and_errors(k, data):
         m1, m2 = built
         for x, y in ((m1, m2), (m2, m1), (m1, m1)):
             assert outcome(conflict, x, y) == outcome(oracles.reference_conflict, x, y)
-            assert (outcome(lambda p, q: dempster_combine(p, q).masses, x, y)
+            assert (outcome(lambda p, q: dict(dempster_combine(p, q).masses), x, y)
                     == outcome(oracles.reference_dempster_combine, x, y))
         other = vacuous(Frame(tuple(f"d{j}" for j in range(k))))
         assert outcome(conflict, m1, other) == outcome(oracles.reference_conflict, m1, other)

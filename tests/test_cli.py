@@ -14,10 +14,19 @@ import numpy as np
 import pytest
 
 import evidnet
-from evidnet import TrainConfig, forward_batch, load_model, metrics_report, write_csv
+from evidnet import (
+    FeatureDataset,
+    TrainConfig,
+    forward_batch,
+    load_model,
+    metrics_report,
+    save_model,
+    write_csv,
+)
 from evidnet.dataio import PREDICTIONS_HEADER
 
 from helpers import blob_split
+from test_model import three_class_model
 
 EASY = [(0.0, 0.0), (4.0, 4.0)]
 
@@ -262,6 +271,16 @@ def test_predict_accepts_unlabeled_and_empty_data(workdir, tmp_path):
     assert res.returncode == 0
     assert res.stdout.strip() == "rows=0"
     assert (tmp_path / "p0.csv").read_text() == PREDICTIONS_HEADER + "\n"
+
+
+def test_predict_on_three_class_model_is_runtime_error(tmp_path):
+    save_model(three_class_model(), tmp_path / "m3.json")
+    write_csv(FeatureDataset(np.zeros((2, 2)), [None, 2], ("a", "b", "c")), tmp_path / "d.csv")
+    res = run_cli("predict", "--model", str(tmp_path / "m3.json"),
+                  "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "p.csv"))
+    assert res.returncode == 1
+    assert res.stderr == "error: prediction export is defined for binary models, got 3 classes\n"
+    assert not (tmp_path / "p.csv").exists()
 
 
 # roc

@@ -21,6 +21,7 @@ from evidnet import (
     NonFiniteInputError,
     NonNumericFeatureError,
     RaggedRowError,
+    SingleClassError,
     UnknownLabelError,
     UnsupportedVersionError,
     WriteFailureError,
@@ -31,6 +32,7 @@ from evidnet import (
     save_model,
     write_csv,
 )
+from evidnet import dataio
 from evidnet.dataio import PREDICTIONS_HEADER
 
 from helpers import random_wide_model
@@ -155,15 +157,23 @@ def test_load_csv_row_errors_cite_one_based_rows(tmp_path):
 NAMES = ("a", "b", "c")
 # labels that only a quoted cell can hold: a comma, a doubled quote, a newline
 QUOTED_NAMES = ("x,y", 'x"y', "x\ny")
+# labels written bare that hold a NUL or an information separator
+ODD_NAMES = ("x\x00y", "x\x1cy")
+# numbers float() reads: with an underscore or non-ASCII digits, which
+# numpy's reader refuses, and with whitespace outside ASCII, which it reads
 NUMBER_CELLS = st.one_of(
     st.sampled_from(
         ["-0.0", "0", "42", "-7", "1e-300", "5e-324", "1.7e308", "-1.7e308",
-         " 1.5", "2.5 ", " -3 ", "+.5", "1_000", "1E5"]
+         " 1.5", "2.5 ", " -3 ", "+.5", "1_000", "1E5",
+         "\uff11", "\u0661\u0662", "\xa01", "1\u2028", "\x851"]
     ),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10 ** 20), 10 ** 20).map(str),
 )
-NON_NUMERIC_CELLS = st.sampled_from(["abc", "", "1.0.0", "0x10", "--1", "1e", "1\x00", 'x"y'])
+# "\x1c1.5" and "1.5\x1f" are numbers to numpy's reader, which takes the
+# separators U+001C to U+001F as whitespace, and not to float()
+NON_NUMERIC_CELLS = st.sampled_from(["abc", "", "1.0.0", "0x10", "--1", "1e", "1\x00", 'x"y',
+                                     "\x1c1.5", "1.5\x1f", " ", "\t"])
 NON_FINITE_CELLS = st.sampled_from(["nan", "inf", "-inf", "NaN", " Infinity", "1e999"])
 FUZZ_SETTINGS = settings(
     deadline=None,
@@ -183,7 +193,7 @@ def file_layouts(draw, n_rows, d):
     return {
         "eol": draw(st.sampled_from(["\n", "\r\n", "\r"])),
         "final_eol": draw(st.booleans()),
-        "blank_after": set(),
+        "blank_after": {},
         "quoted": set(draw(st.lists(st.sampled_from(cells), max_size=6))) if cells else set(),
         "quote_from": quote_from,
     }
@@ -205,6 +215,7 @@ def feature_files(draw, min_rows=0):
         | st.permutations(NAMES + ("d",))
         | st.permutations(NAMES + ("a",))
         | st.permutations(NAMES + QUOTED_NAMES)
+        | st.permutations(NAMES + ODD_NAMES)
     )
     rows = [cells + [label] for cells, label in rows]
     layout = draw(file_layouts(len(rows), d))
@@ -212,6 +223,10 @@ def feature_files(draw, min_rows=0):
         for i in range(layout["quote_from"], len(rows)):
             if draw(st.booleans()):
                 rows[i][d] = draw(st.sampled_from(QUOTED_NAMES))
+    if names is None or ODD_NAMES[0] in names:
+        for row in rows:
+            if draw(st.booleans()):
+                row[d] = draw(st.sampled_from(ODD_NAMES))
     return d, rows, names, layout
 
 
@@ -221,10 +236,13 @@ def faulty_feature_files(draw):
 
     A faulty row is either ragged, or has one or more bad feature cells
     and/or an unknown label; an unknown label forces fixed class names.
-    Blank lines, each a row of no cells, may follow any row.
+    A blank line, a row of no cells, or a line of whitespace, a row of one
+    cell, may follow any row.
     """
     d, rows, names, layout = draw(feature_files(min_rows=1))
-    layout["blank_after"] = set(draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)))
+    layout["blank_after"] = draw(st.dictionaries(st.integers(0, len(rows) - 1),
+                                                 st.sampled_from(["", " ", "\t", "  "]),
+                                                 max_size=2))
     targets = draw(
         st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3, unique=True)
     )
@@ -248,7 +266,7 @@ def faulty_feature_files(draw):
     return d, rows, names, layout
 
 
-PLAIN = {"eol": "\n", "final_eol": True, "blank_after": set(), "quoted": set(),
+PLAIN = {"eol": "\n", "final_eol": True, "blank_after": {}, "quoted": set(),
          "quote_from": 0}
 
 
@@ -262,7 +280,7 @@ def _write_feature_file(path, d, rows, layout=PLAIN):
     for i, cells in enumerate(rows):
         lines.append(",".join(cell(i, j, text) for j, text in enumerate(cells)))
         if i in layout["blank_after"]:
-            lines.append("")
+            lines.append(layout["blank_after"][i])
     text = layout["eol"].join(lines) + (layout["eol"] if layout["final_eol"] else "")
     path.write_bytes(text.encode("utf-8"))
 
@@ -272,6 +290,9 @@ def _write_feature_file(path, d, rows, layout=PLAIN):
 @example((2, [["1.7e308", "1.7e308", "a"], ["-1.7e308", "-1.7e308", "?"]], None, PLAIN))
 @example((1, [["1", "a"], ["2", "x,y"], ["3", 'x"y'], ["4", "x\ny"]], None,
           {**PLAIN, "quote_from": 1, "final_eol": False}))
+@example((2, [["\uff11", "\u0661\u0662", "a"], ["\xa01", "1\u2028", "?"], ["\x851", "1_000", "b"]],
+          NAMES, PLAIN))
+@example((1, [["1.5", "x\x00y"], ["2.5", "x\x1cy"], ["-0.0", "x\x00y"]], None, PLAIN))
 def test_load_csv_matches_reference_on_valid_files(tmp_path, file):
     d, rows, names, layout = file
     p = tmp_path / "fuzz.csv"
@@ -287,7 +308,12 @@ def test_load_csv_matches_reference_on_valid_files(tmp_path, file):
 @FUZZ_SETTINGS
 @given(faulty_feature_files())
 @example((2, [["1.7e308", "1.7e308", "a"], ["1.0", "nan", "zzz"]], NAMES, PLAIN))
-@example((1, [["1", "a"], ["2", "b"]], None, {**PLAIN, "blank_after": {0}}))
+@example((1, [["1", "a"], ["2", "b"]], None, {**PLAIN, "blank_after": {0: ""}}))
+@example((1, [["1", "a"], ["2", "b"]], None, {**PLAIN, "blank_after": {1: " "}}))
+@example((2, [["1", "2", "a"], ["\x1c1.5", "2", "b"]], None, PLAIN))
+@example((2, [["1", "1.5\x1f", "a"], ["1", "2", "b"]], None, PLAIN))
+@example((1, [["1\x00", "a"]], None, PLAIN))
+@example((1, [["1", "a"], ["2", "x\x1cy"]], NAMES, PLAIN))
 def test_load_csv_matches_reference_on_faulty_files(tmp_path, file):
     d, rows, names, layout = file
     p = tmp_path / "fuzz.csv"
@@ -298,6 +324,64 @@ def test_load_csv_matches_reference_on_faulty_files(tmp_path, file):
         load_csv(p, class_names=names)
     assert got.type is expected.type
     assert str(got.value) == str(expected.value)
+
+
+def _spy(monkeypatch, owner, name):
+    """Count the calls of owner.name, which still runs."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+# characters that send a file to the row walk: csv.reader's quote and CR,
+# and the separators numpy's reader would take as whitespace
+WALK_CHARS = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def test_plain_files_take_one_loadtxt_pass_and_the_rest_the_walk(tmp_path, monkeypatch):
+    loadtxt = _spy(monkeypatch, np, "loadtxt")
+    walk = _spy(monkeypatch, dataio, "_walk")
+    check_cells = _spy(monkeypatch, dataio, "_check_cells")
+    feats = np.random.default_rng(14).standard_normal((40, 3))
+    feats[5] = [1.7e308, 1.7e308, -0.0]  # a sum that overflows sends a walked row to _check_cells
+    labels = [None if i % 3 == 0 else i % 2 for i in range(40)]
+    ds = FeatureDataset(feats, labels, ("positive", "negative"))
+    p = tmp_path / "plain.csv"
+    write_csv(ds, p)
+    back = load_csv(p, class_names=ds.class_names)
+    assert back.features.tobytes() == feats.tobytes() and back.labels == labels
+    assert (loadtxt, walk, check_cells) == (["loadtxt"], [], [])
+    # the walk on the same file does reach _check_cells
+    with open(p, newline="", encoding="utf-8") as fh:
+        dataio._walk(fh, p, ds.class_names)
+    assert check_cells == ["_check_cells"]
+
+    for char in WALK_CHARS:
+        loadtxt.clear()
+        walk.clear()
+        names = (f"x{char}y", "negative")
+        write_csv(dataclasses.replace(ds, class_names=names), p)
+        back = load_csv(p, class_names=names)
+        assert back.features.tobytes() == feats.tobytes() and back.labels == labels
+        assert len(walk) == 1 and len(loadtxt) <= 1, repr(char)
+    for char in WALK_CHARS[2:]:  # whitespace to numpy's reader, not to float()
+        walk.clear()
+        p.write_text(f"f0,label\n1.5,a\n{char}2.5,a\n", encoding="utf-8")
+        with pytest.raises(NonNumericFeatureError, match=r"row 2, column f0"):
+            load_csv(p)
+        assert walk == ["_walk"]
+
+    loadtxt.clear()
+    walk.clear()
+    p.write_text("f0,f1,label\n")
+    assert load_csv(p).features.shape == (0, 2)
+    assert (loadtxt, walk) == ([], ["_walk"])
 
 
 def test_unreadable_csv_names_the_file(tmp_path):
@@ -386,6 +470,24 @@ def test_write_csv_memory_is_flat_in_rows(tmp_path):
         tracemalloc.stop()
     # one row at a time; the whole matrix as Python floats would be ~20 MB
     assert peak < 2 * 2**20
+
+
+def test_load_csv_memory_is_flat_in_rows(tmp_path):
+    rng = np.random.default_rng(13)
+    labels = [None if i % 3 == 0 else i % 2 for i in range(5000)]
+    ds = FeatureDataset(rng.standard_normal((5000, 128)), labels, ("positive", "negative"))
+    p = tmp_path / "big.csv"
+    write_csv(ds, p)
+    tracemalloc.start()
+    try:
+        back = load_csv(p, class_names=ds.class_names)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.features.tobytes() == ds.features.tobytes()
+    # the 5 MB matrix with the file streamed; the file's 12.5 MB of text
+    # held as one string would not fit under this bound
+    assert peak < 8 * 2**20
 
 
 def test_write_csv_failure(tmp_path):
@@ -606,7 +708,7 @@ def test_export_predictions_empty_and_errors(tmp_path):
     with pytest.raises(DimensionMismatchError):
         export_predictions(model, wrong, p)
     three = FeatureDataset(np.zeros((1, 2)), [None], ("a", "b", "c"))
-    with pytest.raises(ValueError):
+    with pytest.raises(SingleClassError, match="binary models, got 3 classes"):
         export_predictions(three_class_model(), three, p)
 
 
