@@ -10,6 +10,7 @@ import argparse
 import sys
 from dataclasses import asdict
 
+from .belief import Frame
 from .dataio import export_predictions, load_csv, load_model, save_model
 from .errors import (
     EmptyListError,
@@ -116,6 +117,10 @@ def cmd_train(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     train_ds = load_csv(args.train)
+    try:
+        Frame(train_ds.class_names)
+    except ValueError as exc:  # an empty label cell, say
+        raise UnknownLabelError(f"{args.train}: bad class names: {exc}") from None
     if len(train_ds.class_names) != 2:
         raise SingleClassError(
             f"{args.train}: found {len(train_ds.class_names)} class labels, need 2"

@@ -3,8 +3,8 @@
 Feature files are plain CSV with header ``f0,f1,...,f{d-1},label``; the
 label cell holds a class name or ``?`` for unlabeled rows. A plain LF file
 is parsed by numpy's reader in one pass; it accepts the same cells, and
-gives the same values and errors, as float() and the row-by-row reader
-that every other file, and every faulty one, goes through. Models are
+gives the same values and errors, as float() and the row walk, which
+reads every other file, and every faulty one, through csv.reader. Models are
 stored as JSON documents whose floats round-trip bit-exactly (Python's
 shortest-repr float rendering). No timestamps or environment data are
 written, so identical models produce identical bytes.
@@ -108,20 +108,11 @@ def _check_cells(path: Path, rownum: int, cells: Sequence[str]) -> None:
 
 
 def _records(fh, path: Path):
-    """Cells of each record of a CSV file opened with newline="".
-
-    Lines are split on "," directly until the first one that holds a quote
-    or a carriage return; csv.reader parses that line and the rest of the
-    file, so quoted cells and CR or CRLF line ends read as csv.reader reads
-    them. An empty line is a record of no cells, as in csv.reader.
-    """
+    """Cells of each record of a CSV file opened with newline="", as
+    csv.reader reads them; bad UTF-8 and csv errors, such as a field past
+    csv's size limit, raise MalformedCsvError naming the file."""
     try:
-        for line in fh:
-            if '"' in line or "\r" in line:
-                yield from csv.reader(itertools.chain((line,), fh))
-                return
-            line = line.rstrip("\n")
-            yield line.split(",") if line else []
+        yield from csv.reader(fh)
     except UnicodeDecodeError as exc:
         raise MalformedCsvError(f"{path}: not valid UTF-8: {exc.reason}") from None
     except csv.Error as exc:

@@ -106,7 +106,7 @@ class NonNumericFeatureError(EvidnetError):
 
 
 class UnknownLabelError(EvidnetError):
-    """A label cell names a class outside the known class list."""
+    """A label cell names a class outside the known list, or is empty."""
 
 
 class EmptyFileError(EvidnetError):
@@ -114,8 +114,8 @@ class EmptyFileError(EvidnetError):
 
 
 class MalformedCsvError(EvidnetError):
-    """A CSV file is not UTF-8 text, or csv parsing of its quoted cells
-    failed (a field past csv's size limit, say)."""
+    """A CSV file is not UTF-8 text, or csv.reader refused a record (a
+    field past csv's size limit, say)."""
 
 
 class UnsupportedVersionError(EvidnetError):

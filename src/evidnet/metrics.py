@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyListError, LengthMismatchError, SingleClassError
+from .errors import EmptyListError, LengthMismatchError, NonFiniteInputError, SingleClassError
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def roc_points(scores, truth, positive=1) -> RocCurve:
         raise ValueError("scores must be a flat sequence")
     s, t = _paired(s, truth)
     if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
+        raise NonFiniteInputError("scores must be finite")
     pos = t == positive
     n_pos = np.count_nonzero(pos)
     n_neg = len(pos) - n_pos

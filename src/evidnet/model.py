@@ -77,10 +77,10 @@ def _exclusive_prod(a: np.ndarray) -> np.ndarray:
     times suffix running products, so zero factors are handled exactly
     and no division is made. For r = 1 the product is empty: all ones.
     The running products take one multiply per prototype over its whole
-    (c, n) block, in cumprod's order; in the (r, c, n) memory order the
-    forward pass stores, each block is contiguous.
+    (c, n) block, in cumprod's order, in the (r, c, n) memory order the
+    forward pass stores; an input in another order is copied into it.
     """
-    blocks = a.transpose(1, 2, 0)
+    blocks = np.ascontiguousarray(a.transpose(1, 2, 0))
     prefix = np.empty_like(blocks)
     suffix = np.empty_like(blocks)
     prefix[0] = 1.0

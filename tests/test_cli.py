@@ -15,7 +15,9 @@ import pytest
 
 import evidnet
 from evidnet import (
+    EvidentialModel,
     FeatureDataset,
+    ModelConfig,
     TrainConfig,
     forward_batch,
     load_model,
@@ -181,6 +183,21 @@ def test_train_rejects_single_class_data(workdir, tmp_path):
     assert res.stderr.startswith("error:")
 
 
+def test_train_rejects_empty_label_cell(tmp_path):
+    bad = tmp_path / "blank.csv"
+    bad.write_text("f0,f1,label\n0,0,positive\n4,4,\n0,1,positive\n4,5,\n")
+    res = run_cli(
+        "train",
+        "--train", str(bad),
+        "--val", str(bad),
+        "--out", str(tmp_path / "m.json"),
+        "--prototypes", "1",
+    )
+    assert res.returncode == 1
+    assert res.stderr == f"error: {bad}: bad class names: frame labels must be non-empty strings\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 # evaluate
 
 def test_evaluate_matches_direct_computation(workdir):
@@ -281,6 +298,28 @@ def test_predict_on_three_class_model_is_runtime_error(tmp_path):
     assert res.returncode == 1
     assert res.stderr == "error: prediction export is defined for binary models, got 3 classes\n"
     assert not (tmp_path / "p.csv").exists()
+
+
+def test_non_finite_plausibility_is_runtime_error_for_evaluate_and_roc(tmp_path):
+    # gamma = eta^2 = inf and d^2 = 0 on the center: -inf * 0 gives a NaN plausibility
+    model = EvidentialModel(
+        config=ModelConfig(d_in=2, r=1, h=2, k=2), class_names=("pos", "neg"),
+        w=np.eye(2), b=np.zeros(2), centers=np.zeros((1, 2)),
+        beta=np.array([[1.0, 0.5]]), xi=np.array([0.0]), eta=np.array([1e200]),
+    )
+    save_model(model, tmp_path / "m.json")
+    ds = FeatureDataset(np.array([[0.0, 0.0], [3.0, 3.0]]), [0, 1], ("pos", "neg"))
+    write_csv(ds, tmp_path / "d.csv")
+    files = ("--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "d.csv"))
+    for cmd in (["evaluate"], ["roc", "--out", str(tmp_path / "r.csv")]):
+        res = run_cli(*cmd, *files)
+        assert res.returncode == 1, cmd
+        assert res.stderr.splitlines()[-1] == "error: scores must be finite", cmd
+        assert "Traceback" not in res.stderr, cmd
+    # predict exports what the arithmetic gives
+    res = run_cli("predict", *files, "--out", str(tmp_path / "p.csv"))
+    assert res.returncode == 0 and res.stdout == "rows=2\n"
+    assert (tmp_path / "p.csv").read_text().splitlines()[1].startswith("0,nan,nan,nan,")
 
 
 # roc

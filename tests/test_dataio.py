@@ -389,7 +389,8 @@ def test_unreadable_csv_names_the_file(tmp_path):
     bad.write_bytes(b"f0,label\n1,\xff\n")
     with pytest.raises(MalformedCsvError, match="bad.csv: not valid UTF-8"):
         load_csv(bad)
-    # csv's field size limit binds only on the quoted cells that csv parses
+    # csv's field size limit binds on every record the row walk reads; a
+    # plain LF file never reaches the walk, so its cells may be of any length
     long_label = "y" * 200_000
     bad.write_text(f'f0,label\n1,"{long_label}"\n')
     with pytest.raises(MalformedCsvError, match="bad.csv: field larger than field limit"):
@@ -397,6 +398,20 @@ def test_unreadable_csv_names_the_file(tmp_path):
     good = tmp_path / "good.csv"
     good.write_text(f"f0,label\n1,{long_label}\n")
     assert load_csv(good).class_names == (long_label,)
+
+
+def test_field_limit_binds_on_every_record_the_walk_reads(tmp_path):
+    long_label = "y" * 200_000
+    p = tmp_path / "long.csv"
+    plain = f"f0,label\n1,{long_label}\n2,{long_label}\n"
+    p.write_text(plain + '3,"b"\n')  # the quote on the last row sends the file to the walk
+    with pytest.raises(MalformedCsvError, match="long.csv: field larger than field limit"):
+        load_csv(p)
+    p.write_text(plain)
+    assert load_csv(p).class_names == (long_label,)
+    p.write_text(f"f0,{long_label}\n1,a\n")  # an oversized header name
+    with pytest.raises(MalformedCsvError, match="long.csv: field larger than field limit"):
+        load_csv(p)
 
 
 def test_csv_round_trip_is_exact(tmp_path):

@@ -287,15 +287,11 @@ def test_grad_check_agrees_on_sample_pairs():
 @pytest.mark.parametrize("k", [3, 5])
 def test_grad_check_agrees_on_multiclass_pairs(k, r):
     # At r = 1 every leave-one-out product is empty, so it is 1. Seeds 0-9
-    # measured worst (mse, ce): K=3 r=1 6.4e-8, 2.7e-5; r=2 2.1e-7, 5.3e-6;
-    # r=3 1.7e-7, 4.6e-7; K=5 r=1 1.7e-7, 1.7e-6; r=2 1.1e-6, 6.7e-5; r=3
-    # 4.8e-7, 1.1e-6. The mse bound at r = 2 is 2e-6: K=5 seed 0 reads 1.11e-6
-    # there, from beta[1, 4] = 5.06e-5 in a loss of 3.38, where rounding in
-    # the loss differences over 2e-5 is 1.5e-6 of the entry; at step 1e-4
-    # the same check reads 4.4e-8.
-    mse_bound = 2e-6 if r == 2 else 1e-6
+    # measured worst (mse, ce): K=3 r=1 3.1e-11, 2.6e-5; r=2 1.9e-10, 5.2e-6;
+    # r=3 8e-11, 2e-7; K=5 r=1 5.5e-11, 1.7e-6; r=2 2.8e-11, 6.5e-5; r=3
+    # 1.8e-10, 9.7e-8.
     for seed in range(10):
-        assert grad_check(*mse_check_pair(seed, k=k, r=r), step=1e-5) < mse_bound, seed
+        assert grad_check(*mse_check_pair(seed, k=k, r=r), step=1e-5) < 1e-6, seed
         assert grad_check(*ce_check_pair(seed, k=k, r=r), step=1e-5) < 1e-4, seed
 
 
@@ -303,19 +299,36 @@ def test_grad_check_agrees_on_multiclass_pairs(k, r):
 def test_grad_check_with_labeled_rows_on_centers(pair, bound):
     # W = [I | 0] and b = 0 make z the first h features exactly, so the first
     # r labeled rows sit on the centers, where |z|^2 - 2 z c^T + |c|^2 cancels.
-    # eta is halved so the off-center rows still pull on every center: a
-    # center gradient near 1e-6 is below what central differences at 1e-5
-    # resolve (mse seed 4 at full eta reads 5.5e-6 with the difference
-    # tensor and with the expansion alike). Seeds 0-9 measured worst:
-    # mse 6e-8, ce 3e-8.
+    # Center gradients there come near 1e-6, where the loss's rounding over
+    # the step is what a comparison without grad_check's slack would read
+    # (mse seed 4: 5.5e-6). Seeds 0-9 measured worst: mse 4.1e-10, ce 2.5e-10.
     for seed in range(10):
         model, batch, cfg = pair(seed)
         rows = np.array([x for x, _ in batch.labeled[: model.config.r]])
         w = np.eye(model.config.h, model.config.d_in)
-        model = replace(model, w=w, b=np.zeros(model.config.h), centers=rows @ w.T,
-                        eta=model.eta / 2)
+        model = replace(model, w=w, b=np.zeros(model.config.h), centers=rows @ w.T)
         assert np.array_equal(forward(model, rows[0]).activations[0], _sigmoid(model.xi[0]))
         assert grad_check(model, batch, cfg, step=1e-5) < bound, seed
+
+
+@pytest.mark.parametrize("pair", [mse_check_pair, ce_check_pair])
+def test_grad_check_catches_one_wrong_entry(pair):
+    # each block's largest analytic entry, off by a relative 1e-5, reads
+    # about 5e-6: above the 1e-6 bound the agreement tests use
+    model, batch, cfg = pair(0)
+    backward = evidnet.training._backward_arrays
+    start = 0
+    for name, block in _blocks(model.config, gradients(model, batch, cfg)).items():
+        j = start + int(np.argmax(np.abs(block)))
+        start += block.size
+
+        def scaled(*args):
+            grad = backward(*args)
+            grad[j] *= 1.0 + 1e-5
+            return grad
+
+        with mock.patch.object(evidnet.training, "_backward_arrays", scaled):
+            assert grad_check(model, batch, cfg, step=1e-5) > 1e-6, name
 
 
 @settings(deadline=None, max_examples=200)
