@@ -10,6 +10,8 @@ import argparse
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .belief import Frame
 from .dataio import export_predictions, load_csv, load_model, save_model
 from .errors import (
@@ -204,7 +206,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        # A NaN or an overflow is the commands' own to report (evaluate and
+        # roc refuse non-finite scores, predict exports them), so numpy's
+        # floating-point warnings stay off stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args, parser)
     except EvidnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,13 +1,23 @@
 """Dataset CSV ingestion, model serialization, and prediction export.
 
 Feature files are plain CSV with header ``f0,f1,...,f{d-1},label``; the
-label cell holds a class name or ``?`` for unlabeled rows. A plain LF file
-is parsed by numpy's reader in one pass; it accepts the same cells, and
-gives the same values and errors, as float() and the row walk, which
-reads every other file, and every faulty one, through csv.reader. Models are
-stored as JSON documents whose floats round-trip bit-exactly (Python's
-shortest-repr float rendering). No timestamps or environment data are
-written, so identical models produce identical bytes.
+label cell holds a class name or ``?`` for unlabeled rows. A fast pass
+reads a file in chunks of whole LF lines. It converts a decimal feature
+cell of up to 19 significant digits as its digits M over 10**f, divided
+once in long double and rounded to a double: when M and 10**f are exact
+in long double, that is float()'s result unless the quotient lies
+exactly halfway between two doubles, and such cells, like cells of any
+other form, are converted by float() itself. Where the long double is no
+wider than a double, the division is done in doubles, which round once,
+and the cells whose M or 10**f a double cannot hold go to float(). From
+the first chunk holding a quote, a CR, a ragged line, a bad cell or
+label or bad UTF-8, and for a file whose header the pass does not read,
+the row walk reads on through csv.reader and raises at the first faulty
+row. Either way the values, labels and errors are those of float() and
+csv.reader. Models are stored as JSON documents whose floats round-trip
+bit-exactly (Python's shortest-repr float rendering). No timestamps or
+environment data are written, so identical models produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -107,11 +117,14 @@ def _check_cells(path: Path, rownum: int, cells: Sequence[str]) -> None:
             )
 
 
-def _records(fh, path: Path):
+def _records(fh, path: Path, skip: int = 0):
     """Cells of each record of a CSV file opened with newline="", as
-    csv.reader reads them; bad UTF-8 and csv errors, such as a field past
-    csv's size limit, raise MalformedCsvError naming the file."""
+    csv.reader reads them, after its first skip lines; bad UTF-8 and csv
+    errors, such as a field past csv's size limit, raise MalformedCsvError
+    naming the file."""
     try:
+        for _ in itertools.islice(fh, skip):
+            pass
         yield from csv.reader(fh)
     except UnicodeDecodeError as exc:
         raise MalformedCsvError(f"{path}: not valid UTF-8: {exc.reason}") from None
@@ -140,69 +153,315 @@ def _label_index(index: dict[str, int], fixed_names, label: str) -> Optional[int
     return index[label]
 
 
+# The fast pass reads a feature file in chunks of whole lines of about this
+# many bytes, so that the temporaries of a chunk stay in cache.
+CHUNK_BYTES = 1 << 17
+
+# A cell [-]digits[.digits][(e|E)[+|-]digits] is the integer M of its digits
+# over 10**f. When M and 10**f are exact in the wide type, one division (a
+# multiplication when f < 0) rounds M / 10**f once, and rounding that to a
+# double gives float(cell), unless the wide quotient lies exactly halfway
+# between two doubles, where the exact value may lie on either side (Clinger
+# 1990, "How to Read Floating Point Numbers Accurately"). An x87 or binary128
+# long double holds every 19-digit M and 10**27; where the long double is
+# anything else (binary64, double-double), the wide type is the double
+# itself, which rounds once, holds M up to 2**53 and 10**22, and leaves more
+# cells to float().
+_LONG_BITS = np.finfo(np.longdouble).nmant + 1
+_WIDE_BITS = _LONG_BITS if _LONG_BITS in (64, 113) else 53
+_WIDE = np.longdouble if _WIDE_BITS > 53 else np.float64
+_MAX_SCALE = max(k for k in range(64) if 5 ** k < 2 ** _WIDE_BITS)
+_MAX_MANTISSA = min(2 ** 64 - 1, 2 ** _WIDE_BITS)
+_POW10 = np.array([1] + [10] * _MAX_SCALE, dtype=_WIDE).cumprod()  # each product exact
+
+# A cell's characters before its exponent are read right-aligned into a
+# window of up to three little-endian 8-byte words: column c of the window
+# is byte c % 8 of word c // 8. The _WINDOW bytes put before a chunk give
+# the window of its first cell somewhere to start.
+_WINDOW = 24
+_PAD = b"0" * _WINDOW
+_U = np.uint64
+_EVERY_BYTE = _U(0x0101010101010101)
+_ZEROS = _EVERY_BYTE * _U(ord("0"))
+_DOTS = _EVERY_BYTE * _U(ord(".") ^ ord("0"))
+_LOW7 = _EVERY_BYTE * _U(0x7F)
+_HIGH = _EVERY_BYTE * _U(0x80)
+_PAST_NINE = _EVERY_BYTE * _U(0x80 - 10)
+_MOVEMASK = _U(0x0102040810204080)  # the high bit of byte j into bit j of the top byte
+# _BEFORE[i, k]: the bytes of word i in the window's columns below k
+_BEFORE = np.array([[(1 << 8 * min(max(k - 8 * i, 0), 8)) - 1 for k in range(_WINDOW + 1)]
+                    for i in range(_WINDOW // 8)], dtype=np.uint64)
+
+
+def _words_at(words, at):
+    """The little-endian 8-byte word starting at each byte offset in at,
+    put together from words, the aligned words of the same bytes."""
+    shift = (at & 7).astype(np.uint64) << _U(3)
+    at = at >> 3
+    # the next word's share, shifted in two steps so that none reaches 64
+    return (np.take(words, at) >> shift) | ((np.take(words, at + 1) << _U(1)) << (_U(63) - shift))
+
+
+def _not_digits(w):
+    """The high bit of each byte of w that is not a digit value 0 to 9."""
+    return (((w & _LOW7) + _PAST_NINE) | w) & _HIGH
+
+
+def _eight_digits(w):
+    """The number of each word of eight digit values, the first in byte 0."""
+    w = w * _U(10) + (w >> _U(8))
+    return (((w & _U(0x000000FF000000FF)) * _U(100 + (1000000 << 32)))
+            + (((w >> _U(16)) & _U(0x000000FF000000FF)) * _U(1 + (10000 << 32)))) >> _U(32)
+
+
+def _decimal_cells(text: bytes, starts, ends):
+    """Values of the cells text[starts[i]:ends[i]], and a mask of those
+    that equal float() of the cell.
+
+    text holds at least _WINDOW bytes before the first cell and 8 after
+    the last, and the cells are disjoint and in order. The mask holds the
+    cells that read [-]digits[.digits][(e|E)[+|-]digits] with a digit
+    before the exponent, at most _WINDOW characters before it, at most 19
+    significant digits and at most 3 exponent digits, whose scale f is at
+    most _MAX_SCALE in size, and whose wide quotient is not a midpoint
+    between two doubles; the values of other cells are meaningless.
+    """
+    a = np.frombuffer(text, dtype=np.uint8, count=len(text) // 8 * 8)
+    words = a.view("<u8")
+    ok = np.ones(starts.size, dtype=bool)
+    mantissa_end, scale = _exponents(a, words, starts, ends, ok)
+    negative = np.take(a, starts) == ord("-")
+    mantissa, fraction = _mantissas(words, mantissa_end - starts, mantissa_end, negative, ok)
+    x = _quotients(mantissa, scale + fraction, ok)
+    x.view(np.uint64)[...] |= negative.astype(np.uint64) << _U(63)
+    return x, ok
+
+
+def _exponents(a, words, starts, ends, ok):
+    """Where each cell's mantissa ends, at its e or E if it has one, and
+    minus its exponent; clears ok for a cell with two exponents or one
+    without 1 to 3 digits after its sign."""
+    scale = np.zeros(starts.size, dtype=np.int64)
+    e_at = np.flatnonzero((a | 0x20) == ord("e"))
+    cell = np.searchsorted(ends, e_at, side="right")
+    inside = cell < starts.size
+    inside[inside] = np.take(starts, cell[inside]) <= e_at[inside]
+    e_at, cell = e_at[inside], cell[inside]
+    if not cell.size:
+        return ends, scale
+    ok[cell[1:][cell[1:] == cell[:-1]]] = False
+    mantissa_end = ends.copy()
+    mantissa_end[cell] = e_at
+    cell_end = np.take(ends, cell)
+    sign = np.take(a, e_at + 1)
+    n_digits = cell_end - e_at - 1 - ((sign == ord("-")) | (sign == ord("+")))
+    w = _words_at(words, cell_end - 8) ^ _ZEROS
+    w &= ~np.take(_BEFORE[0], np.clip(8 - n_digits, 0, 8))
+    ok[cell[(n_digits < 1) | (n_digits > 3) | (_not_digits(w) != 0)]] = False
+    exponent = _eight_digits(w).astype(np.int64)
+    scale[cell] = np.where(sign == ord("-"), exponent, -exponent)
+    return mantissa_end, scale
+
+
+def _mantissas(words, length, mantissa_end, negative, ok):
+    """The integer of each mantissa's digits, and how many follow its dot;
+    clears ok for a mantissa that is not [-]digits[.digits] with a digit,
+    or is longer than the window, or has more than 19 significant digits
+    (or more than the wide type holds exactly)."""
+    n_words = min(max(-(-int(length.max()) // 8), 1), _WINDOW // 8)
+    width = 8 * n_words
+    ok &= length <= width
+    # the digit values, right-aligned; columns before the mantissa read 0
+    g = _words_at(words, (mantissa_end - width) + np.arange(0, width, 8)[:, None])
+    g ^= _ZEROS
+    g &= ~np.take(_BEFORE[:n_words], np.clip(width - length + negative, 0, width), axis=1)
+    dots = _dots(g)
+    ok &= (dots & (dots - _U(1))) == 0
+    dot_column = np.frexp(dots)[1]  # the dot's column counted from 1, or 0
+    has_dot = dots != 0
+    # drop the dot: each column up to it takes the digit on its left
+    shifted = g << _U(8)
+    shifted[1:] |= g[:-1] >> _U(56)
+    shifted ^= g
+    shifted &= np.take(_BEFORE[:n_words], dot_column, axis=1)
+    g ^= shifted
+    ok &= ~_not_digits(g).any(axis=0)
+    ok &= length - negative - has_dot >= 1
+    digits = _eight_digits(g)
+    mantissa = digits[0]
+    if n_words == 3:
+        ok &= mantissa < 1000
+    for i in range(1, n_words):
+        mantissa = mantissa * _U(10 ** 8) + digits[i]
+    if _MAX_MANTISSA < 2 ** 64 - 1:
+        ok &= mantissa <= _MAX_MANTISSA
+    return mantissa, (width - dot_column) * has_dot
+
+
+def _dots(g):
+    """Per cell, bit c set where column c of its window holds a dot."""
+    t = g ^ _DOTS
+    t = ~(((t & _LOW7) + _LOW7) | t | _LOW7)  # 0x80 in each byte that is a dot
+    flags = ((t >> _U(7)) * _MOVEMASK) >> _U(56)
+    dots = flags[0].copy()
+    for i in range(1, len(flags)):
+        dots |= flags[i] << _U(8 * i)
+    return dots
+
+
+def _quotients(mantissa, scale, ok):
+    """mantissa / 10**scale rounded to doubles through the wide type;
+    clears ok where the scale is out of range or the wide quotient is a
+    midpoint between two doubles."""
+    size = np.abs(scale)
+    ok &= size <= _MAX_SCALE
+    size[~ok] = 0
+    up = scale < 0
+    quotient = mantissa.astype(_WIDE)
+    product = quotient[up] * _POW10[size[up]]
+    quotient /= _POW10[size]
+    quotient[up] = product
+    x = quotient.astype(np.float64)
+    # the quotient is a midpoint when it lies gap/2 from x, and then
+    # x + 2 (quotient - x), the next double, is exact
+    quotient -= x
+    twice = quotient.astype(np.float64)
+    twice += twice
+    ok &= ((x + twice) - x != twice) | (twice == 0)
+    return x
+
+
 class _NotPlain(Exception):
-    """The file is left to the row walk, which gives its result or error."""
+    """The rest of the file is left to the row walk, which gives its result
+    or error."""
+
+
+def _chunk_rows(chunk: bytes, d: int):
+    """Feature values and label cells of a chunk of whole LF lines, and
+    whether a cell is longer than csv's field size limit.
+
+    Raises _NotPlain when the chunk holds a quote or a CR, a line does not
+    have d commas, a feature cell is one float() refuses or a non-finite
+    value, or a cell is not UTF-8.
+    """
+    if b'"' in chunk or b"\r" in chunk:
+        raise _NotPlain
+    padded = _PAD + chunk + bytes(8)
+    a = np.frombuffer(padded, dtype=np.uint8)
+    cuts = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
+    rows = chunk.count(b"\n")
+    if cuts.size != rows * (d + 1) or not (a[cuts[d::d + 1]] == ord("\n")).all():
+        raise _NotPlain
+    starts = np.empty_like(cuts)
+    starts[0] = _WINDOW
+    starts[1:] = cuts[:-1] + 1
+    starts, ends = starts.reshape(rows, d + 1), cuts.reshape(rows, d + 1)
+    cell_starts, cell_ends = starts[:, :d].ravel(), ends[:, :d].ravel()
+    values, exact = _decimal_cells(padded, cell_starts, cell_ends)
+    try:
+        for i in np.flatnonzero(~exact).tolist():
+            values[i] = float(padded[cell_starts[i]:cell_ends[i]].decode("utf-8"))
+            if not math.isfinite(values[i]):
+                raise _NotPlain
+        labels = [padded[s:e].decode("utf-8")
+                  for s, e in zip(starts[:, d].tolist(), ends[:, d].tolist())]
+    except ValueError:  # a cell float() refuses, or bad UTF-8
+        raise _NotPlain from None
+    limit = csv.field_size_limit()
+    long_cells = np.flatnonzero(ends - starts > limit)  # in bytes; csv counts characters
+    past_limit = any(len(padded[starts.flat[i]:ends.flat[i]].decode("utf-8")) > limit
+                     for i in long_cells.tolist())
+    return values, labels, past_limit
+
+
+def _read_lines(fh, size: int) -> bytes:
+    """About size bytes of whole lines of a file opened binary, the last
+    line of the file ending in an LF; b"" at the end of the file.
+
+    Raises _NotPlain at a CR in the line read on past size bytes, where
+    csv.reader would end the line, so that a file of CR line ends is never
+    read whole.
+    """
+    parts = [fh.read(size)]
+    while not parts[-1].endswith(b"\n"):
+        part = fh.readline(CHUNK_BYTES)
+        if not part:  # the end of the file
+            data = b"".join(parts)
+            return data + b"\n" if data else data
+        if b"\r" in part:
+            raise _NotPlain
+        parts.append(part)
+    return b"".join(parts)
 
 
 def _load_plain(fh, fixed_names):
-    """Features, labels and class index of a plain file, parsed by one
-    np.loadtxt pass.
+    """The fast pass over a feature file opened binary: the header, then
+    chunks of whole lines, each checked in full before the next is read.
 
-    Plain means: LF line ends, a valid header, at least one data row, and
-    in each row exactly d commas and none of the characters that only the
-    row walk reads as float() does: a quote or a CR, which csv.reader
-    parses, or one of the separators U+001C to U+001F, which numpy's
-    reader takes as whitespace around a number and float() refuses.
-    Raises _NotPlain on any other file, on a cell numpy refuses, a
-    non-finite value, or a label that is not a class name. Every other
-    cell numpy parses bit for bit as float() does.
+    Returns (d, features, labels, index) of the rows read, and whether
+    they are the whole file. At the first chunk that holds an anomaly (see
+    _chunk_rows, or a label that is not a class name) the pass stops and
+    keeps only the rows before that chunk, or before the first chunk with
+    a cell past csv's field size limit if one came earlier, so that the
+    walk, which goes on from there, meets every record the walk from the
+    top would have refused first. index holds the names of the rows kept.
+    Raises _NotPlain when the header is not plain or no data row follows
+    it.
     """
-    header = fh.readline()
-    names = header.rstrip("\n").split(",")
+    names = _read_lines(fh, 0).decode("utf-8", "replace").rstrip("\n").split(",")
     d = len(names) - 1
-    if d < 1 or names != _expected_header(d):  # also a header holding a CR or a quote
-        raise _NotPlain
-    first = fh.readline()
-    if not first:  # np.loadtxt warns on a file with no data rows
+    if d < 1 or names != _expected_header(d):  # also a header holding a quote
         raise _NotPlain
     index = _names_index(fixed_names)
-    labels: list[Optional[int]] = []
-
-    def lines():
-        for line in itertools.chain((first,), fh):
-            if (line.count(",") != d or '"' in line or "\r" in line or "\x1c" in line
-                    or "\x1d" in line or "\x1e" in line or "\x1f" in line):
-                raise _NotPlain
-            label = line[line.rfind(",") + 1:].rstrip("\n")
-            labels.append(_label_index(index, fixed_names, label))
-            yield line
-
-    try:
-        features = np.loadtxt(lines(), delimiter=",", comments=None, usecols=range(d),
-                              dtype=float, ndmin=2)
-    except (KeyError, ValueError):  # an unknown label, a bad cell, or bad UTF-8
-        raise _NotPlain from None
-    if features.shape != (len(labels), d) or not np.isfinite(features).all():
-        raise _NotPlain
-    return features, labels, index
-
-
-def _walk(fh, path: Path, fixed_names):
-    """Features, labels and class index of any file, read one row at a
-    time; the first faulty row in file order raises."""
     features = array.array("d")
     labels: list[Optional[int]] = []
-    index = _names_index(fixed_names)
-    reader = _records(fh, path)
-    header = next(reader, None)
-    if header is None:
-        raise EmptyFileError(f"{path}: no content")
-    if len(header) < 2 or header != _expected_header(len(header) - 1):
-        raise MissingHeaderError(
-            f"{path}: header must be f0,...,f{{d-1}},label, got {','.join(header)}"
-        )
-    d = len(header) - 1
-    for rownum, row in enumerate(reader, start=1):
+    long_from = None  # (rows, names) before the first chunk with a cell past the limit
+    while True:
+        kept = (len(labels), len(index))
+        try:
+            chunk = _read_lines(fh, CHUNK_BYTES)
+            if not chunk:
+                break
+            values, cells, past_limit = _chunk_rows(chunk, d)
+            chunk_labels = [_label_index(index, fixed_names, cell) for cell in cells]
+        except (_NotPlain, KeyError):
+            rows, known = long_from or kept
+            del features[rows * d:], labels[rows:]
+            while len(index) > known:
+                index.popitem()
+            return (d, features, labels, index), False
+        if past_limit and long_from is None:
+            long_from = kept
+        features.frombytes(memoryview(values).cast("B"))
+        labels += chunk_labels
+    if not labels:  # a header-only file
+        raise _NotPlain
+    return (d, features, labels, index), True
+
+
+def _walk(fh, path: Path, fixed_names, read=None):
+    """(d, features, labels, index) of any file, read one row at a time;
+    the first faulty row in file order raises.
+
+    read, when given, is what the fast pass returned for the header and
+    the rows before its first anomaly: the walk skips their lines and goes
+    on from the next row.
+    """
+    if read is None:
+        reader = _records(fh, path)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyFileError(f"{path}: no content")
+        if len(header) < 2 or header != _expected_header(len(header) - 1):
+            raise MissingHeaderError(
+                f"{path}: header must be f0,...,f{{d-1}},label, got {','.join(header)}"
+            )
+        d = len(header) - 1
+        features, labels, index = array.array("d"), [], _names_index(fixed_names)
+    else:
+        d, features, labels, index = read
+        reader = _records(fh, path, skip=1 + len(labels))
+    for rownum, row in enumerate(reader, start=len(labels) + 1):
         if len(row) != d + 1:
             raise RaggedRowError(
                 f"{path}: row {rownum} has {len(row)} cells, expected {d + 1}"
@@ -223,7 +482,7 @@ def _walk(fh, path: Path, fixed_names):
             raise UnknownLabelError(
                 f"{path}: row {rownum}: label {label!r} not among {fixed_names}"
             ) from None
-    return np.frombuffer(features, dtype=float).reshape(-1, d), labels, index
+    return d, features, labels, index
 
 
 def load_csv(path, class_names: Sequence[str] | None = None) -> FeatureDataset:
@@ -231,21 +490,35 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> FeatureDataset:
 
     With class_names given, labels must come from that list (order
     defines the index mapping); otherwise names are collected in order
-    of first appearance. A plain file is parsed by one np.loadtxt pass;
-    any other file, and every faulty one, is read again from the top one
-    row at a time, and the first faulty row in file order raises. Either
-    way the file is streamed, never held whole in memory.
+    of first appearance. The fast pass reads the file in chunks of whole
+    LF lines. It converts a feature cell by one division of its digits by
+    a power of ten, both exact in long double, which rounds once, so that
+    rounding the quotient to a double gives float()'s result unless the
+    quotient is a midpoint between two doubles; such cells and cells of
+    any other form go to float() itself. Where the long double is no
+    wider than a double, the division is done in doubles for the cells
+    whose digits and power a double holds, and more cells go to float().
+    From the first chunk holding a quote, a CR, a ragged line, a bad cell
+    or label or bad UTF-8, and for any file whose header the pass does not
+    read, the row walk reads the file one row at a time through
+    csv.reader, and the first faulty row in file order raises. Either way
+    the file is streamed, never held whole in memory.
     """
     path = Path(path)
     fixed_names = tuple(class_names) if class_names is not None else None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
-            features, labels, index = _load_plain(fh, fixed_names)
-        except (_NotPlain, UnicodeDecodeError):
-            fh.seek(0)
-            features, labels, index = _walk(fh, path, fixed_names)
+            read, whole = _load_plain(fh, fixed_names)
+        except _NotPlain:
+            read, whole = None, False
+    if not whole:
+        # opened afresh, the text layer decodes the same blocks as the walk
+        # from the top did, so bad UTF-8 is met where it was
+        with open(path, newline="", encoding="utf-8") as fh:
+            read = _walk(fh, path, fixed_names, read)
+    d, features, labels, index = read
     return FeatureDataset(
-        features=features,
+        features=np.frombuffer(features, dtype=float).reshape(-1, d),
         labels=labels,
         class_names=fixed_names if fixed_names is not None else tuple(index),
     )

@@ -3,7 +3,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -339,13 +341,14 @@ def _spy(monkeypatch, owner, name):
     return calls
 
 
-# characters that send a file to the row walk: csv.reader's quote and CR,
-# and the separators numpy's reader would take as whitespace
-WALK_CHARS = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+# characters that send a file to the row walk: csv.reader's quote and CR
+WALK_CHARS = ('"', "\r")
+# information separators, which float() refuses and a class name may hold
+SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def test_plain_files_take_one_loadtxt_pass_and_the_rest_the_walk(tmp_path, monkeypatch):
-    loadtxt = _spy(monkeypatch, np, "loadtxt")
+def test_plain_files_take_one_fast_pass_and_the_rest_the_walk(tmp_path, monkeypatch):
+    plain = _spy(monkeypatch, dataio, "_load_plain")
     walk = _spy(monkeypatch, dataio, "_walk")
     check_cells = _spy(monkeypatch, dataio, "_check_cells")
     feats = np.random.default_rng(14).standard_normal((40, 3))
@@ -356,32 +359,146 @@ def test_plain_files_take_one_loadtxt_pass_and_the_rest_the_walk(tmp_path, monke
     write_csv(ds, p)
     back = load_csv(p, class_names=ds.class_names)
     assert back.features.tobytes() == feats.tobytes() and back.labels == labels
-    assert (loadtxt, walk, check_cells) == (["loadtxt"], [], [])
+    assert (plain, walk, check_cells) == (["_load_plain"], [], [])
     # the walk on the same file does reach _check_cells
     with open(p, newline="", encoding="utf-8") as fh:
         dataio._walk(fh, p, ds.class_names)
     assert check_cells == ["_check_cells"]
 
-    for char in WALK_CHARS:
-        loadtxt.clear()
+    for char in WALK_CHARS + SEPARATORS:
+        plain.clear()
         walk.clear()
         names = (f"x{char}y", "negative")
         write_csv(dataclasses.replace(ds, class_names=names), p)
         back = load_csv(p, class_names=names)
         assert back.features.tobytes() == feats.tobytes() and back.labels == labels
-        assert len(walk) == 1 and len(loadtxt) <= 1, repr(char)
-    for char in WALK_CHARS[2:]:  # whitespace to numpy's reader, not to float()
+        assert len(plain) == 1 and len(walk) == (char in WALK_CHARS), repr(char)
+    for char in SEPARATORS:  # float() refuses them before a number
         walk.clear()
         p.write_text(f"f0,label\n1.5,a\n{char}2.5,a\n", encoding="utf-8")
         with pytest.raises(NonNumericFeatureError, match=r"row 2, column f0"):
             load_csv(p)
         assert walk == ["_walk"]
 
-    loadtxt.clear()
     walk.clear()
     p.write_text("f0,f1,label\n")
     assert load_csv(p).features.shape == (0, 2)
-    assert (loadtxt, walk) == ([], ["_walk"])
+    assert walk == ["_walk"]
+
+
+def test_late_anomaly_is_walked_from_its_chunk_on(tmp_path, monkeypatch):
+    walked = []
+    records = dataio._records
+
+    def counted(*args, **kwargs):
+        for row in records(*args, **kwargs):
+            walked.append(list(row))  # the walk pops the label
+            yield row
+
+    monkeypatch.setattr(dataio, "_records", counted)
+    labels = [None if i % 3 == 0 else i % 2 for i in range(5000)]
+    ds = FeatureDataset(np.random.default_rng(15).standard_normal((5000, 16)), labels,
+                        ("positive", "negative"))
+    p = tmp_path / "late.csv"
+    write_csv(ds, p)
+    text = p.read_bytes()
+    cut = text.rfind(b",") + 1
+    p.write_bytes(text[:cut] + b'"' + text[cut:-1] + b'"\n')  # the last label quoted
+    features, labels, class_names = reference_load_csv(p, class_names=ds.class_names)
+    back = load_csv(p, class_names=ds.class_names)
+    assert back.features.tobytes() == features.tobytes() == ds.features.tobytes()
+    assert back.labels == labels == ds.labels and back.class_names == class_names
+    # the walk reads the rows of the last chunk only, and the header not at all
+    shortest = min(map(len, text.split(b"\n")[1:-1]))
+    assert 1 <= len(walked) <= dataio.CHUNK_BYTES // shortest + 1
+    assert walked[0][0] != "f0" and walked[-1][-1] == ds.class_names[labels[-1]]
+
+
+def _decimal(cells):
+    """dataio's exact decimal pass over cells: their values, and the mask
+    of cells whose value it gives."""
+    text = dataio._PAD + ",".join(cells).encode("utf-8") + b"," + bytes(8)
+    ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord(","))
+    starts = np.concatenate(([dataio._WINDOW], ends[:-1] + 1))
+    return dataio._decimal_cells(text, starts, ends)
+
+
+def _bits_to_double(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64).item()
+
+
+FINITE_DOUBLES = st.integers(0, 2 ** 64 - 1).map(_bits_to_double).filter(math.isfinite)
+
+
+def _midpoint_near(x, digits):
+    """The midpoint between x and the next double, rounded to digits
+    significant digits: its long-double quotient may land on the midpoint."""
+    mid = (Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2
+    return format(mid, f".{digits - 1}e")
+
+
+def _one_unit_off(cell, step):
+    """cell with its last mantissa digit moved by step units, carries included."""
+    mantissa, _, exponent = cell.partition("e")
+    frac = len(mantissa) - mantissa.index(".") - 1 if "." in mantissa else 0
+    moved = str(int(mantissa.replace(".", "")) + step).rjust(frac + 1, "0")
+    moved = f"{moved[:len(moved) - frac]}.{moved[len(moved) - frac:]}" if frac else moved
+    return moved + (f"e{exponent}" if exponent else "")
+
+
+DECIMAL_CELLS = st.one_of(
+    FINITE_DOUBLES.map(repr),
+    FINITE_DOUBLES.map(lambda x: "%.17g" % x),
+    FINITE_DOUBLES.map(lambda x: "%.18e" % x),
+    st.floats(-1e6, 1e6).map(lambda x: "%.3f" % x),
+    st.integers(10 ** 18, 10 ** 20).map(str),  # 19 to 21 digits
+    st.tuples(st.integers(1, 10 ** 19), st.integers(0, 25)).map(
+        lambda t: "0." + "0" * t[1] + str(t[0])),
+    st.tuples(st.floats(1e-5, 1e15), st.sampled_from([17, 18, 19]), st.sampled_from([-1, 0, 1]))
+    .map(lambda t: _one_unit_off(_midpoint_near(*t[:2]), t[2])),
+    st.sampled_from(["0", "-0.0", "5.", ".5", "+1", "-.5", "1e5", "1E-05", "00012.50"]),
+)
+# cells whose long-double quotient lands exactly on a midpoint between two
+# doubles while their value lies to one side: a second rounding errs
+DOUBLE_ROUNDING = ["1.655784709746200889e+2", "1.725559502566830610e-5",
+                   "5.88177674309736949e+3", "5.127203936955033393e-5",
+                   "7.572756427665779756e-5", "1.489735837626619786e+8"]
+# integers halfway between two doubles, and their neighbours
+MIDPOINTS = ["9007199254740993", "9007199254740992", "9007199254740994",
+             "100000000000000008", "100000000000000007", "100000000000000009",
+             "9.007199254740993e15", "90071992547409.93e2", "1000000000000000.08e2"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(DECIMAL_CELLS, min_size=1, max_size=30))
+@example(DOUBLE_ROUNDING + MIDPOINTS)
+@example([_one_unit_off(cell, step) for cell in DOUBLE_ROUNDING for step in (-1, 1)])
+@example(["5e-324", "-2.2250738585072014e-308", "1.7976931348623157e+308", "1.7e308",
+          "0.000123456789012345678", "1234567890123456789", "12345678901234567890",
+          "-0.0", "0", "5.", ".5", "+1"])
+def test_decimal_pass_gives_float_bit_for_bit(cells):
+    values, exact = _decimal(cells)
+    for cell, value, taken in zip(cells, values.tolist(), exact.tolist()):
+        if taken:
+            assert np.float64(value).tobytes() == np.float64(float(cell)).tobytes(), cell
+
+
+def test_decimal_pass_takes_plain_cells_and_leaves_the_rest():
+    taken = ["0", "-0.0", "5.", ".5", "-.5", "1.5", repr(0.1), "%.3f" % 2.5, "1e5", "1E-05",
+             "-2.5e+10", "9007199254740992", "9.007199254740992e15", "1e-22", "1e22"]
+    # taken where M up to 10**19 and 10**27 are exact in the wide type
+    wide = ["%.18e" % 0.1, "%.18e" % -7e-9, repr(-1.2345678901234567e-05),
+            "0.000123456789012345678", "1234567890123456789", "100000000000000007",
+            "100000000000000009", "1e-27", "1e27"]
+    left = ["+1", " 2.5", "2.5 ", "1_000", "１", "inf", "nan", "", "-", ".", "e5",
+            "1e", "1e+", "1.2.3", "1e5e5", "--1", "1-", "1e1234", "1.5e-5.5",
+            "12345678901234567890", "9007199254740993", "100000000000000008",
+            "1e-28", "1e28", "5e-324", "1.7e308", "0" * 30 + "1"] + DOUBLE_ROUNDING
+    values, exact = _decimal(taken + wide + left)
+    long_double = dataio._WIDE_BITS > 53
+    assert exact.tolist() == [True] * len(taken) + [long_double] * len(wide) + [False] * len(left)
+    n = len(taken) + len(wide) * long_double
+    assert values[:n].tobytes() == np.array([float(c) for c in (taken + wide)[:n]]).tobytes()
 
 
 def test_unreadable_csv_names_the_file(tmp_path):
