@@ -28,6 +28,7 @@ import io
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -118,18 +119,26 @@ def _check_cells(path: Path, rownum: int, cells: Sequence[str]) -> None:
 
 
 def _records(fh, path: Path, skip: int = 0):
-    """Cells of each record of a CSV file opened with newline="", as
-    csv.reader reads them, after its first skip lines; bad UTF-8 and csv
-    errors, such as a field past csv's size limit, raise MalformedCsvError
-    naming the file."""
+    """Cells of each record of a CSV file opened with newline="" and
+    errors="surrogateescape", as csv.reader reads them, after its first
+    skip lines; csv errors, such as a field past csv's size limit, raise
+    MalformedCsvError naming the file."""
     try:
         for _ in itertools.islice(fh, skip):
             pass
         yield from csv.reader(fh)
-    except UnicodeDecodeError as exc:
-        raise MalformedCsvError(f"{path}: not valid UTF-8: {exc.reason}") from None
     except csv.Error as exc:
         raise MalformedCsvError(f"{path}: {exc}") from None
+
+
+# Bytes that are not UTF-8, as the surrogateescape error handler decodes them.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _not_utf8(cells: Sequence[str]) -> bool:
+    """Whether a record's cells hold bytes that are not UTF-8."""
+    text = "".join(cells)
+    return not text.isascii() and _ESCAPED_BYTE.search(text) is not None
 
 
 def _names_index(fixed_names: tuple[str, ...] | None) -> dict[str, int]:
@@ -441,7 +450,8 @@ def _load_plain(fh, fixed_names):
 
 def _walk(fh, path: Path, fixed_names, read=None):
     """(d, features, labels, index) of any file, read one row at a time;
-    the first faulty row in file order raises.
+    the first faulty row in file order raises. A record holding bytes that
+    are not UTF-8 is faulty, and is refused before any other check of it.
 
     read, when given, is what the fast pass returned for the header and
     the rows before its first anomaly: the walk skips their lines and goes
@@ -452,6 +462,8 @@ def _walk(fh, path: Path, fixed_names, read=None):
         header = next(reader, None)
         if header is None:
             raise EmptyFileError(f"{path}: no content")
+        if _not_utf8(header):
+            raise MalformedCsvError(f"{path}: not valid UTF-8 in the header")
         if len(header) < 2 or header != _expected_header(len(header) - 1):
             raise MissingHeaderError(
                 f"{path}: header must be f0,...,f{{d-1}},label, got {','.join(header)}"
@@ -462,6 +474,8 @@ def _walk(fh, path: Path, fixed_names, read=None):
         d, features, labels, index = read
         reader = _records(fh, path, skip=1 + len(labels))
     for rownum, row in enumerate(reader, start=len(labels) + 1):
+        if _not_utf8(row):
+            raise MalformedCsvError(f"{path}: not valid UTF-8 in row {rownum}")
         if len(row) != d + 1:
             raise RaggedRowError(
                 f"{path}: row {rownum} has {len(row)} cells, expected {d + 1}"
@@ -512,9 +526,9 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> FeatureDataset:
         except _NotPlain:
             read, whole = None, False
     if not whole:
-        # opened afresh, the text layer decodes the same blocks as the walk
-        # from the top did, so bad UTF-8 is met where it was
-        with open(path, newline="", encoding="utf-8") as fh:
+        # bytes that are not UTF-8 decode to lone surrogates, which the walk
+        # refuses at the record that holds them
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
             read = _walk(fh, path, fixed_names, read)
     d, features, labels, index = read
     return FeatureDataset(

@@ -9,6 +9,10 @@ d_i^2 = ||z - p_i||^2. The r mass functions are fused by Dempster's rule,
 computed in closed form for this singleton-plus-ignorance family, and the
 decision picks the class of maximum plausibility.
 
+The batched kernel keeps its arrays prototype-major with the batch axis
+last, so every product over prototypes multiplies whole contiguous blocks
+of one (r, K+1, n) array of per-class and ignorance factors.
+
 Constrained quantities are re-expressed through unconstrained parameters
 so the optimizer never projects: alpha_i = sigmoid(xi_i), gamma_i =
 eta_i^2, u_ik = beta_ik^2 / sum_l beta_il^2.
@@ -26,6 +30,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 from typing import Sequence
 
@@ -59,38 +64,37 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return np.einsum("ih,ih->i", a, a)
 
 
-def _sq_dists(z: np.ndarray, c: np.ndarray, c_sq: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances ||z_n - c_i||^2 as an (n, r) matrix, by the GEMM
-    expansion ||z||^2 - 2 z c^T + ||c||^2, floored at 0 where it cancels.
-    c_sq is _sq_norms(c), computed here when not given."""
-    d2 = z @ c.T
+def _sq_dists(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances ||a_i - b_j||^2 as a (len(a), len(b)) matrix, by
+    the GEMM expansion ||a||^2 - 2 a b^T + ||b||^2, floored at 0 where it
+    cancels. a_sq is _sq_norms(a), computed here when not given."""
+    d2 = a @ b.T
     d2 *= -2.0
-    d2 += _sq_norms(z)[:, None]
-    d2 += _sq_norms(c) if c_sq is None else c_sq
+    d2 += (_sq_norms(a) if a_sq is None else a_sq)[:, None]
+    d2 += _sq_norms(b)
     return np.maximum(d2, 0.0, out=d2)
 
 
 def _exclusive_prod(a: np.ndarray) -> np.ndarray:
-    """Leave-one-out product along axis 1 of an (n, r, c) array.
+    """Leave-one-out product along axis 0 of an (r, c, n) array.
 
-    out[:, i] is the product of a[:, j] over every j != i, as prefix
-    times suffix running products, so zero factors are handled exactly
-    and no division is made. For r = 1 the product is empty: all ones.
-    The running products take one multiply per prototype over its whole
-    (c, n) block, in cumprod's order, in the (r, c, n) memory order the
-    forward pass stores; an input in another order is copied into it.
+    out[i] is the product of a[j] over every j != i, as prefix times
+    suffix running products, so zero factors are handled exactly and no
+    division is made. For r = 1 the product is empty: all ones. The
+    running products take one multiply per prototype over its whole
+    (c, n) block, in cumprod's order. The result is a new C-contiguous
+    array.
     """
-    blocks = np.ascontiguousarray(a.transpose(1, 2, 0))
-    prefix = np.empty_like(blocks)
-    suffix = np.empty_like(blocks)
+    prefix = np.empty(a.shape)
+    suffix = np.empty(a.shape)
     prefix[0] = 1.0
     suffix[-1] = 1.0
-    factor, pre, suf = list(blocks), list(prefix), list(suffix)
+    factor, pre, suf = list(a), list(prefix), list(suffix)
     for i in range(1, len(factor)):
         np.multiply(pre[i - 1], factor[i - 1], out=pre[i])
         np.multiply(suf[-i], factor[-i], out=suf[-i - 1])
     prefix *= suffix
-    return prefix.transpose(2, 0, 1)
+    return prefix
 
 
 def _require_ints(config, names: Sequence[str]) -> None:
@@ -129,15 +133,23 @@ class ModelConfig:
         r, h, k = self.r, self.h, self.k
         return dict(zip(PARAM_FIELDS, ((h, self.d_in), (h,), (r, h), (r, k), (r,), (r,))))
 
+    @cached_property
+    def layout(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+        """(name, start, stop, shape) of each parameter block in a vector
+        laid out like a model's parameters, in PARAM_FIELDS order; built
+        once per config."""
+        out, start = [], 0
+        for name, shape in self.shapes.items():
+            stop = start + math.prod(shape)
+            out.append((name, start, stop, shape))
+            start = stop
+        return tuple(out)
+
 
 def _blocks(config: ModelConfig, vector: np.ndarray) -> dict[str, np.ndarray]:
     """Views of a vector laid out like a model's parameters, keyed by block."""
-    out, start = {}, 0
-    for name, shape in config.shapes.items():
-        size = math.prod(shape)
-        out[name] = vector[start : start + size].reshape(shape)
-        start += size
-    return out
+    return {name: vector[start:stop].reshape(shape)
+            for name, start, stop, shape in config.layout}
 
 
 @dataclass
@@ -155,7 +167,8 @@ class EvidentialModel:
     vector also derives, read-only, the constants the kernel reads:
     alpha = sigmoid(xi) (r,), gamma = eta^2 (r,), u (r, K+1) whose
     first K columns are beta_ik^2 / beta_sq_sum_i and whose column K is
-    0, c_sq = ||centers_i||^2 (r,) and beta_sq_sum = sum_k beta_ik^2 (r,).
+    0, omu = 1 - u (r, K+1), whose column K is 1, c_sq = ||centers_i||^2
+    (r,) and beta_sq_sum = sum_k beta_ik^2 (r,).
     """
 
     config: ModelConfig
@@ -171,6 +184,7 @@ class EvidentialModel:
     alpha: np.ndarray = field(init=False, repr=False, compare=False)
     gamma: np.ndarray = field(init=False, repr=False, compare=False)
     u: np.ndarray = field(init=False, repr=False, compare=False)
+    omu: np.ndarray = field(init=False, repr=False, compare=False)
     c_sq: np.ndarray = field(init=False, repr=False, compare=False)
     beta_sq_sum: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -182,7 +196,7 @@ class EvidentialModel:
                 f"{len(self.class_names)} class names for k={self.config.k}"
             )
         parts = []
-        for name, want in self.config.shapes.items():
+        for name, _, _, want in self.config.layout:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != want:
                 raise DimensionMismatchError(
@@ -216,6 +230,7 @@ class EvidentialModel:
                 "alpha": _sigmoid(self.xi),
                 "gamma": self.eta**2,
                 "u": u,
+                "omu": 1.0 - u,
                 "c_sq": _sq_norms(self.centers),
                 "beta_sq_sum": ssum,
             }
@@ -271,35 +286,31 @@ def _as_feature_matrix(x, d_in: int) -> np.ndarray:
 def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     """Vectorized forward pass over a batch; returns all intermediates.
 
-    Keys: x, z, d2, e, s, cf, a, b_prod, n, m, m_omega, pl. Shapes are
-    (n, ...), prototype axis 1. cf is (n, r, K+1): cf[:, i, k] = u_ik s_i
-    + (1 - s_i) is prototype i's factor for class k, and column K, the
-    same rule with u = 0, is its ignorance factor 1 - s_i. One product
-    over prototypes gives a (its first K columns) and b_prod (column K).
-    alpha, gamma and u are the model's own constants.
+    Keys: x, z, d2, e, s, cf, a, b_prod, n, m, m_omega, pl. x and z are
+    (n, ...); every other array has the batch axis last: d2, e and s are
+    (r, n), a, m and pl are (K, n), and b_prod, n and m_omega are (n,).
+    cf is (r, K+1, n): cf[i, k] = u_ik s_i + (1 - s_i) is prototype i's
+    factor for class k, and row K, the same rule with u = 0, is its
+    ignorance factor 1 - s_i. One product over prototypes, over whole
+    contiguous (K+1, n) blocks, gives a (its first K rows) and b_prod
+    (row K). alpha, gamma and u are the model's own constants.
     """
     k = model.config.k
     z = X @ model.w.T + model.b
-    d2 = _sq_dists(z, model.centers, model.c_sq)
-    e = np.exp(-model.gamma * d2)
-    s = model.alpha * e
-    # stored (r, K+1, n) so that every product over prototypes runs over
-    # whole contiguous rows; cf is the (n, r, K+1) view of that array
-    s_t = s.T.copy()
-    cf = model.u[:, :, None] * s_t[:, None, :]
-    cf += (1.0 - s_t)[:, None, :]
-    # written row-major (n, K+1), so a.sum(axis=1) below adds a row in the
-    # same order whatever K
-    prod = np.empty((X.shape[0], k + 1))
-    cf.prod(axis=0, out=prod.T)
-    cf = cf.transpose(2, 0, 1)
-    a, b_prod = prod[:, :k], prod[:, k]
-    n_norm = a.sum(axis=1) - (k - 1) * b_prod
+    d2 = _sq_dists(model.centers, z, model.c_sq)
+    e = np.multiply(d2, -model.gamma[:, None])
+    np.exp(e, out=e)
+    s = model.alpha[:, None] * e
+    cf = model.u[:, :, None] * s[:, None, :]
+    cf += (1.0 - s)[:, None, :]
+    prod = cf.prod(axis=0)
+    a, b_prod = prod[:k], prod[k]
+    n_norm = a.sum(axis=0) - (k - 1) * b_prod
     if (n_norm <= TOTAL_CONFLICT_FLOOR).any():
         raise TotalConflictError("fused normalizer vanished; sources fully conflict")
-    m = (a - b_prod[:, None]) / n_norm[:, None]
+    m = (a - b_prod) / n_norm
     m_omega = b_prod / n_norm
-    pl = m + m_omega[:, None]
+    pl = m + m_omega
     return {
         "x": X,
         "z": z,
@@ -317,10 +328,11 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
 
 
 def forward_batch(model: EvidentialModel, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward a feature matrix; returns (singleton masses, ignorance, pl)."""
+    """Forward a feature matrix; returns (singleton masses, ignorance, pl),
+    with one row per input."""
     X = _as_feature_matrix(X, model.config.d_in)
     cache = _forward_arrays(model, X)
-    return cache["m"], cache["m_omega"], cache["pl"]
+    return cache["m"].T, cache["m_omega"], cache["pl"].T
 
 
 def _mass_from_rows(frame: Frame, m_row: np.ndarray, m_omega: float) -> MassFunction:
@@ -336,8 +348,8 @@ def forward(model: EvidentialModel, x) -> OutputMass:
         raise DimensionMismatchError(f"expected a single vector, got shape {x.shape}")
     X = _as_feature_matrix(x[None, :], model.config.d_in)
     cache = _forward_arrays(model, X)
-    mass = _mass_from_rows(model.frame, cache["m"][0], cache["m_omega"].item())
-    return OutputMass(mass=mass, pl=cache["pl"][0], activations=cache["s"][0])
+    mass = _mass_from_rows(model.frame, cache["m"][:, 0], cache["m_omega"].item())
+    return OutputMass(mass=mass, pl=cache["pl"][:, 0], activations=cache["s"][:, 0])
 
 
 def decide(pl):

@@ -14,10 +14,11 @@ where the last term discourages prototypes from claiming reliability.
 Gradients are hand-derived for every parameter block and checked against
 central finite differences (grad_check). The forward pass forms the K
 class products and the ignorance product of the fusion as one product
-over prototypes of an (n, r, K+1) factor array whose column K is 1 - s_i.
-The backward pass takes one leave-one-out product of that array rather
-than dividing by a factor, so saturated activations (s_i = 1, zero
-factors) stay exact.
+over prototypes of an (r, K+1, n) factor array whose row K is 1 - s_i;
+the loss terms read the masses in the same class-major (K, n) order. The
+backward pass takes one leave-one-out product of that array rather than
+dividing by a factor, so saturated activations (s_i = 1, zero factors)
+stay exact, and pulls it back to s_i with the model constant 1 - u.
 """
 
 from __future__ import annotations
@@ -195,42 +196,37 @@ def _loss_and_grads(
     k = model.config.k
     x_all = _as_feature_matrix(x, model.config.d_in)
     cache = _forward_arrays(model, x_all)
-    m = cache["m"]
-    pl = cache["pl"]
+    m = cache["m"]  # (K, n), as pl
     n_lab = y.shape[0]
-    labeled = np.arange(n_lab), y  # (row, class) cell of each target
-    gm = np.zeros((x_all.shape[0], k))
+    labeled = y, np.arange(n_lab)  # (class, row) cell of each target
+    gm = np.zeros((k, x_all.shape[0]))
     gmo = np.zeros(x_all.shape[0])
 
     sup = 0.0
     if n_lab:
         if cfg.loss_mode == "evidential_ce":
             picked = m[labeled]
-            sup = float(-np.log(np.maximum(picked, LOG_EPS)).mean())
-            if want_grads:
-                live = picked > LOG_EPS  # clamped masses get no pull
-                coef = np.where(live, -1.0 / np.maximum(picked, LOG_EPS), 0.0)
-                gm[labeled] = coef / n_lab
+            clamped = np.maximum(picked, LOG_EPS)
+            sup = float(-np.log(clamped).mean())
+            if want_grads:  # clamped masses get no pull
+                gm[labeled] = np.where(picked > LOG_EPS, (-1.0 / n_lab) / clamped, 0.0)
         else:
-            target = np.zeros((n_lab, k))
-            target[labeled] = 1.0
-            resid = pl[:n_lab] - target
-            sup = float((resid * resid).sum(axis=1).mean())
+            resid = cache["pl"][:, :n_lab].copy()
+            resid[labeled] -= 1.0
+            sup = float(np.einsum("kn,kn->", resid, resid)) / n_lab
             if want_grads:
-                gpl = 2.0 * resid / n_lab
-                gm[:n_lab] += gpl
-                gmo[:n_lab] += gpl.sum(axis=1)
+                gpl = np.multiply(resid, 2.0 / n_lab, out=gm[:, :n_lab])
+                gpl.sum(axis=0, out=gmo[:n_lab])
 
     cons = 0.0
     if n_unl:
-        base = m[n_lab : n_lab + n_unl]
-        pert = m[n_lab + n_unl :].reshape(n_unl, -1, k)
-        dif = base[:, None, :] - pert
-        cons = float((dif * dif).sum(axis=(1, 2)).mean())
+        base = m[:, n_lab : n_lab + n_unl]
+        dif = m[:, n_lab + n_unl :].reshape(k, n_unl, -1) - base[:, :, None]
+        cons = float(np.einsum("kut,kut->", dif, dif)) / n_unl
         if want_grads and cfg.consistency_weight:
-            coef = 2.0 * cfg.consistency_weight / n_unl
-            gm[n_lab : n_lab + n_unl] += coef * dif.sum(axis=1)
-            gm[n_lab + n_unl :] += (-coef * dif).reshape(-1, k)
+            dif *= 2.0 * cfg.consistency_weight / n_unl
+            gm[:, n_lab + n_unl :] = dif.reshape(k, -1)
+            np.negative(dif.sum(axis=2), out=gm[:, n_lab : n_lab + n_unl])
 
     loss = sup + cfg.consistency_weight * cons + cfg.lam * float(model.alpha.sum())
     if not want_grads:
@@ -243,53 +239,51 @@ def _backward_arrays(
 ) -> np.ndarray:
     """Chain rule from upstream mass gradients down to every parameter.
 
-    gm is dLoss/d(singleton masses), gmo is dLoss/d(ignorance mass), per
-    batch row. The normalizer's quotient rule folds into a single shared
-    scalar per row; one leave-one-out product over the (n, r, K+1) factor
-    array replaces division through the fused products, so zero factors
-    cannot poison the result. Returns the gradient as one vector laid out
-    like model.theta.
+    gm (K, n) is dLoss/d(singleton masses), gmo (n,) is dLoss/d(ignorance
+    mass), per batch row. The normalizer's quotient rule folds into a
+    single shared scalar per row; one leave-one-out product over the
+    (r, K+1, n) factor array replaces division through the fused products,
+    so zero factors cannot poison the result. Returns the gradient as one
+    vector laid out like model.theta.
     """
     k = model.config.k
     m, mo, norm, cf = cache["m"], cache["m_omega"], cache["n"], cache["cf"]
     s, e, d2 = cache["s"], cache["e"], cache["d2"]
-    alpha, gamma, u = model.alpha, model.gamma, model.u[:, :k]
-    z, x = cache["z"], cache["x"]
+    alpha, z, x = model.alpha, cache["z"], cache["x"]
     grad = np.empty_like(model.theta)
     out = _blocks(model.config, grad)
 
-    # g = [ga, gb]: the pull on each class product a_k, then on b_prod
-    g = np.empty((x.shape[0], k + 1))
-    shared = (gm * m).sum(axis=1) + gmo * mo
-    np.divide(gm - shared[:, None], norm[:, None], out=g[:, :k])
-    g[:, k] = (gmo - gm.sum(axis=1) + (k - 1) * shared) / norm
+    # g = [ga; gb]: the pull on each class product a_k, then on b_prod
+    g = np.empty((k + 1, x.shape[0]))
+    shared = np.einsum("kn,kn->n", gm, m) + gmo * mo
+    np.divide(gm - shared, norm, out=g[:k])
+    g[k] = (gmo - gm.sum(axis=0) + (k - 1) * shared) / norm
 
-    # the pull on each factor, column K being the pull on 1 - s. It is
-    # written C-contiguous because einsum picks its summation order from
-    # its operands' memory layout, and the gradient's last bits, so the
-    # bytes of trained model files, follow that order.
-    gcf = np.multiply(_exclusive_prod(cf), g[:, None, :], out=np.empty(cf.shape))
+    # the pull on each factor, row K being the pull on 1 - s, in a new
+    # C-contiguous array: einsum picks its summation order from its
+    # operands' memory layout, and the gradient's last bits, so the bytes
+    # of trained model files, follow that order
+    gcf = _exclusive_prod(cf)
+    gcf *= g
+    gu = np.einsum("ikn,in->ik", gcf[:, :k], s)
+    # a factor u s + (1 - s) has slope -(1 - u) in s: p is minus the pull on s
+    p = np.einsum("ikn,ik->in", gcf, model.omu)
 
-    gu = np.einsum("nik,ni->ik", gcf[:, :, :k], s)
-    gs = np.einsum("nik,ik->ni", gcf[:, :, :k], u - 1.0) - gcf[:, :, k]
-
-    ge = gs * alpha[None, :]
-    galpha = (gs * e).sum(axis=0)
-    out["xi"][:] = (galpha + lam) * alpha * (1.0 - alpha)
-
-    ggamma = -(ge * d2 * e).sum(axis=0)
-    out["eta"][:] = 2.0 * model.eta * ggamma
-    gd2 = -ge * gamma[None, :] * e
-
-    # d2 = |z|^2 - 2 z c^T + |c|^2, so its pull on z and on each center
-    # is two matrix products, never an (n, r, h) tensor
-    gz = 2.0 * (gd2.sum(axis=1)[:, None] * z - gd2 @ model.centers)
-    out["centers"][:] = 2.0 * (gd2.sum(axis=0)[:, None] * model.centers - gd2.T @ z)
+    out["xi"][:] = (lam - np.einsum("in,in->i", p, e)) * alpha * (1.0 - alpha)
+    p *= s  # minus the pull on ln s = ln alpha - gamma d2
+    out["eta"][:] = 2.0 * model.eta * np.einsum("in,in->i", p, d2)
+    # the pull on d2, gamma p, doubled: d2 = |z|^2 - 2 z c^T + |c|^2, so its
+    # pull on z and on each center is two matrix products, never an
+    # (n, r, h) tensor
+    gd2 = np.multiply(p, 2.0 * model.gamma[:, None], out=p)
+    gz = gd2.sum(axis=0)[:, None] * z - gd2.T @ model.centers
+    out["centers"][:] = gd2.sum(axis=1)[:, None] * model.centers - gd2 @ z
     np.matmul(gz.T, x, out=out["w"])
     gz.sum(axis=0, out=out["b"])
 
-    ssum = model.beta_sq_sum
-    out["beta"][:] = 2.0 * model.beta / ssum[:, None] * (gu - (gu * u).sum(axis=1)[:, None])
+    u = model.u[:, :k]
+    out["beta"][:] = 2.0 * model.beta / model.beta_sq_sum[:, None] * (
+        gu - np.einsum("ik,ik->i", gu, u)[:, None])
     return grad
 
 

@@ -11,14 +11,15 @@ reference the new form must match, as does the feature-CSV writer
 that went through csv.writer. The belief layer's mask check, mass
 validation, Dempster's rule, bel, pl and conflict are kept as they were
 before the frame stored its size and full mask, so their output bits and
-their errors stay pinned. The forward and backward kernels
-as they were before the model cached its constants are kept whole, so
-the bits of every intermediate and of the gradient stay pinned. They
-share no code with the package beyond building and reading mass values
-through mass_new(), combine_all() (itself checked against
-brute_combine) and MassFunction.mass(), raising the package's error
-classes, the model's block layout (_blocks), and the Adam, sum-tolerance
-and total-conflict constants.
+their errors stay pinned. The forward and backward kernels are kept
+whole with their constants derived on every call, so the bits of every
+intermediate and of the gradient stay pinned, and so is the batch-major
+kernel that preceded them, which the kernel must agree with to within a
+stated number of ulps. They share no code with the package beyond
+building and reading mass values through mass_new(), combine_all()
+(itself checked against brute_combine) and MassFunction.mass(), raising
+the package's error classes, the model's block layout (_blocks), and the
+Adam, sum-tolerance and total-conflict constants.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from evidnet.errors import (
     EmptySetMassError,
     FrameMismatchError,
     InvalidMaskError,
+    MalformedCsvError,
     MissingHeaderError,
     NegativeMassError,
     NonFiniteInputError,
@@ -236,9 +238,95 @@ def gemm_sq_dists(z: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def reference_forward_arrays(model, X: np.ndarray) -> dict:
-    """The batched forward kernel with alpha, gamma and u derived from the
-    parameters on every call; same keys as the package's, plus alpha,
-    gamma and u (r, K)."""
+    """The batched forward kernel with alpha, gamma, u and 1 - u derived
+    from the parameters on every call; same keys and layouts as the
+    package's, plus alpha, gamma, u (r, K) and omu (r, K+1)."""
+    k = model.config.k
+    z = X @ model.w.T + model.b
+    c = model.centers
+    d2 = c @ z.T
+    d2 *= -2.0
+    d2 += np.einsum("ih,ih->i", c, c)[:, None]
+    d2 += np.einsum("nh,nh->n", z, z)
+    np.maximum(d2, 0.0, out=d2)
+    alpha = masked_sigmoid(model.xi)
+    gamma = model.eta**2
+    e = np.exp(d2 * -gamma[:, None])
+    s = alpha[:, None] * e
+    u = np.zeros((model.config.r, k + 1))
+    bsq = model.beta**2
+    np.divide(bsq, bsq.sum(axis=1)[:, None], out=u[:, :k])
+    omu = 1.0 - u
+    cf = u[:, :, None] * s[:, None, :] + (1.0 - s)[:, None, :]
+    prod = cf.prod(axis=0)
+    a, b_prod = prod[:k], prod[k]
+    n_norm = a.sum(axis=0) - (k - 1) * b_prod
+    if (n_norm <= TOTAL_CONFLICT_FLOOR).any():
+        raise TotalConflictError("fused normalizer vanished; sources fully conflict")
+    m = (a - b_prod) / n_norm
+    m_omega = b_prod / n_norm
+    return {
+        "x": X,
+        "z": z,
+        "d2": d2,
+        "alpha": alpha,
+        "gamma": gamma,
+        "e": e,
+        "s": s,
+        "u": u[:, :k],
+        "omu": omu,
+        "cf": cf,
+        "a": a,
+        "b_prod": b_prod,
+        "n": n_norm,
+        "m": m,
+        "m_omega": m_omega,
+        "pl": m + m_omega,
+    }
+
+
+def reference_backward_arrays(model, cache: dict, gm, gmo, lam: float) -> np.ndarray:
+    """The backward kernel over a reference_forward_arrays cache, with gm
+    (K, n), the leave-one-out product through moveaxis and the beta row
+    sums derived here; returns the gradient laid out like model.theta."""
+    k = model.config.k
+    m, mo, norm, cf = cache["m"], cache["m_omega"], cache["n"], cache["cf"]
+    u, omu, s, e, d2 = cache["u"], cache["omu"], cache["s"], cache["e"], cache["d2"]
+    alpha, gamma = cache["alpha"], cache["gamma"]
+    z, x = cache["z"], cache["x"]
+    grad = np.empty_like(model.theta)
+    out = _blocks(model.config, grad)
+
+    g = np.empty((k + 1, x.shape[0]))
+    shared = np.einsum("kn,kn->n", gm, m) + gmo * mo
+    np.divide(gm - shared, norm, out=g[:k])
+    g[k] = (gmo - gm.sum(axis=0) + (k - 1) * shared) / norm
+
+    gcf = np.multiply(moveaxis_exclusive_prod(cf, 0), g, out=np.empty(cf.shape))
+    gu = np.einsum("ikn,in->ik", gcf[:, :k], s)
+    p = np.einsum("ikn,ik->in", gcf, omu)
+
+    out["xi"][:] = (lam - np.einsum("in,in->i", p, e)) * alpha * (1.0 - alpha)
+    p = p * s
+    out["eta"][:] = 2.0 * model.eta * np.einsum("in,in->i", p, d2)
+    gd2 = p * (2.0 * gamma[:, None])
+    gz = gd2.sum(axis=0)[:, None] * z - gd2.T @ model.centers
+    out["centers"][:] = gd2.sum(axis=1)[:, None] * model.centers - gd2 @ z
+    np.matmul(gz.T, x, out=out["w"])
+    gz.sum(axis=0, out=out["b"])
+
+    ssum = (model.beta**2).sum(axis=1)
+    out["beta"][:] = 2.0 * model.beta / ssum[:, None] * (
+        gu - np.einsum("ik,ik->i", gu, u)[:, None])
+    return grad
+
+
+def previous_forward_arrays(model, X: np.ndarray) -> dict:
+    """The batched forward kernel as it was before the prototype-major
+    layout, with alpha, gamma and u derived from the parameters on every
+    call: the factors u s + (1 - s) of an (r, K+1, n) array viewed as
+    (n, r, K+1), every other intermediate batch-major (n, ...). Same keys
+    as the package's, plus alpha, gamma and u (r, K)."""
     k = model.config.k
     z = X @ model.w.T + model.b
     d2 = gemm_sq_dists(z, model.centers)
@@ -281,10 +369,10 @@ def reference_forward_arrays(model, X: np.ndarray) -> dict:
     }
 
 
-def reference_backward_arrays(model, cache: dict, gm, gmo, lam: float) -> np.ndarray:
-    """The backward kernel over a reference_forward_arrays cache, with the
-    beta row sums derived here; returns the gradient laid out like
-    model.theta."""
+def previous_backward_arrays(model, cache: dict, gm, gmo, lam: float) -> np.ndarray:
+    """The backward kernel as it was before the prototype-major layout,
+    over a previous_forward_arrays cache, with gm (n, K) and the beta row
+    sums derived here; returns the gradient laid out like model.theta."""
     k = model.config.k
     m, mo, norm, cf = cache["m"], cache["m_omega"], cache["n"], cache["cf"]
     u, s, e, d2 = cache["u"], cache["s"], cache["e"], cache["d2"]
@@ -422,17 +510,25 @@ def reference_roc(scores, truth, positive=1):
     return tuple(points), area
 
 
+def _reference_require_utf8(path, cells, where) -> None:
+    if any("\udc80" <= ch <= "\udcff" for cell in cells for ch in cell):
+        raise MalformedCsvError(f"{path}: not valid UTF-8 in {where}")
+
+
 def reference_load_csv(path, class_names=None):
-    """Feature CSV parsed cell by cell after reading every row into memory.
+    """Feature CSV parsed cell by cell after reading every row into memory,
+    bytes that are not UTF-8 decoded as lone surrogates and refused row by
+    row, before any other check of the row.
 
     Returns (features, labels, class_names) and raises the same errors,
     with the same messages, as evidnet.load_csv.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         rows = [row for row in csv.reader(fh)]
     if not rows:
         raise EmptyFileError(f"{path}: no content")
     header = rows[0]
+    _reference_require_utf8(path, header, "the header")
     d = len(header) - 1
     if d < 1 or header != [f"f{j}" for j in range(d)] + ["label"]:
         raise MissingHeaderError(
@@ -443,6 +539,7 @@ def reference_load_csv(path, class_names=None):
     features = np.empty((len(rows) - 1, d))
     labels = []
     for rownum, row in enumerate(rows[1:], start=1):
+        _reference_require_utf8(path, row, f"row {rownum}")
         if len(row) != d + 1:
             raise RaggedRowError(f"{path}: row {rownum} has {len(row)} cells, expected {d + 1}")
         for j, cell in enumerate(row[:d]):

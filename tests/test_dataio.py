@@ -237,7 +237,9 @@ def faulty_feature_files(draw):
     """A feature file with faults injected into one or more distinct rows.
 
     A faulty row is either ragged, or has one or more bad feature cells
-    and/or an unknown label; an unknown label forces fixed class names.
+    and/or an unknown label, or a cell holding a byte that is not UTF-8
+    (written from the lone surrogate that decodes it); an unknown label
+    forces fixed class names.
     A blank line, a row of no cells, or a line of whitespace, a row of one
     cell, may follow any row.
     """
@@ -256,12 +258,15 @@ def faulty_feature_files(draw):
             else:
                 row.insert(draw(st.integers(0, d)), draw(NUMBER_CELLS))
             continue
-        kinds = st.sampled_from(["non_numeric", "non_finite", "label"])
+        kinds = st.sampled_from(["non_numeric", "non_finite", "label", "not_utf8"])
         faults = draw(st.lists(kinds, min_size=1, max_size=3))
         for fault in faults:
             if fault == "label":
                 row[d] = "zzz"
                 names = names or NAMES
+            elif fault == "not_utf8":
+                j = draw(st.integers(0, d))
+                row[j] = row[j][:1] + draw(st.sampled_from(["\udcff", "\udcc3", "\udce2\udc82"]))
             else:
                 cells = NON_NUMERIC_CELLS if fault == "non_numeric" else NON_FINITE_CELLS
                 row[draw(st.integers(0, d - 1))] = draw(cells)
@@ -284,7 +289,7 @@ def _write_feature_file(path, d, rows, layout=PLAIN):
         if i in layout["blank_after"]:
             lines.append(layout["blank_after"][i])
     text = layout["eol"].join(lines) + (layout["eol"] if layout["final_eol"] else "")
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 @FUZZ_SETTINGS
@@ -515,6 +520,25 @@ def test_unreadable_csv_names_the_file(tmp_path):
     good = tmp_path / "good.csv"
     good.write_text(f"f0,label\n1,{long_label}\n")
     assert load_csv(good).class_names == (long_label,)
+
+
+def test_bad_utf8_is_refused_at_its_row(tmp_path):
+    # a faulty row before bad UTF-8 in the same read block is the one named
+    p = tmp_path / "late.csv"
+    p.write_bytes(b"f0,f1,label\n1.0,2.0,a\n1.0,abc,a\n" + b"1.0,2.0,a\n" * 50
+                  + b"1.0,2.0,\xff\n")
+    with pytest.raises(NonNumericFeatureError, match="row 2, column f1"):
+        load_csv(p)
+    p.write_bytes(b"f0,f1,label\n1.0,2.0,a\n" + b"1.0,2.0,a\n" * 50 + b"1.0,\xc3,a\n")
+    with pytest.raises(MalformedCsvError, match="late.csv: not valid UTF-8 in row 52$"):
+        load_csv(p)
+    p.write_bytes(b"f0,f\xff1,label\n1.0,2.0,a\n")
+    with pytest.raises(MalformedCsvError, match="not valid UTF-8 in the header$"):
+        load_csv(p)
+    # a quoted record spanning lines is one row
+    p.write_bytes(b'f0,label\r\n1.0,"x\r\ny"\r\n2.0,"\xe2\x82\r\n"\r\n')
+    with pytest.raises(MalformedCsvError, match="not valid UTF-8 in row 2$"):
+        load_csv(p)
 
 
 def test_field_limit_binds_on_every_record_the_walk_reads(tmp_path):

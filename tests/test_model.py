@@ -480,16 +480,17 @@ def test_sq_dists_matches_difference_tensor(n, r, h, seed, spread, shift):
     st.integers(1, 5), st.integers(1, 8), st.integers(3, 6), st.integers(0, 2**32 - 1),
     st.sampled_from([0.0, 0.1, 0.5]), st.booleans(),
 )
-@example(3, 1, 3, 0, 0.5, False)
-@example(3, 2, 3, 1, 0.5, True)
-def test_exclusive_prod_matches_moveaxis_form(n, r, c, seed, zero_rate, prototype_major):
+@example(3, 1, 3, 0, 0.5, True)
+@example(3, 2, 3, 1, 0.5, False)
+def test_exclusive_prod_matches_moveaxis_form(n, r, c, seed, zero_rate, contiguous):
     rng = np.random.default_rng(seed)
-    a = rng.uniform(0.0, 1.5, (n, r, c))
-    a[rng.random((n, r, c)) < zero_rate] = 0.0
-    if prototype_major:  # the (r, K+1, n) memory order the forward pass stores
-        a = np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
-    want = oracles.moveaxis_exclusive_prod(a, axis=1)
-    assert _exclusive_prod(a).tobytes() == want.tobytes()
+    a = rng.uniform(0.0, 1.5, (r, c, n))
+    a[rng.random((r, c, n)) < zero_rate] = 0.0
+    if not contiguous:  # a batch-major array seen in prototype-major order
+        a = np.ascontiguousarray(a.transpose(2, 0, 1)).transpose(1, 2, 0)
+    got = _exclusive_prod(a)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == oracles.moveaxis_exclusive_prod(a, axis=0).tobytes()
 
 
 @settings(max_examples=200)
@@ -517,10 +518,12 @@ def test_fused_products_match_separate_products(k, r, n, seed, saturated):
     cache = _forward_arrays(model, X)
     if saturated:
         assert cache["s"][0, 0] == 1.0 and cache["b_prod"][0] == 0.0
-    a, b_prod = oracles.separate_products(cache["s"], model.u[:, :k])
-    assert cache["a"].tobytes() == a.tobytes()
+    a, b_prod = oracles.separate_products(cache["s"].T, model.u[:, :k])
+    assert cache["a"].T.tobytes() == a.tobytes()
     assert cache["b_prod"].tobytes() == b_prod.tobytes()
-    assert cache["n"].tobytes() == (a.sum(axis=1) - (k - 1) * b_prod).tobytes()
+    # the class products summed over the class axis of the kernel's (K, n) order
+    n_norm = np.ascontiguousarray(a.T).sum(axis=0) - (k - 1) * b_prod
+    assert cache["n"].tobytes() == n_norm.tobytes()
 
 
 def test_forward_batch_builds_no_distance_tensor():

@@ -331,16 +331,23 @@ def test_grad_check_catches_one_wrong_entry(pair):
             assert grad_check(model, batch, cfg, step=1e-5) > 1e-6, name
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.integers(2, 16), st.integers(1, 19), st.sampled_from(LOSS_MODES),
-       st.integers(0, 4), st.integers(0, 3), st.integers(1, 2), st.integers(0, 2**32 - 1),
-       st.booleans(), st.booleans(), st.booleans(), st.booleans())
-def test_kernel_matches_reference_kernel_bit_for_bit(
-    k, r, loss_mode, n_lab, n_unl, t, seed, on_center, saturated, zero_beta, huge_eta
-):
-    # every forward intermediate, the model's constants and the gradient
-    # against the kernel that derived its constants per call
-    assume(n_lab + n_unl > 0)
+# Kernel cases: K up to 16 classes, r up to 19 prototypes, either loss, up
+# to 4 labeled and 3 unlabeled rows with 1 or 2 copies each; optionally rows
+# on prototypes, a saturated alpha, a zero beta entry, an eta whose square
+# overflows.
+KERNEL_CASES = st.tuples(
+    st.integers(2, 16), st.integers(1, 19), st.sampled_from(LOSS_MODES),
+    st.integers(0, 4), st.integers(0, 3), st.integers(1, 2), st.integers(0, 2**32 - 1),
+    st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+)
+
+
+def kernel_case(k, r, loss_mode, n_lab, n_unl, t, seed, on_center, saturated, zero_beta,
+                huge_eta):
+    """(model, stacked rows, labels, unlabeled count, TrainConfig) of one
+    kernel case, or None for an empty batch."""
+    if n_lab + n_unl == 0:
+        return None
     rng = np.random.default_rng(seed)
     d_in, h = 4, 3
     x = rng.standard_normal((n_lab + n_unl * (1 + t), d_in))
@@ -365,6 +372,35 @@ def test_kernel_matches_reference_kernel_bit_for_bit(
             class_names=tuple(f"c{j}" for j in range(k)),
             w=w, b=b, centers=centers, beta=beta, xi=xi, eta=eta,
         )
+    y = rng.integers(0, k, n_lab)
+    return model, x, y, n_unl, TrainConfig(loss_mode=loss_mode, lam=0.01)
+
+
+def kernel_step(model, x, y, n_unl, cfg):
+    """The training step's objective, forward cache, upstream gradients
+    (gm, gmo) and gradient, read through the name the step calls."""
+    seen = {}
+    backward = evidnet.training._backward_arrays
+
+    def spy(model, cache, gm, gmo, lam):
+        seen.update(cache=cache, gm=gm, gmo=gmo)
+        return backward(model, cache, gm, gmo, lam)
+
+    with mock.patch.object(evidnet.training, "_backward_arrays", spy):
+        loss, grad = evidnet.training._loss_and_grads(model, x, y, n_unl, cfg, want_grads=True)
+    return loss, seen["cache"], seen["gm"], seen["gmo"], grad
+
+
+@settings(deadline=None, max_examples=200)
+@given(KERNEL_CASES)
+def test_kernel_matches_reference_kernel_bit_for_bit(args):
+    # every forward intermediate, the model's constants and the gradient
+    # against the kernel that derives its constants per call
+    case = kernel_case(*args)
+    assume(case is not None)
+    model, x, y, n_unl, cfg = case
+    k = model.config.k
+    with np.errstate(all="ignore"):
         try:
             want = oracles.reference_forward_arrays(model, x)
         except TotalConflictError:
@@ -372,29 +408,119 @@ def test_kernel_matches_reference_kernel_bit_for_bit(
                 _forward_arrays(model, x)
             return
         got = _forward_arrays(model, x)
-        assert set(want) == set(got) | {"alpha", "gamma", "u"}
+        assert set(want) == set(got) | {"alpha", "gamma", "u", "omu"}
         for key, value in got.items():
             assert value.tobytes() == want[key].tobytes(), key
         assert model.alpha.tobytes() == want["alpha"].tobytes()
         assert model.gamma.tobytes() == want["gamma"].tobytes()
         assert model.u[:, :k].tobytes() == want["u"].tobytes()
-
-        upstream = {}
-        backward = evidnet.training._backward_arrays
-
-        def spy(model, cache, gm, gmo, lam):
-            upstream.update(gm=gm, gmo=gmo)
-            return backward(model, cache, gm, gmo, lam)
-
-        cfg = TrainConfig(loss_mode=loss_mode, lam=0.01)
-        with mock.patch.object(evidnet.training, "_backward_arrays", spy):
-            _, grad = evidnet.training._loss_and_grads(
-                model, x, rng.integers(0, k, n_lab), n_unl, cfg, want_grads=True
-            )
-        ref = oracles.reference_backward_arrays(
-            model, want, upstream["gm"], upstream["gmo"], cfg.lam
-        )
+        assert model.omu.tobytes() == want["omu"].tobytes()
+        _, _, gm, gmo, grad = kernel_step(model, x, y, n_unl, cfg)
+        ref = oracles.reference_backward_arrays(model, want, gm, gmo, cfg.lam)
     assert grad.tobytes() == ref.tobytes()
+
+
+# The kernel against the previous, batch-major kernel kept in oracles, layer
+# by layer on the same inputs: the forward pass on the same rows, the
+# backward pass on the same forward arrays and upstream gradients. Each
+# forward array agrees within PREVIOUS_KERNEL_ULPS units of eps times its
+# largest |value|, or times 1 for the arrays valued in [0, 1] (UNIT_BLOCKS),
+# whose last bits are absolute rounding however small the values; each
+# gradient block within as many units of eps times the largest |value| of
+# the gradient and of the upstream gradients, since the backward pass is
+# linear in them and a block such as the centers' is a difference of terms
+# of their size. Worst readings seen over 16000 cases: 57 (w, a sum over rows
+# of a difference of terms), 32 in a forward array (the normalizer at K = 14,
+# a sum of 14 products less 13 times a product of about their size).
+PREVIOUS_KERNEL_ULPS = 256.0
+UNIT_BLOCKS = {"e", "s", "cf", "a", "b_prod", "n", "m", "m_omega", "pl"}
+
+
+def ulp_reading(got, want, scale=None) -> float:
+    """max |got - want| over want's finite entries, in units of eps times
+    scale (by default want's largest finite |value|); asserts that the
+    two have the same shape and the same non-finite entries."""
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    if not finite.any():
+        return 0.0
+    diff = np.abs(got[finite] - want[finite]).max()
+    if scale is None:
+        scale = np.abs(want[finite]).max()
+    return 0.0 if diff == 0.0 else diff / (np.finfo(float).eps * scale) if scale else math.inf
+
+
+def ulps_from_previous_kernel(model, x, y, n_unl, cfg) -> float:
+    """Worst reading (ulp_reading) of the kernel's forward arrays and
+    gradient blocks against the previous kernel's. Asserts that both raise
+    TotalConflictError or neither does, reading 0 when both do."""
+    with np.errstate(all="ignore"):
+        try:
+            old = oracles.previous_forward_arrays(model, x)
+        except TotalConflictError:
+            with pytest.raises(TotalConflictError):
+                evidnet.training._loss_and_grads(model, x, y, n_unl, cfg, want_grads=True)
+            return 0.0
+        _, new, gm, gmo, grad = kernel_step(model, x, y, n_unl, cfg)
+        # the kernel's arrays in the previous kernel's batch-major layouts
+        batch_major = {"d2": (1, 0), "e": (1, 0), "s": (1, 0), "cf": (2, 0, 1), "a": (1, 0),
+                       "m": (1, 0), "pl": (1, 0)}
+        seen = {key: value.transpose(batch_major[key]) if key in batch_major else value
+                for key, value in new.items()}
+        old_grad = oracles.previous_backward_arrays(model, {**old, **seen}, gm.T, gmo, cfg.lam)
+    readings = [ulp_reading(value, old[key], 1.0 if key in UNIT_BLOCKS else None)
+                for key, value in seen.items()]
+    finite = [v[np.isfinite(v)] for v in (old_grad, gm, gmo)]
+    scale = max(np.abs(v).max(initial=0.0) for v in finite)
+    blocks, old_blocks = _blocks(model.config, grad), _blocks(model.config, old_grad)
+    readings += [ulp_reading(blocks[name], old_blocks[name], scale) for name in PARAM_FIELDS]
+    return max(readings)
+
+
+@settings(deadline=None, max_examples=300)
+@given(KERNEL_CASES)
+def test_kernel_within_ulps_of_previous_kernel(args):
+    case = kernel_case(*args)
+    assume(case is not None)
+    assert ulps_from_previous_kernel(*case) <= PREVIOUS_KERNEL_ULPS
+
+
+# one ordinary case: 3 classes, 4 prototypes, 3 labeled and 2 unlabeled rows
+SENSITIVITY_CASE = (3, 4, "evidential_ce", 3, 2, 2, 0, False, False, False, False)
+
+
+@pytest.mark.parametrize("key", ["d2", "cf", "m"])
+def test_previous_kernel_bound_catches_one_scaled_entry(key):
+    # the largest entry of one forward intermediate, off by a relative 1e-9,
+    # reads millions of ulps: far above the bound
+    case = kernel_case(*SENSITIVITY_CASE)
+    assert ulps_from_previous_kernel(*case) <= PREVIOUS_KERNEL_ULPS
+    forward = evidnet.training._forward_arrays
+
+    def scaled(model, x):
+        cache = forward(model, x)
+        block = cache[key]
+        block[np.unravel_index(np.argmax(np.abs(block)), block.shape)] *= 1.0 + 1e-9
+        return cache
+
+    with mock.patch.object(evidnet.training, "_forward_arrays", scaled):
+        assert ulps_from_previous_kernel(*case) > PREVIOUS_KERNEL_ULPS
+
+
+@pytest.mark.parametrize("name", PARAM_FIELDS)
+def test_previous_kernel_bound_catches_one_scaled_gradient_block(name):
+    case = kernel_case(*SENSITIVITY_CASE)
+    backward = evidnet.training._backward_arrays
+
+    def scaled(model, *args):
+        grad = backward(model, *args)
+        _blocks(model.config, grad)[name][...] *= 1.0 + 1e-9
+        return grad
+
+    with mock.patch.object(evidnet.training, "_backward_arrays", scaled):
+        assert ulps_from_previous_kernel(*case) > PREVIOUS_KERNEL_ULPS
 
 
 def test_grad_check_error_grows_with_step():
