@@ -41,14 +41,16 @@ TOTAL_CONFLICT_TOLERANCE = 1e-12
 class Frame:
     """Ordered set of mutually exclusive class labels.
 
-    k, the number of labels, and full_mask, the bitmask of the whole frame
-    (total ignorance), are derived from the labels when the frame is built;
-    equality and hashing read the labels alone.
+    k, the number of labels, full_mask, the bitmask of the whole frame
+    (total ignorance), and singletons, the mask of each label in order, are
+    derived from the labels when the frame is built; equality and hashing
+    read the labels alone.
     """
 
     labels: tuple[str, ...]
     k: int = field(init=False, repr=False, compare=False)
     full_mask: int = field(init=False, repr=False, compare=False)
+    singletons: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -62,6 +64,7 @@ class Frame:
             raise ValueError("frame labels must be unique")
         object.__setattr__(self, "k", len(self.labels))
         object.__setattr__(self, "full_mask", (1 << self.k) - 1)
+        object.__setattr__(self, "singletons", tuple(1 << j for j in range(self.k)))
 
     def singleton(self, index: int) -> int:
         if not 0 <= index < self.k:
@@ -95,12 +98,16 @@ class MassFunction:
     masses: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_mask = self.frame.check_mask
-        # dict keys are unique, so each positive mass is stored as it is
+        frame = self.frame
+        full_mask = frame.full_mask
+        # dict keys are unique, so each positive mass is stored as it is; an
+        # exact int key in range and an exact float value need no call
         clean: dict[int, float] = {}
         for mask, value in self.masses.items():
-            check_mask(mask)
-            value = float(value)
+            if type(mask) is not int or not 0 <= mask <= full_mask:
+                frame.check_mask(mask)
+            if type(value) is not float:
+                value = float(value)
             if value > 0.0:
                 if mask == 0:
                     raise EmptySetMassError(f"empty set carries mass {value}")
@@ -149,13 +156,13 @@ def mass_new(
 def bel(m: MassFunction, a: int) -> float:
     """Belief of a subset: total mass of its non-empty subsets."""
     m.frame.check_mask(a)
-    return sum(v for b, v in m.masses.items() if b & ~a == 0)
+    return sum([v for b, v in m.masses.items() if b & ~a == 0])
 
 
 def pl(m: MassFunction, a: int) -> float:
     """Plausibility of a subset: total mass of everything intersecting it."""
     m.frame.check_mask(a)
-    return sum(v for b, v in m.masses.items() if b & a)
+    return sum([v for b, v in m.masses.items() if b & a])
 
 
 def _check_shared_frame(m1: MassFunction, m2: MassFunction) -> None:
@@ -169,7 +176,7 @@ def conflict(m1: MassFunction, m2: MassFunction) -> float:
     """Degree of conflict: mass the two sources place on disjoint subsets."""
     _check_shared_frame(m1, m2)
     focal2 = m2.masses.items()
-    return sum(v1 * v2 for b, v1 in m1.masses.items() for c, v2 in focal2 if b & c == 0)
+    return sum([v1 * v2 for b, v1 in m1.masses.items() for c, v2 in focal2 if b & c == 0])
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:

@@ -176,12 +176,19 @@ CHUNK_BYTES = 1 << 17
 # anything else (binary64, double-double), the wide type is the double
 # itself, which rounds once, holds M up to 2**53 and 10**22, and leaves more
 # cells to float().
+def _wide_constants(bits: int):
+    """The wide type for a mantissa of bits bits (53: the double; 64 or
+    113: the long double), the largest scale f and mantissa M it holds
+    exactly, and 10**0 .. 10**f in it."""
+    wide = np.longdouble if bits > 53 else np.float64
+    max_scale = max(k for k in range(64) if 5 ** k < 2 ** bits)
+    pow10 = np.array([1] + [10] * max_scale, dtype=wide).cumprod()  # each product exact
+    return wide, max_scale, min(2 ** 64 - 1, 2 ** bits), pow10
+
+
 _LONG_BITS = np.finfo(np.longdouble).nmant + 1
 _WIDE_BITS = _LONG_BITS if _LONG_BITS in (64, 113) else 53
-_WIDE = np.longdouble if _WIDE_BITS > 53 else np.float64
-_MAX_SCALE = max(k for k in range(64) if 5 ** k < 2 ** _WIDE_BITS)
-_MAX_MANTISSA = min(2 ** 64 - 1, 2 ** _WIDE_BITS)
-_POW10 = np.array([1] + [10] * _MAX_SCALE, dtype=_WIDE).cumprod()  # each product exact
+_WIDE, _MAX_SCALE, _MAX_MANTISSA, _POW10 = _wide_constants(_WIDE_BITS)
 
 # A cell's characters before its exponent are read right-aligned into a
 # window of up to three little-endian 8-byte words: column c of the window

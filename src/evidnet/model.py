@@ -81,20 +81,19 @@ def _exclusive_prod(a: np.ndarray) -> np.ndarray:
     out[i] is the product of a[j] over every j != i, as prefix times
     suffix running products, so zero factors are handled exactly and no
     division is made. For r = 1 the product is empty: all ones. The
-    running products take one multiply per prototype over its whole
-    (c, n) block, in cumprod's order. The result is a new C-contiguous
-    array.
+    prefix and the reversed suffix run side by side in one (r, 2, c, n)
+    array: row i first holds the pair of factors a[i - 1], a[r - i] and is
+    then multiplied in place by row i - 1, one multiply per prototype, in
+    cumprod's order. The result is a new C-contiguous array.
     """
-    prefix = np.empty(a.shape)
-    suffix = np.empty(a.shape)
-    prefix[0] = 1.0
-    suffix[-1] = 1.0
-    factor, pre, suf = list(a), list(prefix), list(suffix)
-    for i in range(1, len(factor)):
-        np.multiply(pre[i - 1], factor[i - 1], out=pre[i])
-        np.multiply(suf[-i], factor[-i], out=suf[-i - 1])
-    prefix *= suffix
-    return prefix
+    run = np.empty((len(a), 2) + a.shape[1:])
+    run[0] = 1.0
+    run[1:, 0] = a[:-1]
+    run[1:, 1] = a[:0:-1]
+    out = list(run)
+    for i in range(1, len(out)):
+        np.multiply(out[i - 1], out[i], out=out[i])
+    return run[:, 0] * run[::-1, 1]
 
 
 def _require_ints(config, names: Sequence[str]) -> None:
@@ -264,12 +263,17 @@ class OutputMass:
     @property
     def singleton_masses(self) -> np.ndarray:
         """Masses of the K singletons in class order."""
-        f = self.frame
-        return np.asarray([self.mass.mass(f.singleton(k)) for k in range(f.k)])
+        return np.asarray([self.mass.mass(mask) for mask in self.frame.singletons])
 
     @property
     def ignorance(self) -> float:
         return self.mass.mass(self.frame.full_mask)
+
+
+def _require_finite_features(X: np.ndarray) -> None:
+    # the ufunc reduction skips ndarray.all()'s Python wrapper
+    if not np.logical_and.reduce(np.isfinite(X), axis=None):
+        raise NonFiniteInputError("non-finite feature values")
 
 
 def _as_feature_matrix(x, d_in: int) -> np.ndarray:
@@ -278,8 +282,7 @@ def _as_feature_matrix(x, d_in: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"feature matrix has shape {X.shape}, expected (n, {d_in})"
         )
-    if not np.isfinite(X).all():
-        raise NonFiniteInputError("non-finite feature values")
+    _require_finite_features(X)
     return X
 
 
@@ -303,10 +306,12 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     s = model.alpha[:, None] * e
     cf = model.u[:, :, None] * s[:, None, :]
     cf += (1.0 - s)[:, None, :]
-    prod = cf.prod(axis=0)
+    # ufunc reductions along axis 0 skip ndarray.prod()'s and .sum()'s
+    # Python wrappers, and give their bits
+    prod = np.multiply.reduce(cf)
     a, b_prod = prod[:k], prod[k]
-    n_norm = a.sum(axis=0) - (k - 1) * b_prod
-    if (n_norm <= TOTAL_CONFLICT_FLOOR).any():
+    n_norm = np.add.reduce(a) - (k - 1) * b_prod
+    if np.logical_or.reduce(n_norm <= TOTAL_CONFLICT_FLOOR):  # False on NaN, as any() is
         raise TotalConflictError("fused normalizer vanished; sources fully conflict")
     m = (a - b_prod) / n_norm
     m_omega = b_prod / n_norm
@@ -335,21 +340,21 @@ def forward_batch(model: EvidentialModel, X) -> tuple[np.ndarray, np.ndarray, np
     return cache["m"].T, cache["m_omega"], cache["pl"].T
 
 
-def _mass_from_rows(frame: Frame, m_row: np.ndarray, m_omega: float) -> MassFunction:
-    masses = {1 << j: value for j, value in enumerate(m_row.tolist())}
-    masses[frame.full_mask] = m_omega
-    return MassFunction(frame, masses)
-
-
 def forward(model: EvidentialModel, x) -> OutputMass:
     """Full forward pass for one input vector."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatchError(f"expected a single vector, got shape {x.shape}")
-    X = _as_feature_matrix(x[None, :], model.config.d_in)
-    cache = _forward_arrays(model, X)
-    mass = _mass_from_rows(model.frame, cache["m"][:, 0], cache["m_omega"].item())
-    return OutputMass(mass=mass, pl=cache["pl"][:, 0], activations=cache["s"][:, 0])
+    d_in = model.config.d_in
+    if x.shape != (d_in,):
+        if x.ndim != 1:
+            raise DimensionMismatchError(f"expected a single vector, got shape {x.shape}")
+        raise DimensionMismatchError(f"expected a vector of {d_in} features, got shape {x.shape}")
+    _require_finite_features(x)
+    cache = _forward_arrays(model, x[None, :])
+    frame = model.frame
+    masses = dict(zip(frame.singletons, cache["m"].ravel().tolist()))
+    masses[frame.full_mask] = cache["m_omega"].item()
+    return OutputMass(mass=MassFunction(frame, masses), pl=cache["pl"].ravel(),
+                      activations=cache["s"].ravel())
 
 
 def decide(pl):
@@ -379,8 +384,7 @@ def kmeans_init(features, r: int, seed: int) -> np.ndarray:
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatchError(f"features must be a matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteInputError("non-finite feature values")
+    _require_finite_features(X)
     if r < 1:
         raise ValueError("need at least one cluster")
     n = X.shape[0]
@@ -392,21 +396,22 @@ def kmeans_init(features, r: int, seed: int) -> np.ndarray:
     for _ in range(KMEANS_MAX_ITER):
         d2 = _sq_dists(X, centers)
         new_assign = d2.argmin(axis=1)
+        counts = np.bincount(new_assign, minlength=r).tolist()
         for j in range(r):
-            if not np.any(new_assign == j):
+            if not counts[j]:  # in index order, against the current assignment
                 far = int(d2[:, j].argmax())
                 centers[j] = X[far]
                 d2[:, j] = _sq_dists(X, centers[j : j + 1])[:, 0]
                 new_assign = d2.argmin(axis=1)
+                counts = np.bincount(new_assign, minlength=r).tolist()
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        centers = np.stack(
-            [
-                X[assign == j].mean(axis=0) if np.any(assign == j) else centers[j]
-                for j in range(r)
-            ]
-        )
+        # each cluster's rows, in row order, are one slice of a stable sort
+        grouped = X[np.argsort(assign, kind="stable")]
+        stops = np.cumsum(counts).tolist()
+        centers = np.stack([grouped[stop - count:stop].mean(axis=0) if count else centers[j]
+                            for j, (count, stop) in enumerate(zip(counts, stops))])
     return centers
 
 

@@ -6,7 +6,8 @@ these are slow, obviously-correct baselines that the library's
 optimized code is checked against. A few keep an earlier array form of
 a rewritten kernel (the masked sigmoid, distances through the
 difference tensor, the fusion's two separate products and its
-leave-one-out product through moveaxis, Adam block by block) as the
+leave-one-out product through moveaxis, Adam block by block, k-means
+with its per-cluster loops) as the
 reference the new form must match, as does the feature-CSV writer
 that went through csv.writer. The belief layer's mask check, mass
 validation, Dempster's rule, bel, pl and conflict are kept as they were
@@ -19,7 +20,7 @@ stated number of ulps. They share no code with the package beyond
 building and reading mass values through mass_new(), combine_all()
 (itself checked against brute_combine) and MassFunction.mass(), raising
 the package's error classes, the model's block layout (_blocks), and the
-Adam, sum-tolerance and total-conflict constants.
+Adam, k-means round limit, sum-tolerance and total-conflict constants.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from evidnet.belief import (
     combine_all,
     mass_new,
 )
-from evidnet.model import TOTAL_CONFLICT_FLOOR, _blocks
+from evidnet.model import KMEANS_MAX_ITER, TOTAL_CONFLICT_FLOOR, _blocks
 from evidnet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from evidnet.errors import (
     EmptyFileError,
@@ -235,6 +236,31 @@ def gemm_sq_dists(z: np.ndarray, c: np.ndarray) -> np.ndarray:
     d2 += np.einsum("nh,nh->n", z, z)[:, None]
     d2 += np.einsum("ih,ih->i", c, c)
     return np.maximum(d2, 0.0, out=d2)
+
+
+def reference_kmeans_init(X: np.ndarray, r: int, seed: int) -> np.ndarray:
+    """kmeans_init on valid input with its per-cluster loops: each
+    cluster's emptiness found by comparing the whole assignment with its
+    index, in index order, and its mean taken over a boolean-mask gather."""
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = X[rng.choice(n, size=r, replace=False)].copy()
+    assign = None
+    for _ in range(KMEANS_MAX_ITER):
+        d2 = gemm_sq_dists(X, centers)
+        new_assign = d2.argmin(axis=1)
+        for j in range(r):
+            if not np.any(new_assign == j):
+                far = int(d2[:, j].argmax())
+                centers[j] = X[far]
+                d2[:, j] = gemm_sq_dists(X, centers[j : j + 1])[:, 0]
+                new_assign = d2.argmin(axis=1)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        centers = np.stack([X[assign == j].mean(axis=0) if np.any(assign == j) else centers[j]
+                            for j in range(r)])
+    return centers
 
 
 def reference_forward_arrays(model, X: np.ndarray) -> dict:

@@ -378,7 +378,8 @@ BAD_MASKS = st.sampled_from([-1, True, False, 1.0, np.int64(1), "1"])
 def assignments(draw, frame):
     """A {mask: mass} table over frame: normalized focal sets, then maybe one
     corruption (a bad or out-of-range mask, a NaN, negative, empty-set or
-    zero mass, or a total off by more than the tolerance)."""
+    zero mass, or a total off by more than the tolerance), its masses
+    maybe numpy floats."""
     masks = draw(st.lists(st.integers(1, frame.full_mask), min_size=1, max_size=6,
                           unique=True))
     raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(masks), max_size=len(masks)))
@@ -404,6 +405,9 @@ def assignments(draw, frame):
     elif kind == "unnormalized":
         table = {mask: v * draw(st.sampled_from([0.5, 1.0 + 1e-6, 2.0]))
                  for mask, v in table.items()}
+    # a numpy float is a float subclass, and is stored as a plain float
+    if draw(st.booleans()):
+        table = {mask: np.float64(v) for mask, v in table.items()}
     return table
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -419,6 +420,23 @@ def test_late_anomaly_is_walked_from_its_chunk_on(tmp_path, monkeypatch):
     assert walked[0][0] != "f0" and walked[-1][-1] == ds.class_names[labels[-1]]
 
 
+# mantissa widths of the pass's wide type: the double, and this host's
+# long double where it is wider
+WIDTHS = sorted({53, dataio._WIDE_BITS})
+
+
+@contextlib.contextmanager
+def _wide_type(bits):
+    """dataio's decimal pass run through the wide type of a bits-bit
+    mantissa, as on a host whose long double has that width."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_WIDE_BITS", bits)
+        for name, value in zip(("_WIDE", "_MAX_SCALE", "_MAX_MANTISSA", "_POW10"),
+                               dataio._wide_constants(bits)):
+            mp.setattr(dataio, name, value)
+        yield
+
+
 def _decimal(cells):
     """dataio's exact decimal pass over cells: their values, and the mask
     of cells whose value it gives."""
@@ -482,10 +500,13 @@ MIDPOINTS = ["9007199254740993", "9007199254740992", "9007199254740994",
           "0.000123456789012345678", "1234567890123456789", "12345678901234567890",
           "-0.0", "0", "5.", ".5", "+1"])
 def test_decimal_pass_gives_float_bit_for_bit(cells):
-    values, exact = _decimal(cells)
-    for cell, value, taken in zip(cells, values.tolist(), exact.tolist()):
-        if taken:
-            assert np.float64(value).tobytes() == np.float64(float(cell)).tobytes(), cell
+    for bits in WIDTHS:
+        with _wide_type(bits):
+            values, exact = _decimal(cells)
+        for cell, value, taken in zip(cells, values.tolist(), exact.tolist()):
+            if taken:
+                want = np.float64(float(cell)).tobytes()
+                assert np.float64(value).tobytes() == want, (bits, cell)
 
 
 def test_decimal_pass_takes_plain_cells_and_leaves_the_rest():
@@ -494,16 +515,19 @@ def test_decimal_pass_takes_plain_cells_and_leaves_the_rest():
     # taken where M up to 10**19 and 10**27 are exact in the wide type
     wide = ["%.18e" % 0.1, "%.18e" % -7e-9, repr(-1.2345678901234567e-05),
             "0.000123456789012345678", "1234567890123456789", "100000000000000007",
-            "100000000000000009", "1e-27", "1e27"]
+            "100000000000000009", "1e-23", "3e23", "1e-27", "1e27"]
     left = ["+1", " 2.5", "2.5 ", "1_000", "１", "inf", "nan", "", "-", ".", "e5",
             "1e", "1e+", "1.2.3", "1e5e5", "--1", "1-", "1e1234", "1.5e-5.5",
             "12345678901234567890", "9007199254740993", "100000000000000008",
             "1e-28", "1e28", "5e-324", "1.7e308", "0" * 30 + "1"] + DOUBLE_ROUNDING
-    values, exact = _decimal(taken + wide + left)
-    long_double = dataio._WIDE_BITS > 53
-    assert exact.tolist() == [True] * len(taken) + [long_double] * len(wide) + [False] * len(left)
-    n = len(taken) + len(wide) * long_double
-    assert values[:n].tobytes() == np.array([float(c) for c in (taken + wide)[:n]]).tobytes()
+    for bits in WIDTHS:
+        with _wide_type(bits):
+            values, exact = _decimal(taken + wide + left)
+        long_double = bits > 53
+        assert exact.tolist() == ([True] * len(taken) + [long_double] * len(wide)
+                                  + [False] * len(left))
+        n = len(taken) + len(wide) * long_double
+        assert values[:n].tobytes() == np.array([float(c) for c in (taken + wide)[:n]]).tobytes()
 
 
 def test_unreadable_csv_names_the_file(tmp_path):

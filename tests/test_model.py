@@ -314,14 +314,32 @@ def test_forward_output_is_normalized_mass():
 
 def test_forward_input_validation():
     m = tiny_model()
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^expected a vector of 2 features, got shape \(5,\)$"):
         forward(m, np.zeros(5))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^expected a single vector, got shape \(2, 2\)$"):
         forward(m, np.zeros((2, 2)))
-    with pytest.raises(NonFiniteInputError):
+    with pytest.raises(NonFiniteInputError, match="^non-finite feature values$"):
         forward(m, np.array([np.nan, 0.0]))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^feature matrix has shape \(3, 5\), expected \(n, 2\)$"):
         forward_batch(m, np.zeros((3, 5)))
+
+
+def test_forward_reads_one_kernel_column():
+    rng = np.random.default_rng(44)
+    for _ in range(30):
+        model = random_wide_model(rng)
+        x = rng.uniform(-4, 4, model.config.d_in)
+        out = forward(model, x)
+        cache = _forward_arrays(model, x[None, :])
+        masks = [1 << j for j in range(model.config.k)] + [(1 << model.config.k) - 1]
+        values = cache["m"][:, 0].tolist() + [cache["m_omega"][0].item()]
+        # masses keep the kernel's bits, singletons first in class order
+        assert list(out.mass.masses.items()) == [(q, v) for q, v in zip(masks, values) if v > 0]
+        assert out.pl.tobytes() == cache["pl"][:, 0].tobytes()
+        assert out.activations.tobytes() == cache["s"][:, 0].tobytes()
 
 
 def test_forward_three_classes():
@@ -375,6 +393,28 @@ def test_kmeans_validation():
         kmeans_init(np.zeros(4), 1, 0)
     with pytest.raises(NonFiniteInputError):
         kmeans_init(np.array([[np.nan, 0.0]]), 1, 0)
+
+
+def kmeans_rows(rng, n, h, kind):
+    """n rows of h features: spread, drawn from a few distinct rows (so
+    clusters empty and are re-seeded), or half of their entries -0.0."""
+    if kind == "spread":
+        return rng.standard_normal((n, h))
+    if kind == "duplicates":
+        pool = rng.integers(-2, 3, (int(rng.integers(1, 4)), h)) * 0.5
+        return pool[rng.integers(0, len(pool), n)]
+    return np.where(rng.random((n, h)) < 0.5, -0.0, rng.standard_normal((n, h)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 8), st.one_of(st.just(0), st.integers(1, 60)), st.integers(1, 5),
+       st.integers(0, 2**32 - 1), st.sampled_from(["spread", "duplicates", "signed_zeros"]))
+@example(2, 9, 2, 0, "duplicates")
+@example(4, 0, 3, 1, "duplicates")
+def test_kmeans_matches_loop_form(r, extra, h, seed, kind):
+    X = kmeans_rows(np.random.default_rng(seed), r + extra, h, kind)
+    want = oracles.reference_kmeans_init(X, r, seed)
+    assert kmeans_init(X, r, seed).tobytes() == want.tobytes()
 
 
 def separated_labeled_blobs(n=40, seed=2):
