@@ -365,12 +365,11 @@ def _chunk_rows(chunk: bytes, d: int):
     padded = _PAD + chunk + bytes(8)
     a = np.frombuffer(padded, dtype=np.uint8)
     cuts = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
-    rows = chunk.count(b"\n")
-    if cuts.size != rows * (d + 1) or not (a[cuts[d::d + 1]] == ord("\n")).all():
+    nl = a[cuts] == ord("\n")  # every LF is a cut; the padding holds no comma or LF
+    rows = np.count_nonzero(nl)
+    if cuts.size != rows * (d + 1) or not nl[d::d + 1].all():
         raise _NotPlain
-    starts = np.empty_like(cuts)
-    starts[0] = _WINDOW
-    starts[1:] = cuts[:-1] + 1
+    starts = np.concatenate(([_WINDOW], cuts[:-1] + 1))
     starts, ends = starts.reshape(rows, d + 1), cuts.reshape(rows, d + 1)
     cell_starts, cell_ends = starts[:, :d].ravel(), ends[:, :d].ravel()
     values, exact = _decimal_cells(padded, cell_starts, cell_ends)

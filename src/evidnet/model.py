@@ -10,8 +10,9 @@ computed in closed form for this singleton-plus-ignorance family, and the
 decision picks the class of maximum plausibility.
 
 The batched kernel keeps its arrays prototype-major with the batch axis
-last, so every product over prototypes multiplies whole contiguous blocks
-of one (r, K+1, n) array of per-class and ignorance factors.
+last: every product over prototypes multiplies whole contiguous blocks of
+one (r, K+1, n) array of per-class and ignorance factors, and the fused
+masses are one (K+1, n) array, normalized by one division.
 
 Constrained quantities are re-expressed through unconstrained parameters
 so the optimizer never projects: alpha_i = sigmoid(xi_i), gamma_i =
@@ -59,19 +60,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _sq_norms(a: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row of a matrix."""
-    return np.einsum("ih,ih->i", a, a)
-
-
 def _sq_dists(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None) -> np.ndarray:
     """Squared distances ||a_i - b_j||^2 as a (len(a), len(b)) matrix, by
     the GEMM expansion ||a||^2 - 2 a b^T + ||b||^2, floored at 0 where it
-    cancels. a_sq is _sq_norms(a), computed here when not given."""
+    cancels. a_sq holds the squared norm of each row of a, computed here
+    when not given."""
     d2 = a @ b.T
     d2 *= -2.0
-    d2 += (_sq_norms(a) if a_sq is None else a_sq)[:, None]
-    d2 += _sq_norms(b)
+    d2 += (np.vecdot(a, a) if a_sq is None else a_sq)[:, None]
+    d2 += np.vecdot(b, b)
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -230,7 +227,7 @@ class EvidentialModel:
                 "gamma": self.eta**2,
                 "u": u,
                 "omu": 1.0 - u,
-                "c_sq": _sq_norms(self.centers),
+                "c_sq": np.vecdot(self.centers, self.centers),
                 "beta_sq_sum": ssum,
             }
         for value in constants.values():
@@ -289,14 +286,17 @@ def _as_feature_matrix(x, d_in: int) -> np.ndarray:
 def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     """Vectorized forward pass over a batch; returns all intermediates.
 
-    Keys: x, z, d2, e, s, cf, a, b_prod, n, m, m_omega, pl. x and z are
+    Keys: x, z, d2, e, s, cf, prod, n, mass, m, m_omega, pl. x and z are
     (n, ...); every other array has the batch axis last: d2, e and s are
-    (r, n), a, m and pl are (K, n), and b_prod, n and m_omega are (n,).
+    (r, n), prod and mass (K+1, n), m and pl (K, n), n and m_omega (n,).
     cf is (r, K+1, n): cf[i, k] = u_ik s_i + (1 - s_i) is prototype i's
     factor for class k, and row K, the same rule with u = 0, is its
     ignorance factor 1 - s_i. One product over prototypes, over whole
-    contiguous (K+1, n) blocks, gives a (its first K rows) and b_prod
-    (row K). alpha, gamma and u are the model's own constants.
+    contiguous (K+1, n) blocks, gives the class products a_k and the
+    ignorance product b, stored in prod as a_k - b (first K rows) and b
+    (row K): non-negative terms whose sum is the normalizer n, so no term
+    cancels another. mass = prod / n stacks the singleton masses m on the
+    ignorance mass m_omega. alpha, gamma and u are the model's constants.
     """
     k = model.config.k
     z = X @ model.w.T + model.b
@@ -309,13 +309,13 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     # ufunc reductions along axis 0 skip ndarray.prod()'s and .sum()'s
     # Python wrappers, and give their bits
     prod = np.multiply.reduce(cf)
-    a, b_prod = prod[:k], prod[k]
-    n_norm = np.add.reduce(a) - (k - 1) * b_prod
-    if np.logical_or.reduce(n_norm <= TOTAL_CONFLICT_FLOOR):  # False on NaN, as any() is
+    prod[:k] -= prod[k]
+    n_norm = np.add.reduce(prod)
+    # fmin skips NaN rows; the initial inf lets an empty batch through
+    if np.fmin.reduce(n_norm, axis=None, initial=np.inf) <= TOTAL_CONFLICT_FLOOR:
         raise TotalConflictError("fused normalizer vanished; sources fully conflict")
-    m = (a - b_prod) / n_norm
-    m_omega = b_prod / n_norm
-    pl = m + m_omega
+    mass = prod / n_norm
+    m, m_omega = mass[:k], mass[k]
     return {
         "x": X,
         "z": z,
@@ -323,12 +323,12 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
         "e": e,
         "s": s,
         "cf": cf,
-        "a": a,
-        "b_prod": b_prod,
+        "prod": prod,
         "n": n_norm,
+        "mass": mass,
         "m": m,
         "m_omega": m_omega,
-        "pl": pl,
+        "pl": m + m_omega,
     }
 
 
@@ -351,8 +351,7 @@ def forward(model: EvidentialModel, x) -> OutputMass:
     _require_finite_features(x)
     cache = _forward_arrays(model, x[None, :])
     frame = model.frame
-    masses = dict(zip(frame.singletons, cache["m"].ravel().tolist()))
-    masses[frame.full_mask] = cache["m_omega"].item()
+    masses = dict(zip(frame.singletons + (frame.full_mask,), cache["mass"].ravel().tolist()))
     return OutputMass(mass=MassFunction(frame, masses), pl=cache["pl"].ravel(),
                       activations=cache["s"].ravel())
 

@@ -15,10 +15,11 @@ Gradients are hand-derived for every parameter block and checked against
 central finite differences (grad_check). The forward pass forms the K
 class products and the ignorance product of the fusion as one product
 over prototypes of an (r, K+1, n) factor array whose row K is 1 - s_i;
-the loss terms read the masses in the same class-major (K, n) order. The
-backward pass takes one leave-one-out product of that array rather than
-dividing by a factor, so saturated activations (s_i = 1, zero factors)
-stay exact, and pulls it back to s_i with the model constant 1 - u.
+the loss terms read the masses in the same class-major order and write
+their pull on them into one (K+1, n) array. The backward pass takes one
+leave-one-out product of the factors rather than dividing by one, so
+saturated activations (s_i = 1, zero factors) stay exact, and pulls it
+back to s_i with the model constant 1 - u.
 """
 
 from __future__ import annotations
@@ -199,8 +200,9 @@ def _loss_and_grads(
     m = cache["m"]  # (K, n), as pl
     n_lab = y.shape[0]
     labeled = y, np.arange(n_lab)  # (class, row) cell of each target
-    gm = np.zeros((k, x_all.shape[0]))
-    gmo = np.zeros(x_all.shape[0])
+    # dLoss/d(mass): rows gm (singleton masses) and gmo (ignorance mass)
+    gmass = np.zeros((k + 1, x_all.shape[0]))
+    gm, gmo = gmass[:k], gmass[k]
 
     sup = 0.0
     if n_lab:
@@ -213,7 +215,7 @@ def _loss_and_grads(
         else:
             resid = cache["pl"][:, :n_lab].copy()
             resid[labeled] -= 1.0
-            sup = float(np.einsum("kn,kn->", resid, resid)) / n_lab
+            sup = float(np.vecdot(resid.ravel(), resid.ravel())) / n_lab
             if want_grads:
                 gpl = np.multiply(resid, 2.0 / n_lab, out=gm[:, :n_lab])
                 gpl.sum(axis=0, out=gmo[:n_lab])
@@ -222,7 +224,7 @@ def _loss_and_grads(
     if n_unl:
         base = m[:, n_lab : n_lab + n_unl]
         dif = m[:, n_lab + n_unl :].reshape(k, n_unl, -1) - base[:, :, None]
-        cons = float(np.einsum("kut,kut->", dif, dif)) / n_unl
+        cons = float(np.vecdot(dif.ravel(), dif.ravel())) / n_unl
         if want_grads and cfg.consistency_weight:
             dif *= 2.0 * cfg.consistency_weight / n_unl
             gm[:, n_lab + n_unl :] = dif.reshape(k, -1)
@@ -231,47 +233,46 @@ def _loss_and_grads(
     loss = sup + cfg.consistency_weight * cons + cfg.lam * float(model.alpha.sum())
     if not want_grads:
         return loss, None
-    return loss, _backward_arrays(model, cache, gm, gmo, cfg.lam)
+    return loss, _backward_arrays(model, cache, gmass, cfg.lam)
 
 
 def _backward_arrays(
-    model: EvidentialModel, cache: dict, gm: np.ndarray, gmo: np.ndarray, lam: float
+    model: EvidentialModel, cache: dict, gmass: np.ndarray, lam: float
 ) -> np.ndarray:
     """Chain rule from upstream mass gradients down to every parameter.
 
-    gm (K, n) is dLoss/d(singleton masses), gmo (n,) is dLoss/d(ignorance
-    mass), per batch row. The normalizer's quotient rule folds into a
-    single shared scalar per row; one leave-one-out product over the
-    (r, K+1, n) factor array replaces division through the fused products,
-    so zero factors cannot poison the result. Returns the gradient as one
-    vector laid out like model.theta.
+    gmass (K+1, n) is dLoss/d(mass) per batch row, singleton masses then
+    ignorance. The quotient rule through mass = prod / n folds into one
+    shared scalar per row; one leave-one-out product over the (r, K+1, n)
+    factor array replaces division through the fused products, so zero
+    factors cannot poison the result. Returns the gradient as one vector
+    laid out like model.theta.
     """
     k = model.config.k
-    m, mo, norm, cf = cache["m"], cache["m_omega"], cache["n"], cache["cf"]
+    mass, norm, cf = cache["mass"], cache["n"], cache["cf"]
     s, e, d2 = cache["s"], cache["e"], cache["d2"]
     alpha, z, x = model.alpha, cache["z"], cache["x"]
     grad = np.empty_like(model.theta)
     out = _blocks(model.config, grad)
 
-    # g = [ga; gb]: the pull on each class product a_k, then on b_prod
-    g = np.empty((k + 1, x.shape[0]))
-    shared = np.einsum("kn,kn->n", gm, m) + gmo * mo
-    np.divide(gm - shared, norm, out=g[:k])
-    g[k] = (gmo - gm.sum(axis=0) + (k - 1) * shared) / norm
+    # the pull on each row of prod, (a_k - b; b), then on each product:
+    # b also enters every a_k - b, so row K takes minus the class rows' sum
+    g = gmass - np.add.reduce(gmass * mass)
+    g /= norm
+    g[k] -= np.add.reduce(g[:k])
 
     # the pull on each factor, row K being the pull on 1 - s, in a new
-    # C-contiguous array: einsum picks its summation order from its
-    # operands' memory layout, and the gradient's last bits, so the bytes
-    # of trained model files, follow that order
+    # C-contiguous array, so each contraction's summation order is fixed
+    # and so are the gradient's last bits and the bytes of trained models
     gcf = _exclusive_prod(cf)
     gcf *= g
-    gu = np.einsum("ikn,in->ik", gcf[:, :k], s)
+    gu = np.vecdot(gcf[:, :k], s[:, None, :])
     # a factor u s + (1 - s) has slope -(1 - u) in s: p is minus the pull on s
-    p = np.einsum("ikn,ik->in", gcf, model.omu)
+    p = np.matmul(model.omu[:, None, :], gcf)[:, 0]
 
-    out["xi"][:] = (lam - np.einsum("in,in->i", p, e)) * alpha * (1.0 - alpha)
+    out["xi"][:] = (lam - np.vecdot(p, e)) * alpha * (1.0 - alpha)
     p *= s  # minus the pull on ln s = ln alpha - gamma d2
-    out["eta"][:] = 2.0 * model.eta * np.einsum("in,in->i", p, d2)
+    out["eta"][:] = 2.0 * model.eta * np.vecdot(p, d2)
     # the pull on d2, gamma p, doubled: d2 = |z|^2 - 2 z c^T + |c|^2, so its
     # pull on z and on each center is two matrix products, never an
     # (n, r, h) tensor
@@ -281,9 +282,8 @@ def _backward_arrays(
     np.matmul(gz.T, x, out=out["w"])
     gz.sum(axis=0, out=out["b"])
 
-    u = model.u[:, :k]
     out["beta"][:] = 2.0 * model.beta / model.beta_sq_sum[:, None] * (
-        gu - np.einsum("ik,ik->i", gu, u)[:, None])
+        gu - np.vecdot(gu, model.u[:, :k])[:, None])
     return grad
 
 

@@ -14,8 +14,9 @@ validation, Dempster's rule, bel, pl and conflict are kept as they were
 before the frame stored its size and full mask, so their output bits and
 their errors stay pinned. The forward and backward kernels are kept
 whole with their constants derived on every call, so the bits of every
-intermediate and of the gradient stay pinned, and so is the batch-major
-kernel that preceded them, which the kernel must agree with to within a
+intermediate and of the gradient stay pinned, and so is the kernel that
+preceded them (contractions by einsum, the normalizer as
+sum_k a_k - (K - 1) b), which the kernel must agree with to within a
 stated number of ulps. They share no code with the package beyond
 building and reading mass values through mass_new(), combine_all()
 (itself checked against brute_combine) and MassFunction.mass(), raising
@@ -233,8 +234,8 @@ def gemm_sq_dists(z: np.ndarray, c: np.ndarray) -> np.ndarray:
     here, floored at 0."""
     d2 = z @ c.T
     d2 *= -2.0
-    d2 += np.einsum("nh,nh->n", z, z)[:, None]
-    d2 += np.einsum("ih,ih->i", c, c)
+    d2 += np.vecdot(z, z)[:, None]
+    d2 += np.vecdot(c, c)
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -267,6 +268,89 @@ def reference_forward_arrays(model, X: np.ndarray) -> dict:
     """The batched forward kernel with alpha, gamma, u and 1 - u derived
     from the parameters on every call; same keys and layouts as the
     package's, plus alpha, gamma, u (r, K) and omu (r, K+1)."""
+    k = model.config.k
+    z = X @ model.w.T + model.b
+    c = model.centers
+    d2 = c @ z.T
+    d2 *= -2.0
+    d2 += np.vecdot(c, c)[:, None]
+    d2 += np.vecdot(z, z)
+    np.maximum(d2, 0.0, out=d2)
+    alpha = masked_sigmoid(model.xi)
+    gamma = model.eta**2
+    e = np.exp(d2 * -gamma[:, None])
+    s = alpha[:, None] * e
+    u = np.zeros((model.config.r, k + 1))
+    bsq = model.beta**2
+    np.divide(bsq, bsq.sum(axis=1)[:, None], out=u[:, :k])
+    omu = 1.0 - u
+    cf = u[:, :, None] * s[:, None, :] + (1.0 - s)[:, None, :]
+    prod = cf.prod(axis=0)
+    prod[:k] = prod[:k] - prod[k]
+    n_norm = prod.sum(axis=0)
+    if (n_norm <= TOTAL_CONFLICT_FLOOR).any():
+        raise TotalConflictError("fused normalizer vanished; sources fully conflict")
+    mass = prod / n_norm
+    return {
+        "x": X,
+        "z": z,
+        "d2": d2,
+        "alpha": alpha,
+        "gamma": gamma,
+        "e": e,
+        "s": s,
+        "u": u[:, :k],
+        "omu": omu,
+        "cf": cf,
+        "prod": prod,
+        "n": n_norm,
+        "mass": mass,
+        "m": mass[:k],
+        "m_omega": mass[k],
+        "pl": mass[:k] + mass[k],
+    }
+
+
+def reference_backward_arrays(model, cache: dict, gmass, lam: float) -> np.ndarray:
+    """The backward kernel over a reference_forward_arrays cache, with
+    gmass (K+1, n), the leave-one-out product through moveaxis and the
+    beta row sums derived here; returns the gradient laid out like
+    model.theta."""
+    k = model.config.k
+    mass, norm, cf = cache["mass"], cache["n"], cache["cf"]
+    u, omu, s, e, d2 = cache["u"], cache["omu"], cache["s"], cache["e"], cache["d2"]
+    alpha, gamma = cache["alpha"], cache["gamma"]
+    z, x = cache["z"], cache["x"]
+    grad = np.empty_like(model.theta)
+    out = _blocks(model.config, grad)
+
+    g = (gmass - (gmass * mass).sum(axis=0)) / norm
+    g[k] = g[k] - g[:k].sum(axis=0)
+
+    gcf = np.multiply(moveaxis_exclusive_prod(cf, 0), g, out=np.empty(cf.shape))
+    gu = np.vecdot(gcf[:, :k], s[:, None, :])
+    p = np.matmul(omu[:, None, :], gcf)[:, 0]
+
+    out["xi"][:] = (lam - np.vecdot(p, e)) * alpha * (1.0 - alpha)
+    p = p * s
+    out["eta"][:] = 2.0 * model.eta * np.vecdot(p, d2)
+    gd2 = p * (2.0 * gamma[:, None])
+    gz = gd2.sum(axis=0)[:, None] * z - gd2.T @ model.centers
+    out["centers"][:] = gd2.sum(axis=1)[:, None] * model.centers - gd2 @ z
+    np.matmul(gz.T, x, out=out["w"])
+    gz.sum(axis=0, out=out["b"])
+
+    ssum = (model.beta**2).sum(axis=1)
+    out["beta"][:] = 2.0 * model.beta / ssum[:, None] * (gu - np.vecdot(gu, u)[:, None])
+    return grad
+
+
+def previous_forward_arrays(model, X: np.ndarray) -> dict:
+    """The batched forward kernel as it was before its contractions left
+    einsum and its normalizer became a sum of non-negative terms, with
+    alpha, gamma, u and 1 - u derived from the parameters on every call:
+    the keys x, z, d2, e, s, cf, a, b_prod, n, m, m_omega and pl, in the
+    package's layouts, plus alpha, gamma, u (r, K) and omu (r, K+1)."""
     k = model.config.k
     z = X @ model.w.T + model.b
     c = model.centers
@@ -311,10 +395,11 @@ def reference_forward_arrays(model, X: np.ndarray) -> dict:
     }
 
 
-def reference_backward_arrays(model, cache: dict, gm, gmo, lam: float) -> np.ndarray:
-    """The backward kernel over a reference_forward_arrays cache, with gm
-    (K, n), the leave-one-out product through moveaxis and the beta row
-    sums derived here; returns the gradient laid out like model.theta."""
+def previous_backward_arrays(model, cache: dict, gm, gmo, lam: float) -> np.ndarray:
+    """The backward kernel as it was before its contractions left einsum,
+    over a previous_forward_arrays cache, with gm (K, n), gmo (n,), the
+    leave-one-out product through moveaxis and the beta row sums derived
+    here; returns the gradient laid out like model.theta."""
     k = model.config.k
     m, mo, norm, cf = cache["m"], cache["m_omega"], cache["n"], cache["cf"]
     u, omu, s, e, d2 = cache["u"], cache["omu"], cache["s"], cache["e"], cache["d2"]
@@ -344,94 +429,6 @@ def reference_backward_arrays(model, cache: dict, gm, gmo, lam: float) -> np.nda
     ssum = (model.beta**2).sum(axis=1)
     out["beta"][:] = 2.0 * model.beta / ssum[:, None] * (
         gu - np.einsum("ik,ik->i", gu, u)[:, None])
-    return grad
-
-
-def previous_forward_arrays(model, X: np.ndarray) -> dict:
-    """The batched forward kernel as it was before the prototype-major
-    layout, with alpha, gamma and u derived from the parameters on every
-    call: the factors u s + (1 - s) of an (r, K+1, n) array viewed as
-    (n, r, K+1), every other intermediate batch-major (n, ...). Same keys
-    as the package's, plus alpha, gamma and u (r, K)."""
-    k = model.config.k
-    z = X @ model.w.T + model.b
-    d2 = gemm_sq_dists(z, model.centers)
-    alpha = masked_sigmoid(model.xi)
-    gamma = model.eta**2
-    e = np.exp(-gamma[None, :] * d2)
-    s = alpha[None, :] * e
-    u = np.zeros((model.config.r, k + 1))
-    bsq = model.beta**2
-    np.divide(bsq, bsq.sum(axis=1)[:, None], out=u[:, :k])
-    s_t = s.T.copy()
-    cf = u[:, :, None] * s_t[:, None, :]
-    cf += (1.0 - s_t)[:, None, :]
-    prod = np.empty((X.shape[0], k + 1))
-    cf.prod(axis=0, out=prod.T)
-    cf = cf.transpose(2, 0, 1)
-    a, b_prod = prod[:, :k], prod[:, k]
-    n_norm = a.sum(axis=1) - (k - 1) * b_prod
-    if (n_norm <= TOTAL_CONFLICT_FLOOR).any():
-        raise TotalConflictError("fused normalizer vanished; sources fully conflict")
-    m = (a - b_prod[:, None]) / n_norm[:, None]
-    m_omega = b_prod / n_norm
-    pl = m + m_omega[:, None]
-    return {
-        "x": X,
-        "z": z,
-        "d2": d2,
-        "alpha": alpha,
-        "gamma": gamma,
-        "e": e,
-        "s": s,
-        "u": u[:, :k],
-        "cf": cf,
-        "a": a,
-        "b_prod": b_prod,
-        "n": n_norm,
-        "m": m,
-        "m_omega": m_omega,
-        "pl": pl,
-    }
-
-
-def previous_backward_arrays(model, cache: dict, gm, gmo, lam: float) -> np.ndarray:
-    """The backward kernel as it was before the prototype-major layout,
-    over a previous_forward_arrays cache, with gm (n, K) and the beta row
-    sums derived here; returns the gradient laid out like model.theta."""
-    k = model.config.k
-    m, mo, norm, cf = cache["m"], cache["m_omega"], cache["n"], cache["cf"]
-    u, s, e, d2 = cache["u"], cache["s"], cache["e"], cache["d2"]
-    alpha, gamma = cache["alpha"], cache["gamma"]
-    z, x = cache["z"], cache["x"]
-    grad = np.empty_like(model.theta)
-    out = _blocks(model.config, grad)
-
-    g = np.empty((x.shape[0], k + 1))
-    shared = (gm * m).sum(axis=1) + gmo * mo
-    np.divide(gm - shared[:, None], norm[:, None], out=g[:, :k])
-    g[:, k] = (gmo - gm.sum(axis=1) + (k - 1) * shared) / norm
-
-    gcf = np.multiply(moveaxis_exclusive_prod(cf, 1), g[:, None, :], out=np.empty(cf.shape))
-
-    gu = np.einsum("nik,ni->ik", gcf[:, :, :k], s)
-    gs = np.einsum("nik,ik->ni", gcf[:, :, :k], u - 1.0) - gcf[:, :, k]
-
-    ge = gs * alpha[None, :]
-    galpha = (gs * e).sum(axis=0)
-    out["xi"][:] = (galpha + lam) * alpha * (1.0 - alpha)
-
-    ggamma = -(ge * d2 * e).sum(axis=0)
-    out["eta"][:] = 2.0 * model.eta * ggamma
-    gd2 = -ge * gamma[None, :] * e
-
-    gz = 2.0 * (gd2.sum(axis=1)[:, None] * z - gd2 @ model.centers)
-    out["centers"][:] = 2.0 * (gd2.sum(axis=0)[:, None] * model.centers - gd2.T @ z)
-    np.matmul(gz.T, x, out=out["w"])
-    gz.sum(axis=0, out=out["b"])
-
-    ssum = (model.beta**2).sum(axis=1)
-    out["beta"][:] = 2.0 * model.beta / ssum[:, None] * (gu - (gu * u).sum(axis=1)[:, None])
     return grad
 
 

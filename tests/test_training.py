@@ -377,18 +377,19 @@ def kernel_case(k, r, loss_mode, n_lab, n_unl, t, seed, on_center, saturated, ze
 
 
 def kernel_step(model, x, y, n_unl, cfg):
-    """The training step's objective, forward cache, upstream gradients
-    (gm, gmo) and gradient, read through the name the step calls."""
+    """The training step's objective, forward cache, upstream gradient
+    (K+1, n) on the masses and gradient, read through the name the step
+    calls."""
     seen = {}
     backward = evidnet.training._backward_arrays
 
-    def spy(model, cache, gm, gmo, lam):
-        seen.update(cache=cache, gm=gm, gmo=gmo)
-        return backward(model, cache, gm, gmo, lam)
+    def spy(model, cache, gmass, lam):
+        seen.update(cache=cache, gmass=gmass)
+        return backward(model, cache, gmass, lam)
 
     with mock.patch.object(evidnet.training, "_backward_arrays", spy):
         loss, grad = evidnet.training._loss_and_grads(model, x, y, n_unl, cfg, want_grads=True)
-    return loss, seen["cache"], seen["gm"], seen["gmo"], grad
+    return loss, seen["cache"], seen["gmass"], grad
 
 
 @settings(deadline=None, max_examples=200)
@@ -415,25 +416,27 @@ def test_kernel_matches_reference_kernel_bit_for_bit(args):
         assert model.gamma.tobytes() == want["gamma"].tobytes()
         assert model.u[:, :k].tobytes() == want["u"].tobytes()
         assert model.omu.tobytes() == want["omu"].tobytes()
-        _, _, gm, gmo, grad = kernel_step(model, x, y, n_unl, cfg)
-        ref = oracles.reference_backward_arrays(model, want, gm, gmo, cfg.lam)
+        _, _, gmass, grad = kernel_step(model, x, y, n_unl, cfg)
+        ref = oracles.reference_backward_arrays(model, want, gmass, cfg.lam)
     assert grad.tobytes() == ref.tobytes()
 
 
-# The kernel against the previous, batch-major kernel kept in oracles, layer
-# by layer on the same inputs: the forward pass on the same rows, the
-# backward pass on the same forward arrays and upstream gradients. Each
-# forward array agrees within PREVIOUS_KERNEL_ULPS units of eps times its
-# largest |value|, or times 1 for the arrays valued in [0, 1] (UNIT_BLOCKS),
-# whose last bits are absolute rounding however small the values; each
-# gradient block within as many units of eps times the largest |value| of
-# the gradient and of the upstream gradients, since the backward pass is
-# linear in them and a block such as the centers' is a difference of terms
-# of their size. Worst readings seen over 16000 cases: 57 (w, a sum over rows
-# of a difference of terms), 32 in a forward array (the normalizer at K = 14,
-# a sum of 14 products less 13 times a product of about their size).
+# The kernel against the previous kernel kept in oracles (contractions by
+# einsum, the normalizer as sum_k a_k - (K - 1) b), layer by layer on the
+# same inputs: the forward pass on the same rows, the backward pass on the
+# same forward arrays and upstream gradients. Each forward array agrees
+# within PREVIOUS_KERNEL_ULPS units of eps times its largest |value|, or
+# times 1 for the arrays valued in [0, 1] (UNIT_BLOCKS), whose last bits are
+# absolute rounding however small the values, or, for d2, times the largest
+# squared norms it is expanded from; each gradient block within as many
+# units of eps times the largest |value| of the gradient and of the upstream
+# gradients, since the backward pass is linear in them and a block such as
+# the centers' is a difference of terms of their size. Worst readings seen
+# over 45000 cases: 34.5 (e: exp turns the last bit of d2 into up to
+# gamma (|z|^2 + |c|^2) ulps), 33 (pl), 32 (m), 25.5 (n, whose previous form
+# loses about K ulps to cancellation), 24.5 (eta), 23 (w).
 PREVIOUS_KERNEL_ULPS = 256.0
-UNIT_BLOCKS = {"e", "s", "cf", "a", "b_prod", "n", "m", "m_omega", "pl"}
+UNIT_BLOCKS = {"e", "s", "cf", "n", "m", "m_omega", "pl"}
 
 
 def ulp_reading(got, want, scale=None) -> float:
@@ -463,16 +466,16 @@ def ulps_from_previous_kernel(model, x, y, n_unl, cfg) -> float:
             with pytest.raises(TotalConflictError):
                 evidnet.training._loss_and_grads(model, x, y, n_unl, cfg, want_grads=True)
             return 0.0
-        _, new, gm, gmo, grad = kernel_step(model, x, y, n_unl, cfg)
-        # the kernel's arrays in the previous kernel's batch-major layouts
-        batch_major = {"d2": (1, 0), "e": (1, 0), "s": (1, 0), "cf": (2, 0, 1), "a": (1, 0),
-                       "m": (1, 0), "pl": (1, 0)}
-        seen = {key: value.transpose(batch_major[key]) if key in batch_major else value
-                for key, value in new.items()}
-        old_grad = oracles.previous_backward_arrays(model, {**old, **seen}, gm.T, gmo, cfg.lam)
-    readings = [ulp_reading(value, old[key], 1.0 if key in UNIT_BLOCKS else None)
-                for key, value in seen.items()]
-    finite = [v[np.isfinite(v)] for v in (old_grad, gm, gmo)]
+        _, new, gmass, grad = kernel_step(model, x, y, n_unl, cfg)
+        k = model.config.k
+        old_grad = oracles.previous_backward_arrays(
+            model, {**old, **new}, gmass[:k], gmass[k], cfg.lam)
+        # d2's last bits are rounding of the squared norms it is expanded from
+        norms = np.vecdot(new["z"], new["z"]).max() + model.c_sq.max()
+    readings = [ulp_reading(value, old[key], 1.0 if key in UNIT_BLOCKS else
+                            norms if key == "d2" else None)
+                for key, value in new.items() if key in old]
+    finite = [v[np.isfinite(v)] for v in (old_grad, gmass)]
     scale = max(np.abs(v).max(initial=0.0) for v in finite)
     blocks, old_blocks = _blocks(model.config, grad), _blocks(model.config, old_grad)
     readings += [ulp_reading(blocks[name], old_blocks[name], scale) for name in PARAM_FIELDS]
@@ -482,6 +485,10 @@ def ulps_from_previous_kernel(model, x, y, n_unl, cfg) -> float:
 @settings(deadline=None, max_examples=300)
 @given(KERNEL_CASES)
 def test_kernel_within_ulps_of_previous_kernel(args):
+    # gamma = inf on a row at its prototype makes e NaN where d2 rounds to
+    # exactly 0 and 0 where it rounds to a tiny positive value, so which one
+    # depends on d2's last bit, which the two kernels round differently
+    assume(not (args[7] and args[10]))
     case = kernel_case(*args)
     assume(case is not None)
     assert ulps_from_previous_kernel(*case) <= PREVIOUS_KERNEL_ULPS
@@ -657,7 +664,7 @@ def assert_frozen_with_fresh_constants(model):
         "alpha": oracles.masked_sigmoid(model.xi),
         "gamma": model.eta**2,
         "u": np.hstack([bsq / bsq.sum(axis=1)[:, None], np.zeros((model.config.r, 1))]),
-        "c_sq": np.einsum("ih,ih->i", model.centers, model.centers),
+        "c_sq": np.vecdot(model.centers, model.centers),
         "beta_sq_sum": bsq.sum(axis=1),
     }
     for name, want in fresh.items():
