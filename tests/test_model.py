@@ -619,14 +619,14 @@ def normalizer_case(k, r, seed):
     return model, rng.standard_normal((3, h))
 
 
-def normalizer_errors(k, a, b_prod, n_norm, m_omega):
+def normalizer_errors(prod, n_norm, m_omega):
     """Worst relative errors, in units of eps, of the normalizers n_norm and
     ignorance masses m_omega against the exact sum_k a_k - (K - 1) b and
-    b / that sum of the rounded class products a (K, n) and ignorance
-    products b_prod (n,)."""
+    b / that sum of the rounded products prod (K+1, n): the class products
+    a_k in its first K rows and the ignorance product b in its last."""
+    k = prod.shape[0] - 1
     worst = [0.0, 0.0]
-    for *col, b, got_n, got_mo in zip(*a.tolist(), b_prod.tolist(), n_norm.tolist(),
-                                      m_omega.tolist()):
+    for *col, b, got_n, got_mo in zip(*prod.tolist(), n_norm.tolist(), m_omega.tolist()):
         b = Fraction(b)
         exact = sum(map(Fraction, col)) - (k - 1) * b
         for i, (got, want) in enumerate(((got_n, exact), (got_mo, b / exact))):
@@ -645,18 +645,8 @@ def test_normalizer_within_its_rounding_of_exact(k, r, seed):
     model, X = normalizer_case(k, r, seed)
     cache = _forward_arrays(model, X)
     prod = np.multiply.reduce(cache["cf"])  # the kernel's own rounded products
-    err_n, err_mo = normalizer_errors(k, prod[:k], prod[k], cache["n"], cache["m_omega"])
+    err_n, err_mo = normalizer_errors(prod, cache["n"], cache["m_omega"])
     assert err_n <= (k + 1) / 2 and err_mo <= (k + 2) / 2
-
-
-def test_previous_normalizer_exceeds_the_bound():
-    # sum_k a_k - (K - 1) b cancels K - 1 copies of b on nearly ignorant
-    # rows, where every a_k is close to b
-    k = 16
-    model, X = normalizer_case(k, 1, 35)
-    old = oracles.previous_forward_arrays(model, X)
-    err_n, err_mo = normalizer_errors(k, old["a"], old["b_prod"], old["n"], old["m_omega"])
-    assert err_n > (k + 1) / 2 and err_mo > (k + 2) / 2
 
 
 def test_forward_batch_builds_no_distance_tensor():
