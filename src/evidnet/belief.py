@@ -66,11 +66,6 @@ class Frame:
         object.__setattr__(self, "full_mask", (1 << self.k) - 1)
         object.__setattr__(self, "singletons", tuple(1 << j for j in range(self.k)))
 
-    def singleton(self, index: int) -> int:
-        if not 0 <= index < self.k:
-            raise InvalidMaskError(f"class index {index} outside frame of size {self.k}")
-        return 1 << index
-
     def check_mask(self, mask: int) -> int:
         # an exact int in range needs no more; a bool or another int subclass
         # takes the checks below

@@ -1,23 +1,11 @@
 """Dataset CSV ingestion, model serialization, and prediction export.
 
 Feature files are plain CSV with header ``f0,f1,...,f{d-1},label``; the
-label cell holds a class name or ``?`` for unlabeled rows. A fast pass
-reads a file in chunks of whole LF lines. It converts a decimal feature
-cell of up to 19 significant digits as its digits M over 10**f, divided
-once in long double and rounded to a double: when M and 10**f are exact
-in long double, that is float()'s result unless the quotient lies
-exactly halfway between two doubles, and such cells, like cells of any
-other form, are converted by float() itself. Where the long double is no
-wider than a double, the division is done in doubles, which round once,
-and the cells whose M or 10**f a double cannot hold go to float(). From
-the first chunk holding a quote, a CR, a ragged line, a bad cell or
-label or bad UTF-8, and for a file whose header the pass does not read,
-the row walk reads on through csv.reader and raises at the first faulty
-row. Either way the values, labels and errors are those of float() and
-csv.reader. Models are stored as JSON documents whose floats round-trip
-bit-exactly (Python's shortest-repr float rendering). No timestamps or
-environment data are written, so identical models produce identical
-bytes.
+label cell holds a class name or ``?`` for unlabeled rows; load_csv's
+docstring says how they are read. Models are stored as JSON documents
+whose floats round-trip bit-exactly (Python's shortest-repr float
+rendering). No timestamps or environment data are written, so identical
+models produce identical bytes.
 """
 
 from __future__ import annotations
@@ -51,7 +39,14 @@ from .errors import (
     UnsupportedVersionError,
     WriteFailureError,
 )
-from .model import EvidentialModel, ModelConfig, _class_indices, decide, forward_batch
+from .model import (
+    EvidentialModel,
+    ModelConfig,
+    _class_indices,
+    _require_finite_features,
+    decide,
+    forward_batch,
+)
 
 FORMAT_VERSION = 1
 
@@ -77,8 +72,7 @@ class FeatureDataset:
             raise DimensionMismatchError(
                 f"features must be a matrix, got shape {self.features.shape}"
             )
-        if not np.all(np.isfinite(self.features)):
-            raise NonFiniteInputError("non-finite feature values")
+        _require_finite_features(self.features)
         self.labels = list(self.labels)
         if len(self.labels) != self.features.shape[0]:
             raise LengthMismatchError(
@@ -353,12 +347,12 @@ class _NotPlain(Exception):
 
 
 def _chunk_rows(chunk: bytes, d: int):
-    """Feature values and label cells of a chunk of whole LF lines, and
-    whether a cell is longer than csv's field size limit.
+    """Feature values and label cells of a chunk of whole LF lines.
 
     Raises _NotPlain when the chunk holds a quote or a CR, a line does not
-    have d commas, a feature cell is one float() refuses or a non-finite
-    value, or a cell is not UTF-8.
+    have d commas, a cell is longer in bytes than csv's field size limit,
+    a feature cell is one float() refuses or a non-finite value, or a cell
+    is not UTF-8.
     """
     if b'"' in chunk or b"\r" in chunk:
         raise _NotPlain
@@ -371,6 +365,9 @@ def _chunk_rows(chunk: bytes, d: int):
         raise _NotPlain
     starts = np.concatenate(([_WINDOW], cuts[:-1] + 1))
     starts, ends = starts.reshape(rows, d + 1), cuts.reshape(rows, d + 1)
+    # csv counts characters, so the walk decides a cell long in bytes
+    if (ends - starts > csv.field_size_limit()).any():
+        raise _NotPlain
     cell_starts, cell_ends = starts[:, :d].ravel(), ends[:, :d].ravel()
     values, exact = _decimal_cells(padded, cell_starts, cell_ends)
     try:
@@ -382,11 +379,7 @@ def _chunk_rows(chunk: bytes, d: int):
                   for s, e in zip(starts[:, d].tolist(), ends[:, d].tolist())]
     except ValueError:  # a cell float() refuses, or bad UTF-8
         raise _NotPlain from None
-    limit = csv.field_size_limit()
-    long_cells = np.flatnonzero(ends - starts > limit)  # in bytes; csv counts characters
-    past_limit = any(len(padded[starts.flat[i]:ends.flat[i]].decode("utf-8")) > limit
-                     for i in long_cells.tolist())
-    return values, labels, past_limit
+    return values, labels
 
 
 def _read_lines(fh, size: int) -> bytes:
@@ -415,13 +408,9 @@ def _load_plain(fh, fixed_names):
 
     Returns (d, features, labels, index) of the rows read, and whether
     they are the whole file. At the first chunk that holds an anomaly (see
-    _chunk_rows, or a label that is not a class name) the pass stops and
-    keeps only the rows before that chunk, or before the first chunk with
-    a cell past csv's field size limit if one came earlier, so that the
-    walk, which goes on from there, meets every record the walk from the
-    top would have refused first. index holds the names of the rows kept.
-    Raises _NotPlain when the header is not plain or no data row follows
-    it.
+    _chunk_rows, or a label that is not a class name) the pass stops with
+    the rows before that chunk, and the walk goes on from there. Raises
+    _NotPlain when the header is not plain or no data row follows it.
     """
     names = _read_lines(fh, 0).decode("utf-8", "replace").rstrip("\n").split(",")
     d = len(names) - 1
@@ -430,23 +419,16 @@ def _load_plain(fh, fixed_names):
     index = _names_index(fixed_names)
     features = array.array("d")
     labels: list[Optional[int]] = []
-    long_from = None  # (rows, names) before the first chunk with a cell past the limit
     while True:
-        kept = (len(labels), len(index))
         try:
             chunk = _read_lines(fh, CHUNK_BYTES)
             if not chunk:
                 break
-            values, cells, past_limit = _chunk_rows(chunk, d)
+            values, cells = _chunk_rows(chunk, d)
+            # a KeyError adds no name: names are added only when none are fixed
             chunk_labels = [_label_index(index, fixed_names, cell) for cell in cells]
         except (_NotPlain, KeyError):
-            rows, known = long_from or kept
-            del features[rows * d:], labels[rows:]
-            while len(index) > known:
-                index.popitem()
             return (d, features, labels, index), False
-        if past_limit and long_from is None:
-            long_from = kept
         features.frombytes(memoryview(values).cast("B"))
         labels += chunk_labels
     if not labels:  # a header-only file
@@ -518,11 +500,13 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> FeatureDataset:
     any other form go to float() itself. Where the long double is no
     wider than a double, the division is done in doubles for the cells
     whose digits and power a double holds, and more cells go to float().
-    From the first chunk holding a quote, a CR, a ragged line, a bad cell
-    or label or bad UTF-8, and for any file whose header the pass does not
-    read, the row walk reads the file one row at a time through
-    csv.reader, and the first faulty row in file order raises. Either way
-    the file is streamed, never held whole in memory.
+    From the first chunk holding a quote, a CR, a ragged line, a cell
+    longer than csv's field size limit, a bad cell or label or bad UTF-8,
+    and for any file whose header the pass does not read, the row walk
+    reads the file one row at a time through csv.reader, and the first
+    faulty row in file order raises. So csv's field size limit binds on
+    every record: a cell past it raises MalformedCsvError. Either way the
+    file is streamed, never held whole in memory.
     """
     path = Path(path)
     fixed_names = tuple(class_names) if class_names is not None else None

@@ -423,6 +423,7 @@ def train(
         raise EmptyValidationError("validation set is empty")
     if not val_set.fully_labeled():
         raise EmptyValidationError("validation set must be fully labeled")
+    _class_indices(val_set.labels, model.config.k)
 
     x_lab = feats[labeled_idx]
     y_lab = _class_indices([labels[i] for i in labeled_idx], model.config.k)

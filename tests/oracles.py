@@ -458,7 +458,7 @@ def prototype_masses(model, x) -> list:
         d2 = sum((zj - cj) ** 2 for zj, cj in zip(z, center))
         s = sigmoid(xi) * math.exp(-(eta**2) * d2)
         sq = [bk * bk for bk in beta]
-        table = {frame.singleton(k): sq[k] / sum(sq) * s for k in range(frame.k)}
+        table = {frame.singletons[k]: sq[k] / sum(sq) * s for k in range(frame.k)}
         table[frame.full_mask] = 1.0 - s
         masses.append(mass_new(frame, table))
     return masses
@@ -472,7 +472,7 @@ def fused_mass(model, x):
 def fused_output(model, x):
     """(singleton masses, pl) of fused_mass, as lists in class order."""
     fused = fused_mass(model, x)
-    m = [fused.mass(fused.frame.singleton(k)) for k in range(fused.frame.k)]
+    m = [fused.mass(fused.frame.singletons[k]) for k in range(fused.frame.k)]
     return m, [mk + fused.mass(fused.frame.full_mask) for mk in m]
 
 
@@ -547,7 +547,10 @@ def reference_load_csv(path, class_names=None):
     with the same messages, as evidnet.load_csv.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        rows = [row for row in csv.reader(fh)]
+        try:
+            rows = [row for row in csv.reader(fh)]
+        except csv.Error as exc:
+            raise MalformedCsvError(f"{path}: {exc}") from None
     if not rows:
         raise EmptyFileError(f"{path}: no content")
     header = rows[0]

@@ -51,11 +51,11 @@ def test_frame_size_and_masks():
     f = Frame(("x", "y"))
     assert f.k == 2
     assert f.full_mask == 0b11
-    assert f.singleton(0) == 0b01
-    assert f.singleton(1) == 0b10
+    assert f.singletons[0] == 0b01
+    assert f.singletons[1] == 0b10
     assert f.full_mask & ~0b01 == 0b10
-    assert f.singleton(0) | f.singleton(1) == 0b11
-    assert f.singleton(f.labels.index("y")) == 0b10
+    assert f.singletons[0] | f.singletons[1] == 0b11
+    assert f.singletons[f.labels.index("y")] == 0b10
     assert f.check_mask(0) == 0
 
 
@@ -97,10 +97,6 @@ def test_mask_validation():
         ABC.check_mask(True)
     with pytest.raises(InvalidMaskError):
         ABC.check_mask(1.0)  # type: ignore[arg-type]
-    with pytest.raises(InvalidMaskError):
-        ABC.singleton(3)
-    with pytest.raises(InvalidMaskError):
-        ABC.singleton(-1)
 
 
 # mass function construction

@@ -535,15 +535,12 @@ def test_unreadable_csv_names_the_file(tmp_path):
     bad.write_bytes(b"f0,label\n1,\xff\n")
     with pytest.raises(MalformedCsvError, match="bad.csv: not valid UTF-8"):
         load_csv(bad)
-    # csv's field size limit binds on every record the row walk reads; a
-    # plain LF file never reaches the walk, so its cells may be of any length
+    # csv's field size limit binds on every record, quoted or not
     long_label = "y" * 200_000
-    bad.write_text(f'f0,label\n1,"{long_label}"\n')
-    with pytest.raises(MalformedCsvError, match="bad.csv: field larger than field limit"):
-        load_csv(bad)
-    good = tmp_path / "good.csv"
-    good.write_text(f"f0,label\n1,{long_label}\n")
-    assert load_csv(good).class_names == (long_label,)
+    for cell in (f'"{long_label}"', long_label):
+        bad.write_text(f"f0,label\n1,{cell}\n")
+        with pytest.raises(MalformedCsvError, match="bad.csv: field larger than field limit"):
+            load_csv(bad)
 
 
 def test_bad_utf8_is_refused_at_its_row(tmp_path):
@@ -573,10 +570,35 @@ def test_field_limit_binds_on_every_record_the_walk_reads(tmp_path):
     with pytest.raises(MalformedCsvError, match="long.csv: field larger than field limit"):
         load_csv(p)
     p.write_text(plain)
-    assert load_csv(p).class_names == (long_label,)
+    with pytest.raises(MalformedCsvError, match="long.csv: field larger than field limit"):
+        load_csv(p)
     p.write_text(f"f0,{long_label}\n1,a\n")  # an oversized header name
     with pytest.raises(MalformedCsvError, match="long.csv: field larger than field limit"):
         load_csv(p)
+
+
+def test_long_cell_reads_the_same_whatever_follows(tmp_path):
+    # a cell past the field size limit is refused, and one past it in bytes
+    # but not in characters loaded, whether or not a quote far below sends
+    # a later chunk to the walk
+    p = tmp_path / "long.csv"
+    rows = "".join(f"{i}.5,a\n" for i in range(20_000))
+    for tail in ("", '3,"a"\n'):
+        p.write_text(f"f0,label\n1,{'y' * 200_000}\n{rows}{tail}", encoding="utf-8")
+        with pytest.raises(MalformedCsvError) as expected:
+            reference_load_csv(p)
+        with pytest.raises(MalformedCsvError) as got:
+            load_csv(p)
+        assert str(got.value) == str(expected.value)
+
+        p.write_text(f"f0,label\n1,{'é' * 100_000}\n{rows}{tail}", encoding="utf-8")
+        features, labels, class_names = reference_load_csv(p)
+        ds = load_csv(p)
+        with open(p, newline="", encoding="utf-8") as fh:
+            _, walked, _, _ = dataio._walk(fh, p, None)
+        assert ds.features.tobytes() == features.tobytes() == walked.tobytes()
+        assert ds.labels == labels and ds.class_names == class_names
+        assert ds.n == 20_001 + bool(tail)
 
 
 def test_csv_round_trip_is_exact(tmp_path):

@@ -877,3 +877,8 @@ def test_train_validation_requirements():
     )
     with pytest.raises(ValueError):
         train(model, three, val_set, cfg)
+    # validation labels obey the same rule: a K=2 model has no class 2
+    three_val = replace(val_set, labels=[2] + list(val_set.labels[1:]),
+                        class_names=val_set.class_names + ("third",))
+    with pytest.raises(ValueError, match=r"label 2 is not a class index in \[0, 2\)"):
+        train(model, train_set, three_val, cfg)
