@@ -5,15 +5,18 @@ integer bitmasks (bit k set means label k belongs to the subset), so a frame
 may hold at most 16 labels. A frame fixes its size k and its full mask when
 it is built. Mass functions are stored sparsely: only focal sets (subsets
 with strictly positive mass) are kept, every other subset reads as zero.
-Each mass function is validated once, in one pass over its assignments, when
-it is built. All values are immutable after construction and every
-operation here is a pure function.
+Each mass function built from outside input is validated once, in one pass
+over its assignments, when it is built; the outputs of Dempster's rule and
+of the model's kernel, whose arithmetic guarantees the invariants, are not
+validated again (see _derived_mass). All values are immutable after
+construction and every operation here is a pure function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -83,10 +86,11 @@ class MassFunction:
     """Normalized basic belief assignment, stored by focal set.
 
     Construction validates everything: masks fit the frame, masses are
-    non-negative and not NaN, the empty set carries no mass, and the total
-    is 1 within ``SUM_TOLERANCE``. Exact zero assignments are dropped, and
-    the focal sets are kept in a read-only mapping. Equality and hashing
-    read the frame and the focal sets with their masses.
+    real numbers (not bools or strings), non-negative and not NaN, the
+    empty set carries no mass, and the total is 1 within
+    ``SUM_TOLERANCE``. Exact zero assignments are dropped, and the focal
+    sets are kept in a read-only mapping. Equality and hashing read the
+    frame and the focal sets with their masses.
     """
 
     frame: Frame
@@ -102,7 +106,7 @@ class MassFunction:
             if type(mask) is not int or not 0 <= mask <= full_mask:
                 frame.check_mask(mask)
             if type(value) is not float:
-                value = float(value)
+                value = _mass_value(mask, value)
             if value > 0.0:
                 if mask == 0:
                     raise EmptySetMassError(f"empty set carries mass {value}")
@@ -125,6 +129,40 @@ class MassFunction:
         return self.masses.get(mask, 0.0)
 
 
+def _mass_value(mask, value) -> float:
+    """A mass given as a number other than a float, as a float; raise
+    NonFiniteInputError, naming the subset, for a bool or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise NonFiniteInputError(f"mass {value!r} for subset {mask:#b} is not a real number")
+    return float(value)
+
+
+def _derived_mass(frame: Frame, masses: dict[int, float]) -> MassFunction:
+    """A mass function over masses that arithmetic guarantees valid,
+    built without MassFunction's checks; it keeps masses, a dict the
+    caller made for it, when no entry is dropped.
+
+    The producers, Dempster's rule and the model's kernel, give exact
+    floats on valid non-empty masks, non-negative (products of
+    non-negative terms; in the kernel, u s + (1 - s) >= 1 - s under
+    monotone rounding, so each class product is at least the ignorance
+    product) and summing to 1 within a few eps, far inside SUM_TOLERANCE.
+    Exact zeros are dropped, as MassFunction drops them. A dict holding a
+    NaN (the kernel gives one when a gamma overflows on a center), or any
+    other entry below 0, goes to MassFunction, which raises its usual
+    error.
+    """
+    for value in masses.values():
+        if not value > 0.0:  # an exact zero; a NaN goes to the checks
+            if any(not v >= 0.0 for v in masses.values()):
+                return MassFunction(frame, masses)
+            masses = {mask: v for mask, v in masses.items() if v > 0.0}
+            break
+    out = object.__new__(MassFunction)
+    out.__dict__.update(frame=frame, masses=MappingProxyType(masses))
+    return out
+
+
 def mass_new(
     frame: Frame,
     assignments: Iterable[tuple[int, float]] | Mapping[int, float],
@@ -132,16 +170,17 @@ def mass_new(
     """Build a mass function from (subset mask, mass) pairs.
 
     Repeated masks accumulate. Raises ``NegativeMassError``,
-    ``NonFiniteInputError`` (a NaN mass), ``EmptySetMassError``,
-    ``InvalidMaskError`` or ``NotNormalizedError`` when the assignment is
-    not a normalized mass function.
+    ``NonFiniteInputError`` (a NaN mass, or a bool or other non-number),
+    ``EmptySetMassError``, ``InvalidMaskError`` or ``NotNormalizedError``
+    when the assignment is not a normalized mass function.
     """
     if isinstance(assignments, Mapping):
         assignments = assignments.items()
     masses: dict[int, float] = {}
     for mask, value in assignments:
         frame.check_mask(mask)
-        value = float(value)
+        if type(value) is not float:
+            value = _mass_value(mask, value)
         if value < 0.0:
             raise NegativeMassError(f"mass {value} for subset {mask:#b}")
         masses[mask] = masses.get(mask, 0.0) + value
@@ -198,7 +237,7 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     if remaining <= 0.0:
         raise TotalConflictError(f"conflict {kappa!r} leaves nothing to renormalize")
     scale = 1.0 / remaining
-    return MassFunction(m1.frame, {mask: v * scale for mask, v in acc.items()})
+    return _derived_mass(m1.frame, {mask: v * scale for mask, v in acc.items()})
 
 
 def combine_all(masses: Sequence[MassFunction]) -> MassFunction:

@@ -203,15 +203,6 @@ _BEFORE = np.array([[(1 << 8 * min(max(k - 8 * i, 0), 8)) - 1 for k in range(_WI
                     for i in range(_WINDOW // 8)], dtype=np.uint64)
 
 
-def _words_at(words, at):
-    """The little-endian 8-byte word starting at each byte offset in at,
-    put together from words, the aligned words of the same bytes."""
-    shift = (at & 7).astype(np.uint64) << _U(3)
-    at = at >> 3
-    # the next word's share, shifted in two steps so that none reaches 64
-    return (np.take(words, at) >> shift) | ((np.take(words, at + 1) << _U(1)) << (_U(63) - shift))
-
-
 def _not_digits(w):
     """The high bit of each byte of w that is not a digit value 0 to 9."""
     return (((w & _LOW7) + _PAST_NINE) | w) & _HIGH
@@ -236,8 +227,9 @@ def _decimal_cells(text: bytes, starts, ends):
     most _MAX_SCALE in size, and whose wide quotient is not a midpoint
     between two doubles; the values of other cells are meaningless.
     """
-    a = np.frombuffer(text, dtype=np.uint8, count=len(text) // 8 * 8)
-    words = a.view("<u8")
+    a = np.frombuffer(text, dtype=np.uint8)
+    # words[j] is the little-endian 8-byte word starting at byte j
+    words = np.ndarray((len(text) - 7,), "<u8", buffer=text, strides=(1,))
     ok = np.ones(starts.size, dtype=bool)
     mantissa_end, scale = _exponents(a, words, starts, ends, ok)
     negative = np.take(a, starts) == ord("-")
@@ -265,8 +257,10 @@ def _exponents(a, words, starts, ends, ok):
     cell_end = np.take(ends, cell)
     sign = np.take(a, e_at + 1)
     n_digits = cell_end - e_at - 1 - ((sign == ord("-")) | (sign == ord("+")))
-    w = _words_at(words, cell_end - 8) ^ _ZEROS
-    w &= ~np.take(_BEFORE[0], np.clip(8 - n_digits, 0, 8))
+    w = np.take(words, cell_end - 8) ^ _ZEROS
+    # n_digits >= 0, so an index is at most 8, and "clip" only sends one
+    # below 0 (more than 8 digits) to 0
+    w &= ~np.take(_BEFORE[0], 8 - n_digits, mode="clip")
     ok[cell[(n_digits < 1) | (n_digits > 3) | (_not_digits(w) != 0)]] = False
     exponent = _eight_digits(w).astype(np.int64)
     scale[cell] = np.where(sign == ord("-"), exponent, -exponent)
@@ -282,9 +276,12 @@ def _mantissas(words, length, mantissa_end, negative, ok):
     width = 8 * n_words
     ok &= length <= width
     # the digit values, right-aligned; columns before the mantissa read 0
-    g = _words_at(words, (mantissa_end - width) + np.arange(0, width, 8)[:, None])
+    g = np.take(words, (mantissa_end - width) + np.arange(0, width, 8)[:, None])
     g ^= _ZEROS
-    g &= ~np.take(_BEFORE[:n_words], np.clip(width - length + negative, 0, width), axis=1)
+    # a mantissa that starts with "-" has a length of at least 1, so an
+    # index is at most width, and "clip" only sends one below 0 (a mantissa
+    # longer than the window) to 0
+    g &= ~np.take(_BEFORE[:n_words], width - length + negative, axis=1, mode="clip")
     dots = _dots(g)
     ok &= (dots & (dots - _U(1))) == 0
     dot_column = np.frexp(dots)[1]  # the dot's column counted from 1, or 0
@@ -295,7 +292,7 @@ def _mantissas(words, length, mantissa_end, negative, ok):
     shifted ^= g
     shifted &= np.take(_BEFORE[:n_words], dot_column, axis=1)
     g ^= shifted
-    ok &= ~_not_digits(g).any(axis=0)
+    ok &= np.bitwise_or.reduce(_not_digits(g)) == 0
     ok &= length - negative - has_dot >= 1
     digits = _eight_digits(g)
     mantissa = digits[0]

@@ -23,7 +23,13 @@ new parameter set is a new model (dataclasses.replace, or the
 optimizer's step). So the quantities that depend on the parameters
 alone (alpha, gamma, u, the squared center norms and the beta row sums)
 are derived once, when the model is built, and every forward and
-backward pass reads them from the model.
+backward pass reads them from the model, alpha, -gamma and u also in
+the shapes the forward pass broadcasts them in (EvidentialModel lists
+them all).
+
+The kernel's masses satisfy a mass function's invariants by their
+arithmetic, so forward builds its MassFunction without checking them
+again (see belief._derived_mass); a NaN mass still raises.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .belief import MAX_FRAME_SIZE, Frame, MassFunction
+from .belief import MAX_FRAME_SIZE, Frame, MassFunction, _derived_mass
 from .errors import (
     DimensionMismatchError,
     NonFiniteInputError,
@@ -164,7 +170,10 @@ class EvidentialModel:
     alpha = sigmoid(xi) (r,), gamma = eta^2 (r,), u (r, K+1) whose
     first K columns are beta_ik^2 / beta_sq_sum_i and whose column K is
     0, omu = 1 - u (r, K+1), whose column K is 1, c_sq = ||centers_i||^2
-    (r,) and beta_sq_sum = sum_k beta_ik^2 (r,).
+    (r,) and beta_sq_sum = sum_k beta_ik^2 (r,). It also binds three of
+    them in the shape the kernel broadcasts them to, so that no forward
+    pass rebuilds them: alpha_col = alpha[:, None] (r, 1), neg_gamma_col =
+    -gamma[:, None] (r, 1) and u_col = u[:, :, None] (r, K+1, 1).
     """
 
     config: ModelConfig
@@ -183,6 +192,9 @@ class EvidentialModel:
     omu: np.ndarray = field(init=False, repr=False, compare=False)
     c_sq: np.ndarray = field(init=False, repr=False, compare=False)
     beta_sq_sum: np.ndarray = field(init=False, repr=False, compare=False)
+    alpha_col: np.ndarray = field(init=False, repr=False, compare=False)
+    neg_gamma_col: np.ndarray = field(init=False, repr=False, compare=False)
+    u_col: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.frame = Frame(self.class_names)
@@ -222,13 +234,17 @@ class EvidentialModel:
             k = self.config.k
             u = np.zeros((self.config.r, k + 1))
             np.divide(bsq, ssum[:, None], out=u[:, :k])
+            alpha, gamma = _sigmoid(self.xi), self.eta**2
             constants = {
-                "alpha": _sigmoid(self.xi),
-                "gamma": self.eta**2,
+                "alpha": alpha,
+                "gamma": gamma,
                 "u": u,
                 "omu": 1.0 - u,
                 "c_sq": np.vecdot(self.centers, self.centers),
                 "beta_sq_sum": ssum,
+                "alpha_col": alpha[:, None],
+                "neg_gamma_col": -gamma[:, None],
+                "u_col": u[:, :, None],
             }
         for value in constants.values():
             value.setflags(write=False)
@@ -296,15 +312,16 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     ignorance product b, stored in prod as a_k - b (first K rows) and b
     (row K): non-negative terms whose sum is the normalizer n, so no term
     cancels another. mass = prod / n stacks the singleton masses m on the
-    ignorance mass m_omega. alpha, gamma and u are the model's constants.
+    ignorance mass m_omega. alpha, gamma and u are read from the model's
+    constants, bound in the shapes they broadcast in.
     """
     k = model.config.k
     z = X @ model.w.T + model.b
     d2 = _sq_dists(model.centers, z, model.c_sq)
-    e = np.multiply(d2, -model.gamma[:, None])
+    e = np.multiply(d2, model.neg_gamma_col)
     np.exp(e, out=e)
-    s = model.alpha[:, None] * e
-    cf = model.u[:, :, None] * s[:, None, :]
+    s = model.alpha_col * e
+    cf = model.u_col * s[:, None, :]
     cf += (1.0 - s)[:, None, :]
     # ufunc reductions along axis 0 skip ndarray.prod()'s and .sum()'s
     # Python wrappers, and give their bits
@@ -352,7 +369,7 @@ def forward(model: EvidentialModel, x) -> OutputMass:
     cache = _forward_arrays(model, x[None, :])
     frame = model.frame
     masses = dict(zip(frame.singletons + (frame.full_mask,), cache["mass"].ravel().tolist()))
-    return OutputMass(mass=MassFunction(frame, masses), pl=cache["pl"].ravel(),
+    return OutputMass(mass=_derived_mass(frame, masses), pl=cache["pl"].ravel(),
                       activations=cache["s"].ravel())
 
 

@@ -209,7 +209,9 @@ def _loss_and_grads(
         if cfg.loss_mode == "evidential_ce":
             picked = m[labeled]
             clamped = np.maximum(picked, LOG_EPS)
-            sup = float(-np.log(clamped).mean())
+            # np.add.reduce skips .mean()'s and .sum()'s Python wrappers, and
+            # gives their bits
+            sup = float(-np.add.reduce(np.log(clamped)) / n_lab)
             if want_grads:  # clamped masses get no pull
                 gm[labeled] = np.where(picked > LOG_EPS, (-1.0 / n_lab) / clamped, 0.0)
         else:
@@ -218,7 +220,7 @@ def _loss_and_grads(
             sup = float(np.vecdot(resid.ravel(), resid.ravel())) / n_lab
             if want_grads:
                 gpl = np.multiply(resid, 2.0 / n_lab, out=gm[:, :n_lab])
-                gpl.sum(axis=0, out=gmo[:n_lab])
+                np.add.reduce(gpl, out=gmo[:n_lab])
 
     cons = 0.0
     if n_unl:
@@ -228,9 +230,9 @@ def _loss_and_grads(
         if want_grads and cfg.consistency_weight:
             dif *= 2.0 * cfg.consistency_weight / n_unl
             gm[:, n_lab + n_unl :] = dif.reshape(k, -1)
-            np.negative(dif.sum(axis=2), out=gm[:, n_lab : n_lab + n_unl])
+            np.negative(np.add.reduce(dif, axis=2), out=gm[:, n_lab : n_lab + n_unl])
 
-    loss = sup + cfg.consistency_weight * cons + cfg.lam * float(model.alpha.sum())
+    loss = sup + cfg.consistency_weight * cons + cfg.lam * float(np.add.reduce(model.alpha))
     if not want_grads:
         return loss, None
     return loss, _backward_arrays(model, cache, gmass, cfg.lam)
@@ -277,10 +279,10 @@ def _backward_arrays(
     # pull on z and on each center is two matrix products, never an
     # (n, r, h) tensor
     gd2 = np.multiply(p, 2.0 * model.gamma[:, None], out=p)
-    gz = gd2.sum(axis=0)[:, None] * z - gd2.T @ model.centers
-    out["centers"][:] = gd2.sum(axis=1)[:, None] * model.centers - gd2 @ z
+    gz = np.add.reduce(gd2)[:, None] * z - gd2.T @ model.centers
+    out["centers"][:] = np.add.reduce(gd2, axis=1)[:, None] * model.centers - gd2 @ z
     np.matmul(gz.T, x, out=out["w"])
-    gz.sum(axis=0, out=out["b"])
+    np.add.reduce(gz, out=out["b"])
 
     out["beta"][:] = 2.0 * model.beta / model.beta_sq_sum[:, None] * (
         gu - np.vecdot(gu, model.u[:, :k])[:, None])

@@ -12,7 +12,8 @@ reference the new form must match, as does the feature-CSV writer
 that went through csv.writer. The belief layer's mask check, mass
 validation, Dempster's rule, bel, pl and conflict are kept as they were
 before the frame stored its size and full mask, so their output bits and
-their errors stay pinned. The forward and backward kernels are kept
+their errors stay pinned; the mass validation refuses a mass that is a
+bool or not a real number, as the package does. The forward and backward kernels are kept
 whole with their constants derived on every call, so the bits of every
 intermediate and of the gradient stay pinned, and so is the kernel that
 preceded them (contractions by einsum, the normalizer as
@@ -29,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 
 import numpy as np
 
@@ -131,6 +133,8 @@ def reference_clean_masses(frame, masses) -> dict[int, float]:
     clean: dict[int, float] = {}
     for mask, value in masses.items():
         reference_check_mask(frame, mask)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise NonFiniteInputError(f"mass {value!r} for subset {mask:#b} is not a real number")
         value = float(value)
         if not value >= 0.0:  # also true for NaN, which compares false
             if value != value:
@@ -538,22 +542,35 @@ def _reference_require_utf8(path, cells, where) -> None:
         raise MalformedCsvError(f"{path}: not valid UTF-8 in {where}")
 
 
+def _reference_records(path, fh):
+    """The records of an open CSV file, in order; a csv.Error is raised as
+    MalformedCsvError when the reader meets it."""
+    reader = csv.reader(fh)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise MalformedCsvError(f"{path}: {exc}") from None
+        yield row
+
+
 def reference_load_csv(path, class_names=None):
-    """Feature CSV parsed cell by cell after reading every row into memory,
-    bytes that are not UTF-8 decoded as lone surrogates and refused row by
-    row, before any other check of the row.
+    """Feature CSV parsed cell by cell, each row checked as csv.reader
+    yields it, so that a faulty row is reported before a csv.Error further
+    down; bytes that are not UTF-8 are decoded as lone surrogates and
+    refused row by row, before any other check of the row.
 
     Returns (features, labels, class_names) and raises the same errors,
     with the same messages, as evidnet.load_csv.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        try:
-            rows = [row for row in csv.reader(fh)]
-        except csv.Error as exc:
-            raise MalformedCsvError(f"{path}: {exc}") from None
-    if not rows:
+        text = fh.read()
+    records = _reference_records(path, io.StringIO(text, newline=""))
+    header = next(records, None)
+    if header is None:
         raise EmptyFileError(f"{path}: no content")
-    header = rows[0]
     _reference_require_utf8(path, header, "the header")
     d = len(header) - 1
     if d < 1 or header != [f"f{j}" for j in range(d)] + ["label"]:
@@ -562,12 +579,13 @@ def reference_load_csv(path, class_names=None):
         )
     fixed_names = tuple(class_names) if class_names is not None else None
     seen = list(fixed_names) if fixed_names is not None else []
-    features = np.empty((len(rows) - 1, d))
+    features = []
     labels = []
-    for rownum, row in enumerate(rows[1:], start=1):
+    for rownum, row in enumerate(records, start=1):
         _reference_require_utf8(path, row, f"row {rownum}")
         if len(row) != d + 1:
             raise RaggedRowError(f"{path}: row {rownum} has {len(row)} cells, expected {d + 1}")
+        values = []
         for j, cell in enumerate(row[:d]):
             try:
                 value = float(cell)
@@ -579,7 +597,8 @@ def reference_load_csv(path, class_names=None):
                 raise NonNumericFeatureError(
                     f"{path}: row {rownum}, column f{j}: non-finite value {cell!r}"
                 )
-            features[rownum - 1, j] = value
+            values.append(value)
+        features.append(values)
         cell = row[d]
         if cell == "?":
             labels.append(None)
@@ -592,7 +611,7 @@ def reference_load_csv(path, class_names=None):
             raise UnknownLabelError(
                 f"{path}: row {rownum}: label {cell!r} not among {fixed_names}"
             )
-    return features, labels, tuple(seen)
+    return np.array(features, dtype=float).reshape(-1, d), labels, tuple(seen)
 
 
 def reference_write_csv(dataset, path) -> None:

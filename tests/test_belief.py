@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +132,13 @@ def test_mass_new_validation():
     # refused even where the accumulated mass of its subset is positive
     with pytest.raises(NegativeMassError):
         mass_new(ABC, [(0b001, -0.1), (0b001, 0.2), (0b111, 0.9)])
+    for value in NON_NUMBERS:
+        with pytest.raises(NonFiniteInputError,
+                           match=f"^mass {re.escape(repr(value))} for subset 0b1 "
+                                 "is not a real number$"):
+            mass_new(ABC, [(0b111, 1.0), (0b001, value)])
+    m = mass_new(ABC, [(0b001, Fraction(1, 4)), (0b111, 0), (0b111, np.float32(0.75))])
+    assert m.masses == {0b001: 0.25, 0b111: 0.75}
 
 
 def test_vacuous():
@@ -157,11 +167,26 @@ def test_mass_function_is_read_only_and_hashes_as_it_compares():
     assert built != mass_new(ABC, {0b001: 0.5, 0b111: 0.5})
 
 
+# a mass that is a bool or not a real number, each refused naming its subset
+NON_NUMBERS = [True, False, "1.0", None, Decimal("1.0"), 1j, np.bool_(True)]
+
+
 def test_mass_function_direct_construction_validates():
     with pytest.raises(NotNormalizedError):
         MassFunction(ABC, {0b001: 0.4})
     with pytest.raises(NegativeMassError):
         MassFunction(ABC, {0b001: -0.5, 0b111: 1.5})
+    for value in NON_NUMBERS:
+        with pytest.raises(NonFiniteInputError,
+                           match=f"^mass {re.escape(repr(value))} for subset 0b111 "
+                                 "is not a real number$"):
+            MassFunction(ABC, {0b001: 0.0, 0b111: value})
+    # ints, numpy numbers and fractions are real numbers, stored as floats
+    for one in (1, np.int64(1), np.float32(1.0), Fraction(1)):
+        m = MassFunction(ABC, {0b111: one})
+        assert m.masses == {0b111: 1.0} and type(m.masses[0b111]) is float
+    m = MassFunction(ABC, {0b001: Fraction(1, 4), 0b111: Fraction(3, 4)})
+    assert m.masses == {0b001: 0.25, 0b111: 0.75}
 
 
 @settings(max_examples=100)
@@ -279,6 +304,17 @@ def test_dempster_vacuous_is_neutral():
         assert masses_close(out, m, tol=1e-15)
 
 
+def test_dempster_drops_an_underflowed_mass():
+    # {b} is reached only by the pair 1e-200 * 1e-200, which rounds to 0:
+    # it is dropped as the checked constructor drops it, in the same order
+    m1 = mass_new(ABC, {0b011: 1e-200, 0b111: 1.0 - 1e-200})
+    m2 = mass_new(ABC, {0b110: 1e-200, 0b111: 1.0 - 1e-200})
+    out = dempster_combine(m1, m2)
+    raw = {0b010: 0.0, 0b011: 1e-200, 0b110: 1e-200, 0b111: 1.0}
+    assert list(out.masses.items()) == list(MassFunction(ABC, raw).masses.items())
+    assert out == MassFunction(ABC, raw)
+
+
 def test_dempster_frame_mismatch():
     other = Frame(("a", "b"))
     with pytest.raises(FrameMismatchError):
@@ -374,15 +410,15 @@ BAD_MASKS = st.sampled_from([-1, True, False, 1.0, np.int64(1), "1"])
 def assignments(draw, frame):
     """A {mask: mass} table over frame: normalized focal sets, then maybe one
     corruption (a bad or out-of-range mask, a NaN, negative, empty-set or
-    zero mass, or a total off by more than the tolerance), its masses
-    maybe numpy floats."""
+    zero mass, a mass that is not a real number, or a total off by more
+    than the tolerance), its masses maybe numpy floats."""
     masks = draw(st.lists(st.integers(1, frame.full_mask), min_size=1, max_size=6,
                           unique=True))
     raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(masks), max_size=len(masks)))
     total = sum(raw)
     table = {mask: w / total for mask, w in zip(masks, raw)}
     kind = draw(st.sampled_from(["none", "mask", "range", "nan", "negative", "empty",
-                                 "zero", "unnormalized"]))
+                                 "zero", "unnormalized", "non-number"]))
     if kind == "mask":
         # True, 1.0 and np.int64(1) are equal to the key 1, so they go first
         # in a table of their own rather than overwrite it
@@ -398,11 +434,13 @@ def assignments(draw, frame):
         table[0] = draw(st.floats(1e-12, 1.0))
     elif kind == "zero":
         table[draw(st.integers(0, frame.full_mask))] = 0.0
+    elif kind == "non-number":
+        table[draw(st.sampled_from(masks))] = draw(st.sampled_from(NON_NUMBERS))
     elif kind == "unnormalized":
         table = {mask: v * draw(st.sampled_from([0.5, 1.0 + 1e-6, 2.0]))
                  for mask, v in table.items()}
     # a numpy float is a float subclass, and is stored as a plain float
-    if draw(st.booleans()):
+    if kind != "non-number" and draw(st.booleans()):
         table = {mask: np.float64(v) for mask, v in table.items()}
     return table
 

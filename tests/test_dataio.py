@@ -242,7 +242,8 @@ def faulty_feature_files(draw):
     (written from the lone surrogate that decodes it); an unknown label
     forces fixed class names.
     A blank line, a row of no cells, or a line of whitespace, a row of one
-    cell, may follow any row.
+    cell, may follow any row. A last row with a cell longer than csv's
+    field limit may follow them all: the earlier faulty row is reported.
     """
     d, rows, names, layout = draw(feature_files(min_rows=1))
     layout["blank_after"] = draw(st.dictionaries(st.integers(0, len(rows) - 1),
@@ -271,6 +272,10 @@ def faulty_feature_files(draw):
             else:
                 cells = NON_NUMERIC_CELLS if fault == "non_numeric" else NON_FINITE_CELLS
                 row[draw(st.integers(0, d - 1))] = draw(cells)
+    if draw(st.booleans()):
+        long_row = ["1.5"] * d + ["a"]
+        long_row[draw(st.integers(0, d))] = "y" * (csv.field_size_limit() + 1)
+        rows.append(long_row)
     return d, rows, names, layout
 
 
@@ -322,6 +327,7 @@ def test_load_csv_matches_reference_on_valid_files(tmp_path, file):
 @example((2, [["1", "1.5\x1f", "a"], ["1", "2", "b"]], None, PLAIN))
 @example((1, [["1\x00", "a"]], None, PLAIN))
 @example((1, [["1", "a"], ["2", "x\x1cy"]], NAMES, PLAIN))
+@example((1, [["abc", "a"], ["1", "y" * 200_000]], None, PLAIN))
 def test_load_csv_matches_reference_on_faulty_files(tmp_path, file):
     d, rows, names, layout = file
     p = tmp_path / "fuzz.csv"

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from evidnet import (
     DimensionMismatchError,
     EvidentialModel,
+    MassFunction,
     ModelConfig,
     NonFiniteInputError,
     TooFewPointsError,
@@ -370,6 +371,63 @@ def test_forward_reads_one_kernel_column():
         assert list(out.mass.masses.items()) == [(q, v) for q, v in zip(masks, values) if v > 0]
         assert out.pl.tobytes() == cache["pl"][:, 0].tobytes()
         assert out.activations.tobytes() == cache["s"][:, 0].tobytes()
+
+
+# forward builds its mass function without MassFunction's checks; it must
+# give what the checked constructor gives for the same masses, zeros dropped
+# in the same key order
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 16), st.integers(1, 19), st.integers(0, 2**32 - 1),
+       st.sampled_from(["plain", "zero_beta", "far", "saturated"]))
+def test_forward_mass_equals_checked_construction(k, r, seed, kind):
+    rng = np.random.default_rng(seed)
+    h = 3
+    beta = rng.uniform(0.05, 1.5, (r, k))
+    xi = rng.uniform(-3.0, 3.0, r)
+    centers = rng.integers(-4, 5, (r, h)) * 0.25  # quarters: d2 is exact on a center
+    x = rng.standard_normal(h)
+    zero_class = int(rng.integers(k))
+    if kind == "zero_beta":
+        beta[:, zero_class] = 0.0  # a_k = b: that class's mass is exactly 0
+    elif kind == "far":
+        x += 1e3  # every s underflows to 0: all mass on the whole frame
+    elif kind == "saturated":
+        xi[0] = 40.0  # sigmoid(40) rounds to 1: on its center, s = 1 and b = 0
+        x = centers[0].copy()
+    model = EvidentialModel(
+        config=ModelConfig(d_in=h, r=r, h=h, k=k),
+        class_names=tuple(f"c{j}" for j in range(k)),
+        w=np.eye(h),
+        b=np.zeros(h),
+        centers=centers,
+        beta=beta,
+        xi=xi,
+        eta=rng.uniform(0.2, 1.5, r),
+    )
+    out = forward(model, x)
+    frame = model.frame
+    values = _forward_arrays(model, x[None, :])["mass"][:, 0].tolist()
+    checked = MassFunction(frame, dict(zip(frame.singletons + (frame.full_mask,), values)))
+    assert out.mass == checked
+    assert list(out.mass.masses.items()) == list(checked.masses.items())
+    assert all(type(v) is float for v in out.mass.masses.values())
+    if kind == "zero_beta":
+        assert frame.singletons[zero_class] not in out.mass.masses
+    elif kind == "far":
+        assert out.mass.masses == {frame.full_mask: 1.0}
+    elif kind == "saturated":
+        assert out.activations[0] == 1.0 and frame.full_mask not in out.mass.masses
+
+
+def test_forward_nan_mass_raises_the_checked_error():
+    # gamma = eta^2 overflows to inf, and on the center d2 = 0, so e =
+    # exp(-inf * 0) is NaN and so is every mass
+    with np.errstate(over="ignore"):
+        model = tiny_model(eta=(1e200,))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NonFiniteInputError, match="^mass nan for subset 0b1$"):
+        forward(model, np.zeros(2))
 
 
 def test_forward_three_classes():

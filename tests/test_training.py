@@ -722,9 +722,12 @@ def assert_frozen_with_fresh_constants(model):
         "c_sq": np.vecdot(model.centers, model.centers),
         "beta_sq_sum": bsq.sum(axis=1),
     }
+    fresh["alpha_col"] = fresh["alpha"][:, None]
+    fresh["neg_gamma_col"] = -fresh["gamma"][:, None]
+    fresh["u_col"] = fresh["u"][:, :, None]
     for name, want in fresh.items():
         got = getattr(model, name)
-        assert got.tobytes() == want.tobytes(), name
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         with pytest.raises(ValueError, match="read-only"):
             got[(0,) * got.ndim] = 5.0
 
