@@ -27,32 +27,11 @@ from .dataio import (
 from .errors import (
     CorruptFieldError,
     DimensionMismatchError,
-    EmptyBatchError,
-    EmptyFileError,
-    EmptyListError,
-    EmptySetMassError,
-    EmptyValidationError,
     EvidnetError,
-    FrameMismatchError,
-    InvalidMaskError,
-    LengthMismatchError,
+    InvalidMassError,
     MalformedCsvError,
-    MissingHeaderError,
-    NegativeMassError,
-    NoLabeledDataError,
-    NonFiniteGradientError,
     NonFiniteInputError,
-    NonNumericFeatureError,
-    NotNormalizedError,
-    RaggedRowError,
-    ShapeMismatchError,
-    SingleClassError,
-    TooFewPointsError,
     TotalConflictError,
-    UnknownLabelError,
-    UnsupportedVersionError,
-    WriteFailureError,
-    ZeroBetaError,
 )
 from .metrics import (
     accuracy,

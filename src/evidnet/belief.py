@@ -20,16 +20,7 @@ from numbers import Real
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    EmptyListError,
-    EmptySetMassError,
-    FrameMismatchError,
-    InvalidMaskError,
-    NegativeMassError,
-    NonFiniteInputError,
-    NotNormalizedError,
-    TotalConflictError,
-)
+from .errors import EvidnetError, InvalidMassError, NonFiniteInputError, TotalConflictError
 
 MAX_FRAME_SIZE = 16
 
@@ -75,9 +66,9 @@ class Frame:
         if type(mask) is int and 0 <= mask <= self.full_mask:
             return mask
         if not isinstance(mask, int) or isinstance(mask, bool):
-            raise InvalidMaskError(f"subset mask must be an int, got {type(mask).__name__}")
+            raise InvalidMassError(f"subset mask must be an int, got {type(mask).__name__}")
         if not 0 <= mask <= self.full_mask:
-            raise InvalidMaskError(f"mask {mask!r} out of range for frame of size {self.k}")
+            raise InvalidMassError(f"mask {mask!r} out of range for frame of size {self.k}")
         return mask
 
 
@@ -109,15 +100,15 @@ class MassFunction:
                 value = _mass_value(mask, value)
             if value > 0.0:
                 if mask == 0:
-                    raise EmptySetMassError(f"empty set carries mass {value}")
+                    raise InvalidMassError(f"empty set carries mass {value}")
                 clean[mask] = value
             elif not value >= 0.0:  # negative, or NaN, which compares false
                 if value != value:
                     raise NonFiniteInputError(f"mass {value} for subset {mask:#b}")
-                raise NegativeMassError(f"mass {value} for subset {mask:#b}")
+                raise InvalidMassError(f"mass {value} for subset {mask:#b}")
         total = sum(clean.values())
         if abs(total - 1.0) > SUM_TOLERANCE:
-            raise NotNormalizedError(f"masses sum to {total!r}, expected 1")
+            raise InvalidMassError(f"masses sum to {total!r}, expected 1")
         object.__setattr__(self, "masses", MappingProxyType(clean))
 
     def __hash__(self) -> int:
@@ -169,10 +160,9 @@ def mass_new(
 ) -> MassFunction:
     """Build a mass function from (subset mask, mass) pairs.
 
-    Repeated masks accumulate. Raises ``NegativeMassError``,
-    ``NonFiniteInputError`` (a NaN mass, or a bool or other non-number),
-    ``EmptySetMassError``, ``InvalidMaskError`` or ``NotNormalizedError``
-    when the assignment is not a normalized mass function.
+    Repeated masks accumulate. Raises ``NonFiniteInputError`` (a NaN
+    mass, or a bool or other non-number) or ``InvalidMassError`` when
+    the assignment is not a normalized mass function.
     """
     if isinstance(assignments, Mapping):
         assignments = assignments.items()
@@ -182,7 +172,7 @@ def mass_new(
         if type(value) is not float:
             value = _mass_value(mask, value)
         if value < 0.0:
-            raise NegativeMassError(f"mass {value} for subset {mask:#b}")
+            raise InvalidMassError(f"mass {value} for subset {mask:#b}")
         masses[mask] = masses.get(mask, 0.0) + value
     return MassFunction(frame, masses)
 
@@ -201,7 +191,7 @@ def pl(m: MassFunction, a: int) -> float:
 
 def _check_shared_frame(m1: MassFunction, m2: MassFunction) -> None:
     if m1.frame != m2.frame:
-        raise FrameMismatchError(
+        raise InvalidMassError(
             f"frames differ: {m1.frame.labels} vs {m2.frame.labels}"
         )
 
@@ -243,7 +233,7 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
 def combine_all(masses: Sequence[MassFunction]) -> MassFunction:
     """Left fold of Dempster's rule over one or more mass functions."""
     if not masses:
-        raise EmptyListError("need at least one mass function to combine")
+        raise EvidnetError("need at least one mass function to combine")
     combined = masses[0]
     for m in masses[1:]:
         combined = dempster_combine(combined, m)

@@ -14,13 +14,7 @@ import numpy as np
 
 from .belief import Frame
 from .dataio import export_predictions, load_csv, load_model, save_model
-from .errors import (
-    EmptyListError,
-    EvidnetError,
-    NoLabeledDataError,
-    SingleClassError,
-    UnknownLabelError,
-)
+from .errors import EvidnetError, MalformedCsvError
 from .metrics import metrics_report, roc_points
 from .model import ModelConfig, decide, forward_batch, init_model
 from .training import EpochRecord, TrainConfig, train
@@ -122,15 +116,15 @@ def cmd_train(args, parser) -> int:
     try:
         Frame(train_ds.class_names)
     except ValueError as exc:  # an empty label cell, say
-        raise UnknownLabelError(f"{args.train}: bad class names: {exc}") from None
+        raise MalformedCsvError(f"{args.train}: bad class names: {exc}") from None
     if len(train_ds.class_names) != 2:
-        raise SingleClassError(
+        raise EvidnetError(
             f"{args.train}: found {len(train_ds.class_names)} class labels, need 2"
         )
     val_ds = load_csv(args.val, class_names=train_ds.class_names)
     labeled_rows = [i for i, lab in enumerate(train_ds.labels) if lab is not None]
     if not labeled_rows:
-        raise NoLabeledDataError(f"{args.train}: no labeled rows")
+        raise EvidnetError(f"{args.train}: no labeled rows")
     model_cfg = ModelConfig(
         d_in=train_ds.d_in, r=args.prototypes, h=args.hidden, k=2
     )
@@ -163,9 +157,9 @@ def _score_labeled(model_path, data_path):
     ds = load_csv(data_path, class_names=model.class_names)
     for i, lab in enumerate(ds.labels):
         if lab is None:
-            raise UnknownLabelError(f"{data_path}: row {i + 1} is unlabeled")
+            raise MalformedCsvError(f"{data_path}: row {i + 1} is unlabeled")
     if ds.n == 0:
-        raise EmptyListError(f"{data_path}: no data rows")
+        raise EvidnetError(f"{data_path}: no data rows")
     _, _, pl = forward_batch(model, ds.features)
     return pl, ds.labels
 

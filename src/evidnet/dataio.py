@@ -24,21 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .belief import Frame
-from .errors import (
-    CorruptFieldError,
-    DimensionMismatchError,
-    EmptyFileError,
-    LengthMismatchError,
-    MalformedCsvError,
-    MissingHeaderError,
-    NonFiniteInputError,
-    NonNumericFeatureError,
-    RaggedRowError,
-    SingleClassError,
-    UnknownLabelError,
-    UnsupportedVersionError,
-    WriteFailureError,
-)
+from .errors import CorruptFieldError, DimensionMismatchError, EvidnetError, MalformedCsvError
 from .model import (
     EvidentialModel,
     ModelConfig,
@@ -60,6 +46,8 @@ class FeatureDataset:
     """Feature matrix plus per-row optional class labels.
 
     labels holds indices into class_names; None marks an unlabeled row.
+    The features have at least one column and the class names are
+    distinct: load_csv could not read back what write_csv wrote otherwise.
     """
 
     features: np.ndarray
@@ -72,13 +60,17 @@ class FeatureDataset:
             raise DimensionMismatchError(
                 f"features must be a matrix, got shape {self.features.shape}"
             )
+        if self.features.shape[1] == 0:
+            raise DimensionMismatchError("features must have at least one column")
         _require_finite_features(self.features)
         self.labels = list(self.labels)
         if len(self.labels) != self.features.shape[0]:
-            raise LengthMismatchError(
+            raise DimensionMismatchError(
                 f"{len(self.labels)} labels for {self.features.shape[0]} rows"
             )
         self.class_names = tuple(self.class_names)
+        if len(set(self.class_names)) != len(self.class_names):
+            raise ValueError(f"class names must be distinct, got {self.class_names}")
         _class_indices([lab for lab in self.labels if lab is not None], len(self.class_names))
 
     @property
@@ -103,11 +95,11 @@ def _check_cells(path: Path, rownum: int, cells: Sequence[str]) -> None:
         try:
             value = float(cell)
         except ValueError:
-            raise NonNumericFeatureError(
+            raise MalformedCsvError(
                 f"{path}: row {rownum}, column f{j}: {cell!r}"
             ) from None
         if not math.isfinite(value):
-            raise NonNumericFeatureError(
+            raise MalformedCsvError(
                 f"{path}: row {rownum}, column f{j}: non-finite value {cell!r}"
             )
 
@@ -136,11 +128,8 @@ def _not_utf8(cells: Sequence[str]) -> bool:
 
 
 def _names_index(fixed_names: tuple[str, ...] | None) -> dict[str, int]:
-    """Class index of each fixed name; a repeated name keeps its first."""
-    index: dict[str, int] = {}
-    for i, name in enumerate(fixed_names or ()):
-        index.setdefault(name, i)
-    return index
+    """Class index of each fixed name."""
+    return {name: i for i, name in enumerate(fixed_names or ())}
 
 
 def _label_index(index: dict[str, int], fixed_names, label: str) -> Optional[int]:
@@ -446,11 +435,11 @@ def _walk(fh, path: Path, fixed_names, read=None):
         reader = _records(fh, path)
         header = next(reader, None)
         if header is None:
-            raise EmptyFileError(f"{path}: no content")
+            raise MalformedCsvError(f"{path}: no content")
         if _not_utf8(header):
             raise MalformedCsvError(f"{path}: not valid UTF-8 in the header")
         if len(header) < 2 or header != _expected_header(len(header) - 1):
-            raise MissingHeaderError(
+            raise MalformedCsvError(
                 f"{path}: header must be f0,...,f{{d-1}},label, got {','.join(header)}"
             )
         d = len(header) - 1
@@ -462,7 +451,7 @@ def _walk(fh, path: Path, fixed_names, read=None):
         if _not_utf8(row):
             raise MalformedCsvError(f"{path}: not valid UTF-8 in row {rownum}")
         if len(row) != d + 1:
-            raise RaggedRowError(
+            raise MalformedCsvError(
                 f"{path}: row {rownum} has {len(row)} cells, expected {d + 1}"
             )
         label = row.pop()
@@ -478,7 +467,7 @@ def _walk(fh, path: Path, fixed_names, read=None):
         try:
             labels.append(_label_index(index, fixed_names, label))
         except KeyError:
-            raise UnknownLabelError(
+            raise MalformedCsvError(
                 f"{path}: row {rownum}: label {label!r} not among {fixed_names}"
             ) from None
     return d, features, labels, index
@@ -555,7 +544,7 @@ def write_csv(dataset: FeatureDataset, path) -> None:
                 # csv.writer writes a row of one empty cell as ""
                 fh.write((",".join(cells) or '""') + "\n")
     except OSError as exc:
-        raise WriteFailureError(f"{path}: {exc}") from exc
+        raise EvidnetError(f"{path}: {exc}") from exc
 
 
 def _model_document(model: EvidentialModel, training_meta: dict | None) -> dict:
@@ -599,7 +588,7 @@ def save_model(model: EvidentialModel, path, training_meta: dict | None = None) 
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
-        raise WriteFailureError(f"{path}: {exc}") from exc
+        raise EvidnetError(f"{path}: {exc}") from exc
 
 
 def _require(doc: dict, key: str):
@@ -626,7 +615,7 @@ def load_model(path) -> EvidentialModel:
         raise CorruptFieldError(f"{path}: expected a JSON object")
     version = _require(doc, "format_version")
     if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(
+        raise CorruptFieldError(
             f"{path}: format_version {version!r}, supported: {FORMAT_VERSION}"
         )
     raw_cfg = _require(doc, "config")
@@ -685,7 +674,7 @@ def load_model(path) -> EvidentialModel:
             xi=xi,
             eta=eta,
         )
-    except NonFiniteInputError as exc:
+    except EvidnetError as exc:
         raise CorruptFieldError(f"{path}: {exc}") from exc
 
 
@@ -696,7 +685,7 @@ def export_predictions(model: EvidentialModel, dataset: FeatureDataset, path) ->
     with 0-based row indices in input order.
     """
     if model.config.k != 2:
-        raise SingleClassError(
+        raise EvidnetError(
             f"prediction export is defined for binary models, got {model.config.k} classes"
         )
     if dataset.d_in != model.config.d_in:
@@ -714,5 +703,5 @@ def export_predictions(model: EvidentialModel, dataset: FeatureDataset, path) ->
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
-        raise WriteFailureError(f"{path}: {exc}") from exc
+        raise EvidnetError(f"{path}: {exc}") from exc
     return dataset.n

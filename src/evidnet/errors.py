@@ -1,7 +1,30 @@
 """Exception types raised across the package.
 
 All of them derive from ``EvidnetError`` (itself a ``ValueError``), so callers
-can catch either the specific condition or the whole family.
+can catch either one kind of fault or the whole family. Classes group faults
+by what a caller does about them; within a class, the message tells the
+faults apart:
+
+- ``EvidnetError`` itself: an all-zero beta row, too few points for the
+  clusters or prototypes asked for, an empty list or batch, no labeled rows,
+  an empty or unlabeled validation set, other than two classes where a
+  binary task needs two, an output file that cannot be written, and a
+  non-finite gradient.
+- ``TotalConflictError``: Dempster combination of sources that fully
+  contradict each other.
+- ``NonFiniteInputError``: NaN or infinity in an input, or a mass that is
+  not a real number.
+- ``MalformedCsvError``: a feature file with no content, a missing or bad
+  header, a ragged row, a non-numeric feature cell, an unknown or missing
+  label, bad UTF-8, or a record csv.reader refuses.
+- ``CorruptFieldError``: a model document with a missing field, a field of
+  the wrong type, an unsupported format version, or parameters the model
+  refuses.
+- ``DimensionMismatchError``: vector, matrix, sequence or gradient shapes
+  that do not match each other or the model.
+- ``InvalidMassError``: a mass function with a negative mass, mass on the
+  empty set, masses that do not sum to 1, a bad subset mask, or a frame
+  other than its partner's.
 """
 
 
@@ -9,122 +32,30 @@ class EvidnetError(ValueError):
     """Base class for every error raised by this package."""
 
 
-# --- mass-function algebra ---------------------------------------------------
-
-class NegativeMassError(EvidnetError):
-    """A mass assignment was negative."""
-
-
-class NotNormalizedError(EvidnetError):
-    """Mass assignments do not sum to 1 within tolerance."""
-
-
-class EmptySetMassError(EvidnetError):
-    """Positive mass was assigned to the empty set."""
-
-
-class InvalidMaskError(EvidnetError):
-    """A subset mask is out of range for the frame, or has a disallowed shape."""
-
-
-class FrameMismatchError(EvidnetError):
-    """Two mass functions built on different frames were combined."""
-
-
 class TotalConflictError(EvidnetError):
     """Dempster combination is undefined: the sources fully contradict each other."""
 
 
-class EmptyListError(EvidnetError):
-    """An operation that needs at least one element received none."""
-
-
-# --- classifier --------------------------------------------------------------
-
-class DimensionMismatchError(EvidnetError):
-    """Vector or matrix dimensions do not match the model."""
-
-
 class NonFiniteInputError(EvidnetError):
-    """An input vector contains NaN or infinity."""
-
-
-class ZeroBetaError(EvidnetError):
-    """A prototype's membership parameters are all zero; memberships are undefined."""
-
-
-class TooFewPointsError(EvidnetError):
-    """Fewer data points than requested clusters or prototypes."""
-
-
-# --- training ----------------------------------------------------------------
-
-class LengthMismatchError(EvidnetError):
-    """Paired sequences have different lengths."""
-
-
-class EmptyBatchError(EvidnetError):
-    """A batch contains neither labeled nor unlabeled instances."""
-
-
-class NonFiniteGradientError(EvidnetError):
-    """A computed gradient contains NaN or infinity."""
-
-
-class ShapeMismatchError(EvidnetError):
-    """A gradient vector's shape differs from the model's theta."""
-
-
-class NoLabeledDataError(EvidnetError):
-    """Training requires at least one labeled instance."""
-
-
-class EmptyValidationError(EvidnetError):
-    """The validation set is empty or not fully labeled."""
-
-
-# --- metrics -----------------------------------------------------------------
-
-class SingleClassError(EvidnetError):
-    """A binary task met other than two classes: ROC/AUC need both classes
-    in the truth labels, and training and prediction export need two-class
-    data and models."""
-
-
-# --- data io -----------------------------------------------------------------
-
-class MissingHeaderError(EvidnetError):
-    """CSV header row is absent or malformed."""
-
-
-class RaggedRowError(EvidnetError):
-    """A CSV row has the wrong number of cells."""
-
-
-class NonNumericFeatureError(EvidnetError):
-    """A feature cell could not be parsed as a finite number."""
-
-
-class UnknownLabelError(EvidnetError):
-    """A label cell names a class outside the known list, or is empty."""
-
-
-class EmptyFileError(EvidnetError):
-    """The file has no content at all."""
+    """An input contains NaN or infinity, or a mass is not a real number."""
 
 
 class MalformedCsvError(EvidnetError):
-    """A CSV file is not UTF-8 text, or csv.reader refused a record (a
-    field past csv's size limit, say)."""
-
-
-class UnsupportedVersionError(EvidnetError):
-    """The model document declares a format version this code cannot read."""
+    """A feature CSV file is empty, lacks its header, holds a ragged row, a
+    non-numeric feature or an unknown or missing label, is not UTF-8 text,
+    or has a record csv.reader refuses (a field past csv's size limit, say)."""
 
 
 class CorruptFieldError(EvidnetError):
-    """The model document is missing a field or holds one of the wrong type."""
+    """The model document is missing a field, holds one of the wrong type
+    or parameters the model refuses, or declares a format version this
+    code cannot read."""
 
 
-class WriteFailureError(EvidnetError):
-    """An output file could not be written."""
+class DimensionMismatchError(EvidnetError):
+    """Vector, matrix, sequence or gradient shapes do not match."""
+
+
+class InvalidMassError(EvidnetError):
+    """A mass function is invalid: a negative mass, mass on the empty set,
+    masses not summing to 1, a bad subset mask, or mismatched frames."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyListError, LengthMismatchError, NonFiniteInputError, SingleClassError
+from .errors import DimensionMismatchError, EvidnetError, NonFiniteInputError
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,9 @@ class MetricsReport:
 def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.asarray(a), np.asarray(b)
     if len(a) != len(b):
-        raise LengthMismatchError(f"{len(a)} predictions vs {len(b)} truths")
+        raise DimensionMismatchError(f"{len(a)} predictions vs {len(b)} truths")
     if len(a) == 0:
-        raise EmptyListError("no instances to score")
+        raise EvidnetError("no instances to score")
     return a, b
 
 
@@ -77,7 +77,7 @@ def roc_points(scores, truth, positive=1) -> RocCurve:
     n_pos = np.count_nonzero(pos)
     n_neg = len(pos) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassError(
+        raise EvidnetError(
             f"need both classes for a ROC sweep, got {n_pos} positive / {n_neg} negative"
         )
     order = np.argsort(-s, kind="stable")

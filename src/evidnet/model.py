@@ -44,13 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .belief import MAX_FRAME_SIZE, Frame, MassFunction, _derived_mass
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteInputError,
-    TooFewPointsError,
-    TotalConflictError,
-    ZeroBetaError,
-)
+from .errors import DimensionMismatchError, EvidnetError, NonFiniteInputError, TotalConflictError
 
 # Fused normalizer at or below this is treated as total conflict.
 TOTAL_CONFLICT_FLOOR = 1e-300
@@ -230,7 +224,7 @@ class EvidentialModel:
             bsq = self.beta**2
             ssum = bsq.sum(axis=1)
             if (ssum == 0.0).any():
-                raise ZeroBetaError("a prototype's beta squares sum to zero")
+                raise EvidnetError("a prototype's beta squares sum to zero")
             k = self.config.k
             u = np.zeros((self.config.r, k + 1))
             np.divide(bsq, ssum[:, None], out=u[:, :k])
@@ -405,7 +399,7 @@ def kmeans_init(features, r: int, seed: int) -> np.ndarray:
         raise ValueError("need at least one cluster")
     n = X.shape[0]
     if n < r:
-        raise TooFewPointsError(f"{n} points cannot seed {r} distinct clusters")
+        raise EvidnetError(f"{n} points cannot seed {r} distinct clusters")
     rng = np.random.default_rng(seed)
     centers = X[rng.choice(n, size=r, replace=False)].copy()
     assign = None
@@ -452,7 +446,7 @@ def init_model(
     if shape != (n,):
         raise DimensionMismatchError(f"{shape[0] if shape else 0} labels for {n} rows")
     if n < config.r:
-        raise TooFewPointsError(f"{n} labeled points for r={config.r} prototypes")
+        raise EvidnetError(f"{n} labeled points for r={config.r} prototypes")
     y = _class_indices(labels, config.k)
     if class_names is None:
         if config.k == 2:

@@ -32,15 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dataio import FeatureDataset
-from .errors import (
-    DimensionMismatchError,
-    EmptyBatchError,
-    EmptyListError,
-    EmptyValidationError,
-    NoLabeledDataError,
-    NonFiniteGradientError,
-    ShapeMismatchError,
-)
+from .errors import DimensionMismatchError, EvidnetError
 from .metrics import accuracy
 from .model import (
     EvidentialModel,
@@ -158,13 +150,13 @@ def _stack_batch(batch: Batch, k: int):
     unlabeled count."""
     n_unl = len(batch.unlabeled)
     if not batch.labeled and n_unl == 0:
-        raise EmptyBatchError("batch has neither labeled nor unlabeled instances")
+        raise EvidnetError("batch has neither labeled nor unlabeled instances")
     y = _class_indices([yi for _, yi in batch.labeled], k)
     rows = [np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in batch.labeled]
     t_per = 0
     for x, copies in batch.unlabeled:
         if len(copies) == 0:
-            raise EmptyListError("unlabeled instance without perturbed copies")
+            raise EvidnetError("unlabeled instance without perturbed copies")
         if t_per == 0:
             t_per = len(copies)
         elif len(copies) != t_per:
@@ -174,7 +166,7 @@ def _stack_batch(batch: Batch, k: int):
         for xt in copies:
             rows.append(np.atleast_1d(np.asarray(xt, dtype=float)))
     try:
-        stacked = np.vstack(rows)
+        stacked = np.stack(rows)
     except ValueError as exc:
         raise DimensionMismatchError(f"batch rows disagree in dimension: {exc}") from exc
     return stacked, y, n_unl
@@ -295,7 +287,7 @@ def _require_finite(model: EvidentialModel, grad: np.ndarray) -> np.ndarray:
     if not np.isfinite(grad).all():
         blocks = _blocks(model.config, grad).items()
         name = next(n for n, block in blocks if not np.isfinite(block).all())
-        raise NonFiniteGradientError(f"non-finite gradient in {name}")
+        raise EvidnetError(f"non-finite gradient in {name}")
     return grad
 
 
@@ -311,7 +303,7 @@ def gradients(
 ) -> np.ndarray:
     """Analytic gradient of total_loss as one vector laid out like
     model.theta (model.config.shapes gives its blocks' order and shapes);
-    raises NonFiniteGradientError, naming the block, on a non-finite entry."""
+    raises EvidnetError, naming the block, on a non-finite entry."""
     arrays = _stack_batch(batch, model.config.k)
     _, grad = _loss_and_grads(model, *arrays, cfg, want_grads=True)
     return _require_finite(model, grad)
@@ -328,7 +320,7 @@ def grad_check(
     numeric derivative's own rounding. Each probe is a model bound to a
     perturbed copy of model.theta, scored on the batch stacked once.
     """
-    if step <= 0:
+    if not 0 < step < math.inf:
         raise ValueError("step must be > 0")
     arrays = _stack_batch(batch, model.config.k)
     analytic = _require_finite(model, _loss_and_grads(model, *arrays, cfg, want_grads=True)[1])
@@ -366,13 +358,13 @@ def optimizer_step(
     """One Adam update; returns a new model and advanced state.
 
     grads is the gradient as one vector laid out like model.theta, as
-    gradients returns it; another shape raises ShapeMismatchError. Adam
+    gradients returns it; another shape raises DimensionMismatchError. Adam
     keeps exponential first/second moment averages (decay 0.9 / 0.999,
     epsilon 1e-8) with bias correction. Raises at the step that makes a
     parameter non-finite or a prototype's beta row zero.
     """
     if grads.shape != model.theta.shape:
-        raise ShapeMismatchError(
+        raise DimensionMismatchError(
             f"gradient shape {grads.shape}, parameters {model.theta.shape}"
         )
     step = state.step + 1
@@ -420,11 +412,11 @@ def train(
         [i for i, lab in enumerate(labels) if lab is None], dtype=int
     )
     if labeled_idx.size == 0:
-        raise NoLabeledDataError("training set has no labeled instances")
+        raise EvidnetError("training set has no labeled instances")
     if val_set.n == 0:
-        raise EmptyValidationError("validation set is empty")
+        raise EvidnetError("validation set is empty")
     if not val_set.fully_labeled():
-        raise EmptyValidationError("validation set must be fully labeled")
+        raise EvidnetError("validation set must be fully labeled")
     _class_indices(val_set.labels, model.config.k)
 
     x_lab = feats[labeled_idx]

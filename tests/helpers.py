@@ -8,6 +8,8 @@ treat edits here as invalidating those measurements.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from evidnet import (
@@ -21,6 +23,11 @@ from evidnet import (
     mass_new,
     train,
 )
+
+def exactly(message: str) -> str:
+    """A pytest.raises match= pattern for exactly this message."""
+    return f"^{re.escape(message)}$"
+
 
 EMBED_SEED = 1234
 GRAD_SEED_BASE = 0

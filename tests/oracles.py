@@ -43,19 +43,10 @@ from evidnet.belief import (
 from evidnet.model import KMEANS_MAX_ITER, TOTAL_CONFLICT_FLOOR, _blocks
 from evidnet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from evidnet.errors import (
-    EmptyFileError,
-    EmptySetMassError,
-    FrameMismatchError,
-    InvalidMaskError,
+    InvalidMassError,
     MalformedCsvError,
-    MissingHeaderError,
-    NegativeMassError,
     NonFiniteInputError,
-    NonNumericFeatureError,
-    NotNormalizedError,
-    RaggedRowError,
     TotalConflictError,
-    UnknownLabelError,
 )
 
 
@@ -121,9 +112,9 @@ def reference_check_mask(frame, mask) -> int:
     k = len(frame.labels)
     full_mask = (1 << k) - 1
     if not isinstance(mask, int) or isinstance(mask, bool):
-        raise InvalidMaskError(f"subset mask must be an int, got {type(mask).__name__}")
+        raise InvalidMassError(f"subset mask must be an int, got {type(mask).__name__}")
     if not 0 <= mask <= full_mask:
-        raise InvalidMaskError(f"mask {mask!r} out of range for frame of size {k}")
+        raise InvalidMassError(f"mask {mask!r} out of range for frame of size {k}")
     return mask
 
 
@@ -139,14 +130,14 @@ def reference_clean_masses(frame, masses) -> dict[int, float]:
         if not value >= 0.0:  # also true for NaN, which compares false
             if value != value:
                 raise NonFiniteInputError(f"mass {value} for subset {mask:#b}")
-            raise NegativeMassError(f"mass {value} for subset {mask:#b}")
+            raise InvalidMassError(f"mass {value} for subset {mask:#b}")
         if mask == 0 and value > 0.0:
-            raise EmptySetMassError(f"empty set carries mass {value}")
+            raise InvalidMassError(f"empty set carries mass {value}")
         if value > 0.0:
             clean[mask] = clean.get(mask, 0.0) + value
     total = sum(clean.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
-        raise NotNormalizedError(f"masses sum to {total!r}, expected 1")
+        raise InvalidMassError(f"masses sum to {total!r}, expected 1")
     return clean
 
 
@@ -162,7 +153,7 @@ def reference_pl(m, a: int) -> float:
 
 def _reference_shared_frame(m1, m2) -> None:
     if m1.frame != m2.frame:
-        raise FrameMismatchError(
+        raise InvalidMassError(
             f"frames differ: {m1.frame.labels} vs {m2.frame.labels}"
         )
 
@@ -570,11 +561,11 @@ def reference_load_csv(path, class_names=None):
     records = _reference_records(path, io.StringIO(text, newline=""))
     header = next(records, None)
     if header is None:
-        raise EmptyFileError(f"{path}: no content")
+        raise MalformedCsvError(f"{path}: no content")
     _reference_require_utf8(path, header, "the header")
     d = len(header) - 1
     if d < 1 or header != [f"f{j}" for j in range(d)] + ["label"]:
-        raise MissingHeaderError(
+        raise MalformedCsvError(
             f"{path}: header must be f0,...,f{{d-1}},label, got {','.join(header)}"
         )
     fixed_names = tuple(class_names) if class_names is not None else None
@@ -584,17 +575,17 @@ def reference_load_csv(path, class_names=None):
     for rownum, row in enumerate(records, start=1):
         _reference_require_utf8(path, row, f"row {rownum}")
         if len(row) != d + 1:
-            raise RaggedRowError(f"{path}: row {rownum} has {len(row)} cells, expected {d + 1}")
+            raise MalformedCsvError(f"{path}: row {rownum} has {len(row)} cells, expected {d + 1}")
         values = []
         for j, cell in enumerate(row[:d]):
             try:
                 value = float(cell)
             except ValueError:
-                raise NonNumericFeatureError(
+                raise MalformedCsvError(
                     f"{path}: row {rownum}, column f{j}: {cell!r}"
                 ) from None
             if not np.isfinite(value):
-                raise NonNumericFeatureError(
+                raise MalformedCsvError(
                     f"{path}: row {rownum}, column f{j}: non-finite value {cell!r}"
                 )
             values.append(value)
@@ -608,7 +599,7 @@ def reference_load_csv(path, class_names=None):
             seen.append(cell)
             labels.append(len(seen) - 1)
         else:
-            raise UnknownLabelError(
+            raise MalformedCsvError(
                 f"{path}: row {rownum}: label {cell!r} not among {fixed_names}"
             )
     return np.array(features, dtype=float).reshape(-1, d), labels, tuple(seen)

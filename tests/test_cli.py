@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import evidnet
+import evidnet.errors
 from evidnet import (
     EvidentialModel,
     FeatureDataset,
@@ -386,17 +388,12 @@ def test_readme_tour_runs(tmp_path, monkeypatch):
 
 
 PUBLIC_NAMES = """
-    Batch CorruptFieldError DimensionMismatchError EmptyBatchError EmptyFileError
-    EmptyListError EmptySetMassError EmptyValidationError EvidentialModel EvidnetError
-    FeatureDataset Frame FrameMismatchError InvalidMaskError LengthMismatchError
-    MalformedCsvError MassFunction MissingHeaderError ModelConfig NegativeMassError
-    NoLabeledDataError NonFiniteGradientError NonFiniteInputError NonNumericFeatureError
-    NotNormalizedError RaggedRowError ShapeMismatchError SingleClassError TooFewPointsError
-    TotalConflictError TrainConfig UnknownLabelError UnsupportedVersionError
-    WriteFailureError ZeroBetaError accuracy auc bel combine_all conflict decide
-    dempster_combine export_predictions f1 forward forward_batch grad_check gradients
-    init_model load_csv load_model mass_new metrics_report optimizer_step pl roc_points
-    save_model total_loss train write_csv
+    Batch CorruptFieldError DimensionMismatchError EvidentialModel EvidnetError
+    FeatureDataset Frame InvalidMassError MalformedCsvError MassFunction ModelConfig
+    NonFiniteInputError TotalConflictError TrainConfig accuracy auc bel combine_all
+    conflict decide dempster_combine export_predictions f1 forward forward_batch
+    grad_check gradients init_model load_csv load_model mass_new metrics_report
+    optimizer_step pl roc_points save_model total_loss train write_csv
 """.split()
 
 
@@ -405,6 +402,19 @@ def test_public_names_are_pinned():
     public = {name for name, value in vars(evidnet).items()
               if not name.startswith("_") and not isinstance(value, type(evidnet))}
     assert public == set(PUBLIC_NAMES)
+
+
+def test_every_error_class_is_raised():
+    # a class that no raise in the package names would be API with no fault
+    # behind it: a change that removes its last raise removes the class too
+    raised = set()
+    for path in Path(evidnet.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                raised.add(getattr(node.exc.func, "id", None))
+    defined = {name for name, value in vars(evidnet.errors).items()
+               if isinstance(value, type) and value.__module__ == evidnet.errors.__name__}
+    assert defined and defined <= raised, defined - raised
 
 
 def test_benchmark_trace_points_resolve():

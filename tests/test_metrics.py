@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidnet import (
-    EmptyListError,
-    LengthMismatchError,
-    SingleClassError,
+    DimensionMismatchError,
+    EvidnetError,
     accuracy,
     auc,
     f1,
@@ -29,9 +28,9 @@ def test_accuracy_basic():
 
 
 def test_accuracy_validation():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DimensionMismatchError, match="^1 predictions vs 2 truths$"):
         accuracy([0], [0, 1])
-    with pytest.raises(EmptyListError):
+    with pytest.raises(EvidnetError, match="^no instances to score$"):
         accuracy([], [])
 
 
@@ -100,11 +99,13 @@ def test_roc_thresholds_strictly_decrease():
 
 
 def test_roc_validation():
-    with pytest.raises(SingleClassError):
+    with pytest.raises(EvidnetError,
+                       match="^need both classes for a ROC sweep, got 2 positive / 0 negative$"):
         roc_points([0.4, 0.6], [1, 1], positive=1)
-    with pytest.raises(SingleClassError):
+    with pytest.raises(EvidnetError,
+                       match="^need both classes for a ROC sweep, got 0 positive / 2 negative$"):
         auc([0.4, 0.6], [0, 0], positive=1)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DimensionMismatchError, match="^1 predictions vs 2 truths$"):
         roc_points([0.4], [1, 0], positive=1)
     with pytest.raises(ValueError):
         roc_points([np.nan, 0.5], [1, 0], positive=1)

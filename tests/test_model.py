@@ -13,12 +13,11 @@ from hypothesis.extra.numpy import arrays
 from evidnet import (
     DimensionMismatchError,
     EvidentialModel,
+    EvidnetError,
     MassFunction,
     ModelConfig,
     NonFiniteInputError,
-    TooFewPointsError,
     TotalConflictError,
-    ZeroBetaError,
     decide,
     forward,
     forward_batch,
@@ -132,12 +131,15 @@ def test_prototype_ranges(beta, xi, eta):
     assert out.ignorance == pytest.approx(1.0 - s, abs=1e-15)
 
 
+ZERO_BETA = "^a prototype's beta squares sum to zero$"
+
+
 def test_prototype_validation():
     # each prototype's memberships must be defined, not just the total
     m = tiny_model(beta=((0.5, 0.5), (0.5, 0.5)), xi=(0.0, 0.0), eta=(1.0, 1.0),
                    center=((0.0, 0.0), (1.0, 1.0)))
     for bad_row in ([0.0, 0.0], [0.0, 1e-200]):
-        with pytest.raises(ZeroBetaError):
+        with pytest.raises(EvidnetError, match=ZERO_BETA):
             replace(m, beta=np.array([[1.0, 1.0], bad_row]))
 
 
@@ -164,9 +166,9 @@ def test_model_validation():
             EvidentialModel(**{**ok, "class_names": names})
     with pytest.raises(NonFiniteInputError):
         EvidentialModel(**{**ok, "b": np.array([0.0, np.nan])})
-    with pytest.raises(ZeroBetaError):
+    with pytest.raises(EvidnetError, match=ZERO_BETA):
         EvidentialModel(**{**ok, "beta": np.zeros((1, 2))})
-    with pytest.raises(ZeroBetaError):
+    with pytest.raises(EvidnetError, match=ZERO_BETA):
         # squares underflow to zero, which is just as undefined
         EvidentialModel(**{**ok, "beta": np.array([[0.0, 1e-200]])})
 
@@ -473,7 +475,7 @@ def test_kmeans_is_deterministic():
 
 def test_kmeans_validation():
     X = np.zeros((2, 2))
-    with pytest.raises(TooFewPointsError):
+    with pytest.raises(EvidnetError, match="^2 points cannot seed 3 distinct clusters$"):
         kmeans_init(X, 3, 0)
     with pytest.raises(ValueError):
         kmeans_init(X, 0, 0)
@@ -556,7 +558,7 @@ def test_init_model_validation():
             init_model(cfg, X, [bad] + y[1:], seed=0)
     with pytest.raises(DimensionMismatchError):
         init_model(cfg, X, y[:-1], seed=0)
-    with pytest.raises(TooFewPointsError):
+    with pytest.raises(EvidnetError, match=f"^{len(y)} labeled points for r=41 prototypes$"):
         init_model(ModelConfig(d_in=3, r=41, h=4, k=2), X, y, seed=0)
     with pytest.raises(DimensionMismatchError):
         init_model(ModelConfig(d_in=5, r=2, h=4, k=2), X, y, seed=0)

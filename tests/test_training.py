@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -13,19 +14,13 @@ import evidnet.training
 from evidnet import (
     Batch,
     DimensionMismatchError,
-    EmptyBatchError,
-    EmptyListError,
-    EmptyValidationError,
     EvidentialModel,
+    EvidnetError,
     FeatureDataset,
     ModelConfig,
-    NoLabeledDataError,
-    NonFiniteGradientError,
     NonFiniteInputError,
-    ShapeMismatchError,
     TotalConflictError,
     TrainConfig,
-    ZeroBetaError,
     forward,
     forward_batch,
     grad_check,
@@ -208,13 +203,13 @@ def test_total_loss_mse_mode_matches_cost_helper():
 
 def test_batch_validation():
     model, _, cfg = mse_check_pair(0)
-    with pytest.raises(EmptyBatchError):
+    with pytest.raises(EvidnetError, match="^batch has neither labeled nor unlabeled instances$"):
         total_loss(model, Batch(), cfg)
     with pytest.raises(ValueError):
         total_loss(model, Batch(labeled=[(np.zeros(5), 3)]), cfg)
     with pytest.raises(DimensionMismatchError):
         total_loss(model, Batch(labeled=[(np.zeros(4), 1)]), cfg)
-    with pytest.raises(EmptyListError):
+    with pytest.raises(EvidnetError, match="^unlabeled instance without perturbed copies$"):
         total_loss(model, Batch(unlabeled=[(np.zeros(5), [])]), cfg)
     ragged = Batch(
         unlabeled=[
@@ -224,6 +219,20 @@ def test_batch_validation():
     )
     with pytest.raises(DimensionMismatchError):
         total_loss(model, ragged, cfg)
+    # each x is one row: a two-row x is refused, not spread over two rows
+    # that would shift the unlabeled offset
+    two_rows = Batch(labeled=[(np.zeros(5), 0)], unlabeled=[(np.zeros((2, 5)), [np.zeros(5)])])
+    with pytest.raises(DimensionMismatchError, match="^batch rows disagree in dimension: "):
+        total_loss(model, two_rows, cfg)
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^feature matrix has shape \(1, 2, 5\), expected \(n, 5\)$"):
+        total_loss(model, Batch(labeled=[(np.zeros((2, 5)), 0)]), cfg)
+    # at d = 1 a scalar is a row
+    line = init_model(ModelConfig(d_in=1, r=1, h=1, k=2), np.array([[0.0], [1.0]]), [0, 1],
+                      seed=0)
+    scalars = Batch(labeled=[(0.5, 0), (np.float64(1.0), 1)], unlabeled=[(0.2, [0.3])])
+    rows = Batch(labeled=[([0.5], 0), ([1.0], 1)], unlabeled=[([0.2], [[0.3]])])
+    assert total_loss(line, scalars, cfg) == total_loss(line, rows, cfg)
 
 
 # analytic gradients
@@ -260,9 +269,9 @@ def test_overflowing_row_gives_non_finite_gradient():
         assert total_loss(model, Batch(labeled=[(far, 0)]), cfg) == pytest.approx(
             -math.log(LOG_EPS)
         )
-        with pytest.raises(NonFiniteGradientError):
+        with pytest.raises(EvidnetError, match="^non-finite gradient in eta$"):
             gradients(model, Batch(labeled=[(far, 0)]), cfg)
-        with pytest.raises(NonFiniteGradientError):
+        with pytest.raises(EvidnetError, match="^non-finite gradient in eta$"):
             train(model, data, data, cfg)
 
 
@@ -590,8 +599,11 @@ def test_grad_check_error_grows_with_step():
     fine = grad_check(model, batch, cfg, step=1e-5)
     coarse = grad_check(model, batch, cfg, step=1e-2)
     assert coarse > fine
-    with pytest.raises(ValueError):
-        grad_check(model, batch, cfg, step=0.0)
+    # a step that is not a positive finite number is refused up front,
+    # not left to fail as a non-finite probe
+    for step in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^step must be > 0$"):
+            grad_check(model, batch, cfg, step=step)
 
 
 # perturbations
@@ -681,7 +693,7 @@ def test_optimizer_raises_at_the_step_that_breaks_the_model():
     model = replace(model, beta=np.full((model.config.r, 2), 0.5))
     grads, blocks = zero_grads(model)
     blocks["beta"][0] = 2.0**40
-    with pytest.raises(ZeroBetaError):
+    with pytest.raises(EvidnetError, match="^a prototype's beta squares sum to zero$"):
         optimizer_step(model, grads, TrainConfig(learning_rate=0.5), init_optimizer(model))
 
 
@@ -689,7 +701,8 @@ def test_optimizer_shape_mismatch():
     model, _, _ = mse_check_pair(1)
     size = model.theta.size
     for grads in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((1, size))):
-        with pytest.raises(ShapeMismatchError):
+        want = f"^{re.escape(f'gradient shape {grads.shape}, parameters ({size},)')}$"
+        with pytest.raises(DimensionMismatchError, match=want):
             optimizer_step(model, grads, TrainConfig(), init_optimizer(model))
 
 
@@ -859,19 +872,19 @@ def test_train_validation_requirements():
         labels=[None] * train_set.n,
         class_names=train_set.class_names,
     )
-    with pytest.raises(NoLabeledDataError):
+    with pytest.raises(EvidnetError, match="^training set has no labeled instances$"):
         train(model, unlabeled, val_set, cfg)
     empty = FeatureDataset(
         features=np.zeros((0, 16)), labels=[], class_names=train_set.class_names
     )
-    with pytest.raises(EmptyValidationError):
+    with pytest.raises(EvidnetError, match="^validation set is empty$"):
         train(model, train_set, empty, cfg)
     half = FeatureDataset(
         features=val_set.features,
         labels=[None] + list(val_set.labels[1:]),
         class_names=val_set.class_names,
     )
-    with pytest.raises(EmptyValidationError):
+    with pytest.raises(EvidnetError, match="^validation set must be fully labeled$"):
         train(model, train_set, half, cfg)
     three = FeatureDataset(
         features=train_set.features,
