@@ -628,7 +628,7 @@ def load_model(path) -> EvidentialModel:
     if not isinstance(protos, list):
         raise CorruptFieldError(f"{path}: prototypes must be a list")
     if len(protos) != config.r:
-        raise DimensionMismatchError(
+        raise CorruptFieldError(
             f"{path}: expected {config.r} prototypes, found {len(protos)}"
         )
     def block(values, name):
@@ -653,7 +653,7 @@ def load_model(path) -> EvidentialModel:
     xi = block([_require(p, "xi") for p in protos], "xi")
     eta = block([_require(p, "eta") for p in protos], "eta")
     if centers.ndim != 2 or centers.shape[1] != config.h:
-        raise DimensionMismatchError(
+        raise CorruptFieldError(
             f"{path}: prototype centers have shape {centers.shape}, expected (r, {config.h})"
         )
     class_names = _require(doc, "class_names")

@@ -34,7 +34,6 @@ again (see belief._derived_mass); a NaN mass still raises.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -210,34 +209,40 @@ class EvidentialModel:
     def _bind(self, theta: np.ndarray) -> None:
         """Make theta, now read-only, the parameter vector and derive the
         model's constants from it; raise unless every entry is finite and
-        every prototype's beta squares have a non-zero sum."""
+        every prototype's beta squares have a non-zero sum.
+
+        The optimizer rebinds at every training step, so this calls the
+        ufuncs themselves, not the ndarray methods and operators that wrap
+        them; each constant has the bits the operator form gives."""
         theta.setflags(write=False)
+        blocks = _blocks(self.config, theta)
         self.theta = theta
-        self.__dict__.update(_blocks(self.config, theta))
-        if not np.isfinite(theta).all():
-            name = next(n for n in PARAM_FIELDS if not np.isfinite(getattr(self, n)).all())
+        self.__dict__.update(blocks)
+        if not np.logical_and.reduce(np.isfinite(theta)):
+            name = next(n for n in PARAM_FIELDS if not np.isfinite(blocks[n]).all())
             raise NonFiniteInputError(f"non-finite entries in {name}")
         # a finite parameter may still square past the float range: the
         # constant is then inf (NaN in u) and the forward pass yields what
         # that arithmetic gives, but building the model does not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            bsq = self.beta**2
-            ssum = bsq.sum(axis=1)
-            if (ssum == 0.0).any():
+            bsq = np.square(blocks["beta"])
+            ssum = np.add.reduce(bsq, axis=1)
+            if np.logical_or.reduce(ssum == 0.0):
                 raise EvidnetError("a prototype's beta squares sum to zero")
             k = self.config.k
             u = np.zeros((self.config.r, k + 1))
             np.divide(bsq, ssum[:, None], out=u[:, :k])
-            alpha, gamma = _sigmoid(self.xi), self.eta**2
+            alpha, gamma = _sigmoid(blocks["xi"]), np.square(blocks["eta"])
+            centers = blocks["centers"]
             constants = {
                 "alpha": alpha,
                 "gamma": gamma,
                 "u": u,
-                "omu": 1.0 - u,
-                "c_sq": np.vecdot(self.centers, self.centers),
+                "omu": np.subtract(1.0, u),
+                "c_sq": np.vecdot(centers, centers),
                 "beta_sq_sum": ssum,
                 "alpha_col": alpha[:, None],
-                "neg_gamma_col": -gamma[:, None],
+                "neg_gamma_col": np.negative(gamma[:, None]),
                 "u_col": u[:, :, None],
             }
         for value in constants.values():
@@ -245,8 +250,12 @@ class EvidentialModel:
         self.__dict__.update(constants)
 
     def _with_vector(self, theta: np.ndarray) -> "EvidentialModel":
-        """The same architecture and classes over parameter vector theta."""
-        new = copy.copy(self)
+        """The same architecture and classes over parameter vector theta.
+
+        The new model starts as a shallow copy of this one's fields; _bind
+        then replaces every field that depends on theta."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
         new._bind(theta)
         return new
 
@@ -310,7 +319,8 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     constants, bound in the shapes they broadcast in.
     """
     k = model.config.k
-    z = X @ model.w.T + model.b
+    z = X @ model.w.T
+    z += model.b
     d2 = _sq_dists(model.centers, z, model.c_sq)
     e = np.multiply(d2, model.neg_gamma_col)
     np.exp(e, out=e)

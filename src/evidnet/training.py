@@ -41,6 +41,7 @@ from .model import (
     _class_indices,
     _exclusive_prod,
     _forward_arrays,
+    _require_finite_features,
     _require_ints,
     decide,
     forward_batch,
@@ -143,11 +144,13 @@ class OptimizerState:
 # batched objective and analytic gradients
 
 
-def _stack_batch(batch: Batch, k: int):
+def _stack_batch(batch: Batch, model: EvidentialModel):
     """Flatten a batch into the arrays _loss_and_grads takes: one matrix of
     labeled rows, then unlabeled bases, then all perturbed copies in
-    (instance, copy) order; the labeled rows' class indices; and the
-    unlabeled count."""
+    (instance, copy) order, checked against the model's input width and
+    for finiteness; the labeled rows' class indices; and the unlabeled
+    count."""
+    k = model.config.k
     n_unl = len(batch.unlabeled)
     if not batch.labeled and n_unl == 0:
         raise EvidnetError("batch has neither labeled nor unlabeled instances")
@@ -169,12 +172,12 @@ def _stack_batch(batch: Batch, k: int):
         stacked = np.stack(rows)
     except ValueError as exc:
         raise DimensionMismatchError(f"batch rows disagree in dimension: {exc}") from exc
-    return stacked, y, n_unl
+    return _as_feature_matrix(stacked, model.config.d_in), y, n_unl
 
 
 def _loss_and_grads(
     model: EvidentialModel,
-    x,
+    x: np.ndarray,
     y: np.ndarray,
     n_unl: int,
     cfg: TrainConfig,
@@ -182,18 +185,18 @@ def _loss_and_grads(
 ):
     """Objective, and its gradient when wanted, over one stacked batch.
 
-    x holds the len(y) labeled rows, then n_unl unlabeled rows, then the
-    unlabeled rows' perturbed copies in (instance, copy) order; y holds
-    the labeled rows' class indices.
+    x, a float matrix of the model's input width with finite entries only
+    (callers check it), holds the len(y) labeled rows, then n_unl
+    unlabeled rows, then the unlabeled rows' perturbed copies in
+    (instance, copy) order; y holds the labeled rows' class indices.
     """
     k = model.config.k
-    x_all = _as_feature_matrix(x, model.config.d_in)
-    cache = _forward_arrays(model, x_all)
+    cache = _forward_arrays(model, x)
     m = cache["m"]  # (K, n), as pl
     n_lab = y.shape[0]
     labeled = y, np.arange(n_lab)  # (class, row) cell of each target
     # dLoss/d(mass): rows gm (singleton masses) and gmo (ignorance mass)
-    gmass = np.zeros((k + 1, x_all.shape[0]))
+    gmass = np.zeros((k + 1, x.shape[0]))
     gm, gmo = gmass[:k], gmass[k]
 
     sup = 0.0
@@ -293,7 +296,7 @@ def _require_finite(model: EvidentialModel, grad: np.ndarray) -> np.ndarray:
 
 def total_loss(model: EvidentialModel, batch: Batch, cfg: TrainConfig) -> float:
     """The scalar objective a training step descends."""
-    arrays = _stack_batch(batch, model.config.k)
+    arrays = _stack_batch(batch, model)
     loss, _ = _loss_and_grads(model, *arrays, cfg, want_grads=False)
     return loss
 
@@ -304,7 +307,7 @@ def gradients(
     """Analytic gradient of total_loss as one vector laid out like
     model.theta (model.config.shapes gives its blocks' order and shapes);
     raises EvidnetError, naming the block, on a non-finite entry."""
-    arrays = _stack_batch(batch, model.config.k)
+    arrays = _stack_batch(batch, model)
     _, grad = _loss_and_grads(model, *arrays, cfg, want_grads=True)
     return _require_finite(model, grad)
 
@@ -322,7 +325,7 @@ def grad_check(
     """
     if not 0 < step < math.inf:
         raise ValueError("step must be > 0")
-    arrays = _stack_batch(batch, model.config.k)
+    arrays = _stack_batch(batch, model)
     analytic = _require_finite(model, _loss_and_grads(model, *arrays, cfg, want_grads=True)[1])
     theta = model.theta
 
@@ -355,24 +358,40 @@ def optimizer_step(
     cfg: TrainConfig,
     state: OptimizerState,
 ) -> tuple[EvidentialModel, OptimizerState]:
-    """One Adam update; returns a new model and advanced state.
+    """One Adam update; returns a new model and a new advanced state.
 
     grads is the gradient as one vector laid out like model.theta, as
     gradients returns it; another shape raises DimensionMismatchError. Adam
     keeps exponential first/second moment averages (decay 0.9 / 0.999,
     epsilon 1e-8) with bias correction. Raises at the step that makes a
     parameter non-finite or a prototype's beta row zero.
+
+    The inputs are never written: the new model and state own fresh
+    arrays. Each operation of theta - lr * m_hat / (sqrt(v_hat) + eps)
+    and of the moment updates runs in the textbook expression's order, so
+    the result has its bits; one scratch vector and the new parameter
+    vector hold the intermediates.
     """
     if grads.shape != model.theta.shape:
         raise DimensionMismatchError(
             f"gradient shape {grads.shape}, parameters {model.theta.shape}"
         )
     step = state.step + 1
-    m1 = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    v1 = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = m1 / (1.0 - ADAM_BETA1**step)
-    v_hat = v1 / (1.0 - ADAM_BETA2**step)
-    theta = model.theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    scratch = np.multiply(grads, 1.0 - ADAM_BETA1)
+    m1 = np.multiply(state.m, ADAM_BETA1)
+    m1 += scratch
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=scratch)
+    scratch *= grads
+    v1 = np.multiply(state.v, ADAM_BETA2)
+    v1 += scratch
+    np.divide(m1, 1.0 - ADAM_BETA1**step, out=scratch)
+    scratch *= cfg.learning_rate
+    # the denominator is built in the new parameters' own vector
+    theta = np.divide(v1, 1.0 - ADAM_BETA2**step)
+    np.sqrt(theta, out=theta)
+    theta += ADAM_EPS
+    np.divide(scratch, theta, out=theta)
+    np.subtract(model.theta, theta, out=theta)
     return model._with_vector(theta), OptimizerState(step=step, m=m1, v=v1)
 
 
@@ -397,13 +416,17 @@ def train(
 
     Epochs shuffle the labeled and unlabeled streams independently and
     slice both into the same number of mini-batches. Fresh perturbations
-    are drawn every epoch. Training stops once validation accuracy has
-    not strictly improved for cfg.patience consecutive epochs (or at
-    max_epochs), and the best-epoch parameters are returned. Fully
-    deterministic given (datasets, config). on_epoch observes each record
-    as it is appended.
+    are drawn every epoch: each epoch's copies of the unlabeled rows are
+    built once, in the array the noise was drawn into, and checked for
+    finiteness there. The training features are checked once per call,
+    and each step gathers its rows into one buffer reused for every step.
+    Training stops once validation accuracy has not strictly improved for
+    cfg.patience consecutive epochs (or at max_epochs), and the best-epoch
+    parameters are returned. Fully deterministic given (datasets,
+    config). The model and datasets passed in are never written. on_epoch
+    observes each record as it is appended.
     """
-    feats = train_set.features
+    feats = _as_feature_matrix(train_set.features, model.config.d_in)
     labels = train_set.labels
     labeled_idx = np.asarray(
         [i for i, lab in enumerate(labels) if lab is not None], dtype=int
@@ -426,6 +449,10 @@ def train(
     d = feats.shape[1]
 
     n_batches = max(math.ceil(n_lab / cfg.batch_size), math.ceil(n_unl / cfg.batch_size))
+    t = cfg.t_perturb
+    # one step's rows: labeled rows, unlabeled bases, then the bases'
+    # copies; array_split makes no chunk longer than the ceiling
+    rows = np.empty((math.ceil(n_lab / n_batches) + math.ceil(n_unl / n_batches) * (1 + t), d))
 
     rng = np.random.default_rng(cfg.seed)
     # models are immutable, so the current and best models are shared,
@@ -442,16 +469,26 @@ def train(
     for epoch in range(1, cfg.max_epochs + 1):
         perm_lab = rng.permutation(n_lab)
         perm_unl = rng.permutation(n_unl)
-        noise = rng.standard_normal((n_unl, cfg.t_perturb, d))
+        # each copy is x + sigma * noise: both operations commute, so
+        # building it in the noise's array gives that expression's bits
+        copies = rng.standard_normal((n_unl, t, d))
+        copies *= cfg.noise_sigma
+        copies += x_unl[:, None]
+        _require_finite_features(copies)
         batch_losses = []
         for chunk_l, chunk_u in zip(
             np.array_split(perm_lab, n_batches), np.array_split(perm_unl, n_batches)
         ):
-            base = x_unl[chunk_u]
-            copies = base[:, None] + cfg.noise_sigma * noise[chunk_u]
-            x = np.concatenate([x_lab[chunk_l], base, copies.reshape(-1, d)])
+            n_l, n_u = len(chunk_l), len(chunk_u)
+            stop = n_l + n_u * (1 + t)
+            # the chunks index a permutation, so "clip" never clips; it
+            # lets take write straight into the buffer
+            np.take(x_lab, chunk_l, axis=0, out=rows[:n_l], mode="clip")
+            np.take(x_unl, chunk_u, axis=0, out=rows[n_l : n_l + n_u], mode="clip")
+            np.take(copies, chunk_u, axis=0, out=rows[n_l + n_u : stop].reshape(n_u, t, d),
+                    mode="clip")
             loss, grads = _loss_and_grads(
-                current, x, y_lab[chunk_l], len(chunk_u), cfg, want_grads=True
+                current, rows[:stop], y_lab[chunk_l], n_u, cfg, want_grads=True
             )
             _require_finite(current, grads)
             current, state = optimizer_step(current, grads, cfg, state)

@@ -9,7 +9,8 @@ difference tensor, the fusion's two separate products and its
 leave-one-out product through moveaxis, Adam block by block, k-means
 with its per-cluster loops) as the
 reference the new form must match, as does the feature-CSV writer
-that went through csv.writer. The belief layer's mask check, mass
+that went through csv.writer, and the training loop that concatenated
+and checked each step's rows and ran Adam as one expression. The belief layer's mask check, mass
 validation, Dempster's rule, bel, pl and conflict are kept as they were
 before the frame stored its size and full mask, so their output bits and
 their errors stay pinned; the mass validation refuses a mass that is a
@@ -22,7 +23,10 @@ stated number of ulps. They share no code with the package beyond
 building and reading mass values through mass_new(), combine_all()
 (itself checked against brute_combine) and MassFunction.mass(), raising
 the package's error classes, the model's block layout (_blocks), and the
-Adam, k-means round limit, sum-tolerance and total-conflict constants.
+Adam, k-means round limit, sum-tolerance and total-conflict constants;
+the training-loop oracle also steps through the package's kernel
+(_loss_and_grads, whose bits the kernel oracles pin), its gradient and
+feature checks, its label check, forward_batch and the model's rebind.
 """
 
 from __future__ import annotations
@@ -40,9 +44,27 @@ from evidnet.belief import (
     combine_all,
     mass_new,
 )
-from evidnet.model import KMEANS_MAX_ITER, TOTAL_CONFLICT_FLOOR, _blocks
-from evidnet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from evidnet.metrics import accuracy
+from evidnet.model import (
+    KMEANS_MAX_ITER,
+    TOTAL_CONFLICT_FLOOR,
+    _as_feature_matrix,
+    _blocks,
+    _class_indices,
+    decide,
+    forward_batch,
+)
+from evidnet.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    EpochRecord,
+    TrainHistory,
+    _loss_and_grads,
+    _require_finite,
+)
 from evidnet.errors import (
+    EvidnetError,
     InvalidMassError,
     MalformedCsvError,
     NonFiniteInputError,
@@ -439,6 +461,74 @@ def reference_adam(params: dict, m: dict, v: dict, grads: dict, step: int, lr: f
         out[0][name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         out[1][name], out[2][name] = m1, v1
     return out
+
+
+def reference_train(model, train_set, val_set, cfg):
+    """The training loop as it was before each epoch's perturbed copies
+    were built once: per step, the copies of the step's unlabeled rows,
+    one np.concatenate of its rows, a check of that matrix, and Adam as
+    one expression into fresh arrays. Returns (best model, TrainHistory)."""
+    feats = train_set.features
+    labels = train_set.labels
+    labeled_idx = np.asarray([i for i, lab in enumerate(labels) if lab is not None], dtype=int)
+    unlabeled_idx = np.asarray([i for i, lab in enumerate(labels) if lab is None], dtype=int)
+    if labeled_idx.size == 0:
+        raise EvidnetError("training set has no labeled instances")
+    if val_set.n == 0:
+        raise EvidnetError("validation set is empty")
+    if not val_set.fully_labeled():
+        raise EvidnetError("validation set must be fully labeled")
+    _class_indices(val_set.labels, model.config.k)
+
+    x_lab = feats[labeled_idx]
+    y_lab = _class_indices([labels[i] for i in labeled_idx], model.config.k)
+    x_unl = feats[unlabeled_idx]
+    n_lab, n_unl = x_lab.shape[0], x_unl.shape[0]
+    d = feats.shape[1]
+    n_batches = max(math.ceil(n_lab / cfg.batch_size), math.ceil(n_unl / cfg.batch_size))
+
+    rng = np.random.default_rng(cfg.seed)
+    current = model
+    step, m, v = 0, np.zeros_like(model.theta), np.zeros_like(model.theta)
+    records = []
+    best_acc, best_epoch, best_model = -math.inf, 0, current
+    streak, stopped_early = 0, False
+    for epoch in range(1, cfg.max_epochs + 1):
+        perm_lab = rng.permutation(n_lab)
+        perm_unl = rng.permutation(n_unl)
+        noise = rng.standard_normal((n_unl, cfg.t_perturb, d))
+        batch_losses = []
+        for chunk_l, chunk_u in zip(
+            np.array_split(perm_lab, n_batches), np.array_split(perm_unl, n_batches)
+        ):
+            base = x_unl[chunk_u]
+            copies = base[:, None] + cfg.noise_sigma * noise[chunk_u]
+            x = np.concatenate([x_lab[chunk_l], base, copies.reshape(-1, d)])
+            x = _as_feature_matrix(x, model.config.d_in)
+            loss, grads = _loss_and_grads(current, x, y_lab[chunk_l], len(chunk_u), cfg,
+                                          want_grads=True)
+            _require_finite(current, grads)
+            step += 1
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads * grads
+            m_hat = m / (1.0 - ADAM_BETA1**step)
+            v_hat = v / (1.0 - ADAM_BETA2**step)
+            theta = current.theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            current = current._with_vector(theta)
+            batch_losses.append(loss)
+        _, _, pl = forward_batch(current, val_set.features)
+        val_acc = accuracy(decide(pl), val_set.labels)
+        records.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(batch_losses)),
+                                   val_accuracy=val_acc))
+        if val_acc > best_acc:
+            best_acc, best_epoch, best_model, streak = val_acc, epoch, current, 0
+        else:
+            streak += 1
+            if streak >= cfg.patience:
+                stopped_early = True
+                break
+    return best_model, TrainHistory(records=records, best_epoch=best_epoch,
+                                    stopped_early=stopped_early)
 
 
 def prototype_masses(model, x) -> list:

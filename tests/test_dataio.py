@@ -788,16 +788,18 @@ def test_load_model_errors(tmp_path):
         with pytest.raises(CorruptFieldError, match=f"{key} is"):
             load_model(bad)
 
+    # a prototype list or center of the wrong size is a corrupt file too
     doc = json.loads(good.read_text())
     doc["prototypes"] = doc["prototypes"] * 2  # r says 1, file has 2
     bad.write_text(json.dumps(doc))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(CorruptFieldError, match=exactly(f"{bad}: expected 1 prototypes, found 2")):
         load_model(bad)
 
     doc = json.loads(good.read_text())
     doc["prototypes"][0]["center"] = [1.0, 2.0, 3.0]  # h is 2
     bad.write_text(json.dumps(doc))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(CorruptFieldError, match=exactly(
+            f"{bad}: prototype centers have shape (1, 3), expected (r, 2)")):
         load_model(bad)
 
     # the faults the model itself finds are corruption naming the file too

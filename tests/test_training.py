@@ -235,6 +235,17 @@ def test_batch_validation():
     assert total_loss(line, scalars, cfg) == total_loss(line, rows, cfg)
 
 
+def test_batch_api_refuses_a_non_finite_row():
+    # the stacked batch is checked once, before the kernel, by every entry point
+    model, batch, cfg = mse_check_pair(0)
+    x = np.full(5, np.nan)
+    for bad in (Batch(labeled=batch.labeled + [(x, 0)], unlabeled=batch.unlabeled),
+                Batch(labeled=batch.labeled, unlabeled=[(np.zeros(5), [x])])):
+        for call in (total_loss, gradients, grad_check):
+            with pytest.raises(NonFiniteInputError, match="^non-finite feature values$"):
+                call(model, bad, cfg)
+
+
 # analytic gradients
 
 def test_gradients_zero_at_flat_consistency_minimum():
@@ -706,6 +717,27 @@ def test_optimizer_shape_mismatch():
             optimizer_step(model, grads, TrainConfig(), init_optimizer(model))
 
 
+def test_optimizer_step_never_writes_its_inputs():
+    model, _, _ = mse_check_pair(3)
+    rng = np.random.default_rng(5)
+    cfg = TrainConfig(learning_rate=0.01)
+    state = init_optimizer(model)
+    for _ in range(3):  # moments away from zero
+        model, state = optimizer_step(model, rng.standard_normal(model.theta.shape), cfg, state)
+    grads = rng.standard_normal(model.theta.shape)
+    names = ("theta", "alpha", "gamma", "u", "omu", "c_sq", "beta_sq_sum", "alpha_col",
+             "neg_gamma_col", "u_col")
+    before = {name: getattr(model, name).tobytes() for name in names}
+    moments = state.m.tobytes(), state.v.tobytes(), grads.tobytes()
+    stepped, new_state = optimizer_step(model, grads, cfg, state)
+    assert {name: getattr(model, name).tobytes() for name in names} == before
+    assert (state.m.tobytes(), state.v.tobytes(), grads.tobytes()) == moments
+    assert state.step == 3 and new_state.step == 4
+    for new in (stepped.theta, new_state.m, new_state.v):
+        for old in (model.theta, state.m, state.v, grads):
+            assert not np.shares_memory(new, old)
+
+
 def test_optimizer_minimizes_quadratic():
     model, _, _ = mse_check_pair(2)
     cfg = TrainConfig(learning_rate=0.05)
@@ -861,6 +893,53 @@ def test_train_three_classes():
         preds = forward_batch(best, test_set.features)[2].argmax(axis=1)
         assert set(preds) == {0, 1, 2}
         assert np.mean(preds == np.asarray(test_set.labels)) >= 0.95, seed
+
+
+@pytest.mark.parametrize("loss_mode, t, batch_size, k, labeled_fraction", [
+    ("evidential_ce", 1, 7, 2, 0.3),  # more unlabeled rows than labeled, uneven batches
+    ("mse_pl", 3, 7, 2, 0.3),
+    ("evidential_ce", 3, 8, 2, 1.0),  # no unlabeled rows
+    ("mse_pl", 1, 7, 3, 0.7),  # fewer unlabeled rows than labeled
+    ("evidential_ce", 2, 16, 3, 0.3),
+])
+def test_train_matches_reference_loop(loss_mode, t, batch_size, k, labeled_fraction):
+    means = [(0.0, 0.0), (2.0, 2.0), (0.0, 3.0)][:k]
+    train_set = blob_split(0, 0, 30, means, labeled_fraction=labeled_fraction)
+    val_set = blob_split(0, 1, 15, means)
+    feats, labs = labeled_subset(train_set)
+    model = init_model(ModelConfig(d_in=16, r=3, h=4, k=k), feats, labs, seed=0)
+    cfg = TrainConfig(loss_mode=loss_mode, t_perturb=t, batch_size=batch_size, max_epochs=4,
+                      patience=2, seed=1, learning_rate=0.01)
+    features = train_set.features.tobytes()
+    best, history = train(model, train_set, val_set, cfg)
+    want, want_history = oracles.reference_train(model, train_set, val_set, cfg)
+    assert history == want_history
+    assert best.theta.tobytes() == want.theta.tobytes()
+    assert train_set.features.tobytes() == features
+
+
+def test_train_refuses_an_overflowing_perturbed_copy():
+    # the row is finite, but x + sigma * noise rounds past the float range
+    train_set, val_set = easy_sets()
+    far = np.full((1, 16), np.finfo(float).max)
+    data = FeatureDataset(np.vstack([train_set.features, far]),
+                          list(train_set.labels) + [None], train_set.class_names)
+    model = fit_model(train_set)
+    cfg = TrainConfig(max_epochs=2, noise_sigma=1e300)
+    for run in (train, oracles.reference_train):
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteInputError, match="^non-finite feature values$"):
+            run(model, data, val_set, cfg)
+
+
+def test_train_refuses_a_training_set_of_the_wrong_width():
+    # the training matrix is checked as a whole, and named by its own shape
+    train_set, val_set = easy_sets()
+    narrow = replace(train_set, features=train_set.features[:, :15])
+    model = fit_model(train_set)
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^feature matrix has shape \(80, 15\), expected \(n, 16\)$"):
+        train(model, narrow, val_set, TrainConfig(max_epochs=2))
 
 
 def test_train_validation_requirements():
