@@ -27,8 +27,9 @@ MAX_FRAME_SIZE = 16
 # |sum - 1| above this rejects an input assignment as unnormalized.
 SUM_TOLERANCE = 1e-9
 
-# Conflict this close to 1 makes Dempster renormalization meaningless.
-TOTAL_CONFLICT_TOLERANCE = 1e-12
+# A combination whose normalizer, the sum of the products that survive
+# the intersection, is at or below this is treated as total conflict.
+TOTAL_CONFLICT_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -203,11 +204,17 @@ def conflict(m1: MassFunction, m2: MassFunction) -> float:
     return sum([v1 * v2 for b, v1 in m1.masses.items() for c, v2 in focal2 if b & c == 0])
 
 
-def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Dempster's rule: conjunctive combination renormalized by 1 - conflict.
+def dempster_combine(
+    m1: MassFunction, m2: MassFunction, *, _joint: list[float] | None = None
+) -> MassFunction:
+    """Dempster's rule: conjunctive combination renormalized by the sum of
+    the kept products.
 
-    Raises ``TotalConflictError`` when the conflict reaches 1 within
-    ``TOTAL_CONFLICT_TOLERANCE``.
+    Raises ``TotalConflictError`` when the normalizer, the fsum of the
+    products kept on non-empty sets (1 - conflict would cancel near total
+    conflict), is at or below ``TOTAL_CONFLICT_FLOOR``. ``combine_all``
+    passes ``_joint``, the product of its earlier steps' normalizers: this
+    step multiplies its own in, and the floor applies to that product.
     """
     _check_shared_frame(m1, m2)
     acc: dict[int, float] = {}
@@ -218,23 +225,31 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
             inter = b & c
             acc[inter] = get(inter, 0.0) + v1 * v2
     kappa = acc.pop(0, 0.0)
-    if kappa >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
-        raise TotalConflictError(f"conflict {kappa!r} leaves nothing to renormalize")
-    # normalize by the sum of what was kept, not by 1 - kappa: near total
-    # conflict the subtraction cancels catastrophically while the direct sum
-    # of the retained (all non-negative) products stays fully accurate
     remaining = math.fsum(acc.values())
-    if remaining <= 0.0:
-        raise TotalConflictError(f"conflict {kappa!r} leaves nothing to renormalize")
+    joint = remaining if _joint is None else _joint[0] * remaining
+    if joint <= TOTAL_CONFLICT_FLOOR:
+        what = f"conflict {kappa!r}" if _joint is None else f"joint normalizer {joint!r}"
+        raise TotalConflictError(f"{what} leaves nothing to renormalize")
+    if _joint is not None:
+        _joint[0] = joint
     scale = 1.0 / remaining
     return _derived_mass(m1.frame, {mask: v * scale for mask, v in acc.items()})
 
 
 def combine_all(masses: Sequence[MassFunction]) -> MassFunction:
-    """Left fold of Dempster's rule over one or more mass functions."""
+    """Left fold of Dempster's rule over one or more mass functions.
+
+    Raises ``TotalConflictError`` when the normalizer of the whole
+    combination, the product of the steps' normalizers, is at or below
+    ``TOTAL_CONFLICT_FLOOR``, as the kernel does for its closed form. A
+    step's floor alone would not do: each step divides by its normalizer,
+    so mass lost to underflow in one step is magnified by every later one,
+    by up to twice the inverse of that step's normalizer.
+    """
     if not masses:
         raise EvidnetError("need at least one mass function to combine")
     combined = masses[0]
+    joint = [1.0]
     for m in masses[1:]:
-        combined = dempster_combine(combined, m)
+        combined = dempster_combine(combined, m, _joint=joint)
     return combined

@@ -532,10 +532,15 @@ def write_csv(dataset: FeatureDataset, path) -> None:
 
     Rows are formatted one at a time, so memory stays flat in the row
     count. The bytes are those csv.writer writes for the same cells.
+    Raises ValueError, before writing, when a row is labelled with a class
+    named UNLABELED, which load_csv would read back as unlabeled.
     """
     path = Path(path)
+    names = dataset.class_names
+    if UNLABELED in names and names.index(UNLABELED) in dataset.labels:
+        raise ValueError(f"class {UNLABELED!r} cannot be written: it marks an unlabeled row")
     # the last entry serves unlabeled rows, whose label is None
-    label_cells = [_csv_cell(name) for name in (*dataset.class_names, UNLABELED)]
+    label_cells = [_csv_cell(name) for name in (*names, UNLABELED)]
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(_expected_header(dataset.d_in)) + "\n")

@@ -42,11 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .belief import MAX_FRAME_SIZE, Frame, MassFunction, _derived_mass
+from .belief import MAX_FRAME_SIZE, TOTAL_CONFLICT_FLOOR, Frame, MassFunction, _derived_mass
 from .errors import DimensionMismatchError, EvidnetError, NonFiniteInputError, TotalConflictError
-
-# Fused normalizer at or below this is treated as total conflict.
-TOTAL_CONFLICT_FLOOR = 1e-300
 
 KMEANS_MAX_ITER = 100
 

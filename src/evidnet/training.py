@@ -419,7 +419,8 @@ def train(
     are drawn every epoch: each epoch's copies of the unlabeled rows are
     built once, in the array the noise was drawn into, and checked for
     finiteness there. The training features are checked once per call,
-    and each step gathers its rows into one buffer reused for every step.
+    the validation features before the first step too, and each step
+    gathers its rows into one buffer reused for every step.
     Training stops once validation accuracy has not strictly improved for
     cfg.patience consecutive epochs (or at max_epochs), and the best-epoch
     parameters are returned. Fully deterministic given (datasets,
@@ -441,6 +442,7 @@ def train(
     if not val_set.fully_labeled():
         raise EvidnetError("validation set must be fully labeled")
     _class_indices(val_set.labels, model.config.k)
+    _as_feature_matrix(val_set.features, model.config.d_in)
 
     x_lab = feats[labeled_idx]
     y_lab = _class_indices([labels[i] for i in labeled_idx], model.config.k)

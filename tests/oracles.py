@@ -10,7 +10,9 @@ leave-one-out product through moveaxis, Adam block by block, k-means
 with its per-cluster loops) as the
 reference the new form must match, as does the feature-CSV writer
 that went through csv.writer, and the training loop that concatenated
-and checked each step's rows and ran Adam as one expression. The belief layer's mask check, mass
+and checked each step's rows and ran Adam as one expression.
+Dempster's rule is also kept in exact rational arithmetic, the measure
+of the float rule's error. The belief layer's mask check, mass
 validation, Dempster's rule, bel, pl and conflict are kept as they were
 before the frame stored its size and full mask, so their output bits and
 their errors stay pinned; the mass validation refuses a mass that is a
@@ -35,19 +37,19 @@ import csv
 import io
 import math
 import numbers
+from fractions import Fraction
 
 import numpy as np
 
 from evidnet.belief import (
     SUM_TOLERANCE,
-    TOTAL_CONFLICT_TOLERANCE,
+    TOTAL_CONFLICT_FLOOR,
     combine_all,
     mass_new,
 )
 from evidnet.metrics import accuracy
 from evidnet.model import (
     KMEANS_MAX_ITER,
-    TOTAL_CONFLICT_FLOOR,
     _as_feature_matrix,
     _blocks,
     _class_indices,
@@ -198,13 +200,31 @@ def reference_dempster_combine(m1, m2) -> dict[int, float]:
             inter = b & c
             acc[inter] = acc.get(inter, 0.0) + v1 * v2
     kappa = acc.pop(0, 0.0)
-    if kappa >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
-        raise TotalConflictError(f"conflict {kappa!r} leaves nothing to renormalize")
     remaining = math.fsum(acc.values())
-    if remaining <= 0.0:
+    if remaining <= TOTAL_CONFLICT_FLOOR:
         raise TotalConflictError(f"conflict {kappa!r} leaves nothing to renormalize")
     scale = 1.0 / remaining
     return reference_clean_masses(m1.frame, {mask: v * scale for mask, v in acc.items()})
+
+
+def exact_dempster_combine(*sources) -> tuple[dict[int, Fraction], Fraction]:
+    """Dempster's rule over two or more sources (MassFunctions or
+    {mask: mass} dicts) in exact rational arithmetic on their masses: every
+    product of one focal set per source kept on a non-empty set, summed
+    exactly. Returns ({mask: product sum / normalizer}, normalizer), the
+    normalizer being the sum of all kept products, so that it is the
+    product of a fold's step normalizers; zero-mass sets are omitted, and
+    total conflict returns ({}, 0)."""
+    acc = {mask: Fraction(v) for mask, v in getattr(sources[0], "masses", sources[0]).items()}
+    for source in sources[1:]:
+        step: dict[int, Fraction] = {}
+        for b, v1 in acc.items():
+            for c, v2 in getattr(source, "masses", source).items():
+                if b & c and v1 and v2:
+                    step[b & c] = step.get(b & c, 0) + v1 * Fraction(v2)
+        acc = step
+    total = sum(acc.values(), Fraction(0))
+    return {mask: v / total for mask, v in acc.items()}, total
 
 
 def sigmoid(x: float) -> float:

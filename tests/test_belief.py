@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import re
 from decimal import Decimal
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evidnet import (
@@ -25,6 +26,8 @@ from evidnet import (
     mass_new,
     pl,
 )
+from evidnet.belief import TOTAL_CONFLICT_FLOOR
+
 import oracles
 from helpers import random_mass
 
@@ -324,14 +327,120 @@ def test_total_conflict_raises():
     m2 = mass_new(ABC, {0b010: 1.0})
     with pytest.raises(TotalConflictError):
         dempster_combine(m1, m2)
-    # conflict within tolerance of 1 also refuses to renormalize
+    # conflict of 1 - 1e-13 leaves a normalizer of 1e-13, far above the
+    # floor: all that survives is {a}
     m3 = mass_new(ABC, {0b010: 1.0 - 1e-13, 0b001: 1e-13})
+    assert dict(dempster_combine(m1, m3).masses) == {0b001: 1.0}
+    # the normalizer is refused at the floor and renormalized above it
+    at_floor = mass_new(ABC, {0b010: 1.0, 0b001: TOTAL_CONFLICT_FLOOR})
     with pytest.raises(TotalConflictError):
-        dempster_combine(m1, m3)
+        dempster_combine(m1, at_floor)
+    above = mass_new(ABC, {0b010: 1.0, 0b001: 2 * TOTAL_CONFLICT_FLOOR})
+    out = dempster_combine(m1, above)
+    assert list(out.masses) == [0b001] and out.mass(0b001) == pytest.approx(1.0, abs=2**-52)
     # conflict clearly below 1 survives and renormalizes hard
     m4 = mass_new(ABC, {0b010: 1.0 - 1e-10, 0b001: 1e-10})
     out = dempster_combine(m1, m4)
     assert out.mass(0b001) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def conflicting_sources(draw, n_sources, e_max):
+    """n_sources mass functions over a frame of 2-4 labels, each with mass
+    1 - eps on a singleton (distinct singletons while they last) and eps
+    spread over 1-3 random sets, eps = 10^-e for e in [0, e_max]."""
+    k = draw(st.integers(2, 4))
+    frame = Frame(tuple(f"c{j}" for j in range(k)))
+    own = draw(st.permutations(frame.singletons))
+    masses = []
+    for i in range(draw(n_sources)):
+        eps = 10.0 ** -draw(st.floats(0.0, e_max))
+        masks = draw(st.lists(st.integers(1, frame.full_mask), min_size=1, max_size=3))
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(masks), max_size=len(masks)))
+        rest = [(mask, eps * w / sum(raw)) for mask, w in zip(masks, raw)]
+        masses.append(mass_new(frame, [(own[i % k], 1.0 - eps), *rest]))
+    return masses
+
+
+U = 2.0**-53
+TINY = 2.0**-1074  # the subnormal spacing: underflow loses at most half of it
+
+
+def fold_error_bound(sources):
+    """(rel, ab) such that the left fold of dempster_combine over sources
+    puts each mass m of the exact rule within rel * m + ab.
+
+    To first order in u = 2^-53, with inputs within E relative: a kept set
+    reached by p pairs is summed within E + pu, the fsum normalizer within
+    E + (P + 1)u (P the most pairs any set has), and the reciprocal and the
+    product add u each: 2E + (2P + 3)u, one more u covering the higher
+    orders. Underflow loses under TINY per product and per quotient, and
+    absolute input errors a move the normalized step by at most 2a / N, N
+    its normalizer; 3 in place of 2 covers the 1e-9 slack in the input sums.
+    """
+    rel = ab = 0.0
+    acc = sources[0].masses
+    for m in sources[1:]:
+        pairs = [b & c for b in acc for c in m.masses]
+        acc, normalizer = oracles.exact_dempster_combine(acc, m)
+        rel = 2 * rel + (2 * max(map(pairs.count, acc)) + 4) * U
+        ab = 3 * (ab + len(pairs) * TINY) / float(normalizer) + len(acc) * TINY
+    return rel, ab
+
+
+def assert_matches_exact(out, exact, sources):
+    rel, ab = fold_error_bound(sources)
+    for mask in range(1, out.frame.full_mask + 1):
+        want = exact.get(mask, Fraction(0))
+        assert abs(Fraction(out.mass(mask)) - want) <= Fraction(rel) * want + Fraction(ab)
+
+
+@settings(deadline=None, max_examples=300)
+@given(conflicting_sources(st.just(2), 75.0))
+def test_dempster_combine_matches_exact_rule(sources):
+    # from moderate conflict down to normalizers near 1e-150, far above the
+    # floor, with every kept product a normal float
+    exact, normalizer = oracles.exact_dempster_combine(*sources)
+    if not normalizer:
+        with pytest.raises(TotalConflictError):
+            dempster_combine(*sources)
+        return
+    assert_matches_exact(dempster_combine(*sources), exact, sources)
+
+
+@settings(deadline=None, max_examples=150)
+@given(conflicting_sources(st.integers(3, 4), 200.0))
+def test_combine_all_matches_exact_rule_in_every_order(sources):
+    # Masses down to 1e-200 make products underflow inside a step. The
+    # fold refuses exactly when the whole combination's normalizer is at
+    # or below the floor, which bounds how far later steps magnify that
+    # loss, so every order of the sources stays within the bound.
+    exact, normalizer = oracles.exact_dempster_combine(*sources)
+    assume(not 1 - 1e-6 < normalizer / Fraction(TOTAL_CONFLICT_FLOOR) < 1 + 1e-6)
+    for order in itertools.permutations(sources):
+        if normalizer <= TOTAL_CONFLICT_FLOOR:
+            with pytest.raises(TotalConflictError):
+                combine_all(order)
+        else:
+            assert_matches_exact(combine_all(order), exact, order)
+
+
+def test_fold_refuses_a_joint_normalizer_at_the_floor():
+    # The exact rule spreads these three sources' mass evenly. The first
+    # step's normalizer is 2 eps^2, but its c-c product eps^4 underflows at
+    # eps = 1e-200: a floor on each step alone would return a and b at 1/2.
+    # The joint normalizer, 3 eps^4 + ..., is what the floor must see.
+    for eps, refused in ((1e-200, True), (1e-150, False)):
+        m1 = mass_new(ABC, {0b001: 1.0, 0b010: eps, 0b100: eps})
+        m2 = mass_new(ABC, {0b010: 1.0, 0b001: eps, 0b100: eps})
+        m3 = mass_new(ABC, {0b100: 1.0, 0b001: eps, 0b010: eps})
+        exact, _ = oracles.exact_dempster_combine(m1, m2, m3)
+        for order in itertools.permutations((m1, m2, m3)):
+            if refused:
+                with pytest.raises(TotalConflictError, match=r"^joint normalizer 0\.0 leaves"):
+                    combine_all(order)
+            else:
+                assert_matches_exact(combine_all(order), exact, order)
 
 
 def test_combine_matches_bruteforce_table():

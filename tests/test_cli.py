@@ -417,6 +417,27 @@ def test_every_error_class_is_raised():
     assert defined and defined <= raised, defined - raised
 
 
+def test_every_module_constant_is_read():
+    # a module-level constant that no code in the package reads is a rule
+    # nothing applies: a change that removes its last reader removes it too
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(evidnet.__file__).parent.glob("*.py")]
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name)
+                               and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined and defined <= read, defined - read
+
+
 def test_benchmark_trace_points_resolve():
     # The traced benchmark run rebinds these module-level names; a renamed or
     # deleted one would otherwise surface only in the benchmark's own suite.

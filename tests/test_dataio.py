@@ -656,20 +656,41 @@ def feature_datasets(draw):
 @example(FeatureDataset(np.array([[1e-300], [-0.0], [5e-324]]), [0, None, 1],
                         ("a,b", 'say "hi"')))
 @example(FeatureDataset(np.zeros((2, 1)), [0, None], ("",)))
+@example(FeatureDataset(np.zeros((2, 1)), [0, None], ("?",)))
 @example(FeatureDataset(np.array([[0.5], [2.0], [5e-324]]), [0, 1, None], ("x\ry", "b")))
 @example(FeatureDataset(np.array([[0.5], [2.0], [5e-324]]), [0, 1, None], ("\r", "a,b")))
 @example(FeatureDataset(np.array([[0.5], [2.0], [5e-324]]), [0, 1, None], ("p\r\nq", "r\rs\r")))
 def test_write_csv_matches_reference_writer(tmp_path, ds):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    if "?" in ds.class_names and ds.class_names.index("?") in ds.labels:
+        # a row of the class "?" would read back as unlabeled
+        with pytest.raises(ValueError):
+            write_csv(ds, got)
+        return
     write_csv(ds, got)
     reference_write_csv(ds, want)
     assert got.read_bytes() == want.read_bytes()
-    # a name "?" reads back as unlabeled; every other file reads back bit
-    # for bit
-    if "?" not in ds.class_names:
-        back = load_csv(got, class_names=ds.class_names)
-        assert back.features.tobytes() == ds.features.tobytes()
-        assert back.labels == ds.labels
+    # every file written reads back bit for bit
+    back = load_csv(got, class_names=ds.class_names)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels == ds.labels
+
+
+def test_write_csv_refuses_a_labelled_row_of_the_class_named_unlabeled(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("untouched")
+    ds = FeatureDataset([[1.0], [2.0]], [0, 1], ("?", "b"))
+    with pytest.raises(ValueError,
+                       match=exactly("class '?' cannot be written: it marks an unlabeled row")):
+        write_csv(ds, p)
+    assert p.read_text() == "untouched"
+    # the name alone is no fault: unlabeled rows and the other classes are
+    # written, and read back under the same names
+    ds = FeatureDataset([[1.0], [2.0]], [None, 1], ("?", "b"))
+    write_csv(ds, p)
+    assert p.read_text() == "f0,label\n1.0,?\n2.0,b\n"
+    back = load_csv(p, class_names=ds.class_names)
+    assert back.labels == [None, 1] and back.class_names == ("?", "b")
 
 
 def test_write_csv_memory_is_flat_in_rows(tmp_path):

@@ -18,6 +18,7 @@ from evidnet import (
     ModelConfig,
     NonFiniteInputError,
     TotalConflictError,
+    combine_all,
     decide,
     forward,
     forward_batch,
@@ -239,6 +240,60 @@ def test_fusion_matches_pairwise_fold():
     for _ in range(100):
         model, x = random_prototype_model(rng, int(rng.integers(2, 4)), int(rng.integers(1, 6)))
         assert_matches_oracle(model, x, 1e-10)
+
+
+def saturated_model(rng):
+    """A K-class model (K 2-5) of r prototypes (r 2-6), plus an input on
+    which every center sits, with xi in [15, 36]: each prototype backs one
+    class with beta 1 and the others with betas in [1e-8, 1e-2], so
+    prototypes backing different classes nearly fully conflict."""
+    k, r = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+    d_in, h = (int(v) for v in rng.integers(1, 5, size=2))
+    x = rng.uniform(-1.0, 1.0, d_in)
+    w = rng.uniform(-1.0, 1.0, (h, d_in))
+    b = rng.uniform(-1.0, 1.0, h)
+    beta = 10.0 ** rng.uniform(-8.0, -2.0, (r, k))
+    beta[np.arange(r), rng.integers(0, k, r)] = 1.0
+    model = EvidentialModel(
+        config=ModelConfig(d_in=d_in, r=r, h=h, k=k),
+        class_names=tuple(f"c{j}" for j in range(k)),
+        w=w,
+        b=b,
+        centers=np.tile(w @ x + b, (r, 1)),
+        beta=beta,
+        xi=rng.uniform(15.0, 36.0, r),
+        eta=rng.uniform(0.5, 2.0, r),
+    )
+    return model, x
+
+
+def test_near_total_conflict_fold_returns_wherever_forward_does():
+    # Both sides start from forward's own activations s and the model's u.
+    # e^-36 <= 1 - s, so the ignorance product, and with it the normalizer
+    # of the whole combination, is at least e^-216, far above the floor:
+    # forward and the fold both return on every model. To first order in
+    # u = 2^-53, the kernel's masses are within (6rK + 12r + K + 2)u of
+    # the exact fusion of the same sources (2u per factor, 3ru per r-way
+    # product, and a_k, b at most the normalizer). The fold's are within
+    # 10(2^(r-1) - 1)u: test_belief's fold_error_bound with at most three
+    # pairs meeting in one set, over r - 1 steps.
+    rng = np.random.default_rng(47)
+    worst = 0.0
+    for _ in range(1000):
+        model, x = saturated_model(rng)
+        out = forward(model, x)
+        frame, k, r = model.frame, model.config.k, model.config.r
+        sources = [
+            MassFunction(frame, {**dict(zip(frame.singletons, (u[:k] * s).tolist())),
+                                 frame.full_mask: 1.0 - s})
+            for s, u in zip(out.activations.tolist(), model.u)
+        ]
+        folded = combine_all(sources)
+        for mask in range(frame.full_mask + 1):
+            err = abs(folded.mass(mask) - out.mass.mass(mask))
+            assert err <= (6 * r * k + 12 * r + k + 2 + 10 * (2 ** (r - 1) - 1)) * 2.0**-53
+            worst = max(worst, err)
+    assert worst > 0.0  # the comparison is not vacuous
 
 
 # full forward pass

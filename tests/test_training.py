@@ -942,6 +942,19 @@ def test_train_refuses_a_training_set_of_the_wrong_width():
         train(model, narrow, val_set, TrainConfig(max_epochs=2))
 
 
+def test_train_checks_the_validation_matrix_before_any_step():
+    # a validation matrix that forward_batch would refuse is refused before
+    # the first optimizer step, with forward_batch's message
+    train_set, val_set = easy_sets()
+    narrow = replace(val_set, features=val_set.features[:, :15])
+    model = fit_model(train_set)
+    with mock.patch.object(evidnet.training, "optimizer_step", wraps=optimizer_step) as step, \
+            pytest.raises(DimensionMismatchError,
+                          match=r"^feature matrix has shape \(40, 15\), expected \(n, 16\)$"):
+        train(model, train_set, narrow, TrainConfig(max_epochs=2))
+    assert step.call_count == 0
+
+
 def test_train_validation_requirements():
     train_set, val_set = easy_sets()
     model = fit_model(train_set)
