@@ -21,11 +21,13 @@ eta_i^2, u_ik = beta_ik^2 / sum_l beta_il^2.
 A model's parameters never change in place: they are read-only, and a
 new parameter set is a new model (dataclasses.replace, or the
 optimizer's step). So the quantities that depend on the parameters
-alone (alpha, gamma, u, the squared center norms and the beta row sums)
-are derived once, when the model is built, and every forward and
-backward pass reads them from the model, alpha, -gamma and u also in
-the shapes the forward pass broadcasts them in (EvidentialModel lists
-them all).
+alone (alpha, gamma, u, the squared center norms, the beta row sums
+and -2 * centers) are derived once, when the model is built, and every
+forward and backward pass reads them from the model, some also in the
+shapes the forward pass uses them in (EvidentialModel lists them all).
+The kernel forms d_i^2 as (-2 p_i).z + ||p_i||^2 + ||z||^2: scaling by
+-2 is exact, so it has the bits of scaling p_i.z, unless a product or
+partial sum of the GEMM is subnormal or overflows.
 
 The kernel's masses satisfy a mass function's invariants by their
 arithmetic, so forward builds its MassFunction without checking them
@@ -56,14 +58,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None) -> np.ndarray:
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances ||a_i - b_j||^2 as a (len(a), len(b)) matrix, by
     the GEMM expansion ||a||^2 - 2 a b^T + ||b||^2, floored at 0 where it
-    cancels. a_sq holds the squared norm of each row of a, computed here
-    when not given."""
+    cancels."""
     d2 = a @ b.T
     d2 *= -2.0
-    d2 += (np.vecdot(a, a) if a_sq is None else a_sq)[:, None]
+    d2 += np.vecdot(a, a)[:, None]
     d2 += np.vecdot(b, b)
     return np.maximum(d2, 0.0, out=d2)
 
@@ -160,10 +161,12 @@ class EvidentialModel:
     alpha = sigmoid(xi) (r,), gamma = eta^2 (r,), u (r, K+1) whose
     first K columns are beta_ik^2 / beta_sq_sum_i and whose column K is
     0, omu = 1 - u (r, K+1), whose column K is 1, c_sq = ||centers_i||^2
-    (r,) and beta_sq_sum = sum_k beta_ik^2 (r,). It also binds three of
-    them in the shape the kernel broadcasts them to, so that no forward
-    pass rebuilds them: alpha_col = alpha[:, None] (r, 1), neg_gamma_col =
-    -gamma[:, None] (r, 1) and u_col = u[:, :, None] (r, K+1, 1).
+    (r,), beta_sq_sum = sum_k beta_ik^2 (r,) and neg2_centers = -2 *
+    centers (r, h). It also binds views in the shape the kernel uses
+    them in, so that no forward pass rebuilds them: b_row = b[None, :]
+    (1, h), w_t = w.T (d_in, h), c_sq_col = c_sq[:, None] (r, 1),
+    alpha_col = alpha[:, None] (r, 1), neg_gamma_col = -gamma[:, None]
+    (r, 1) and u_col = u[:, :, None] (r, K+1, 1).
     """
 
     config: ModelConfig
@@ -182,6 +185,10 @@ class EvidentialModel:
     omu: np.ndarray = field(init=False, repr=False, compare=False)
     c_sq: np.ndarray = field(init=False, repr=False, compare=False)
     beta_sq_sum: np.ndarray = field(init=False, repr=False, compare=False)
+    neg2_centers: np.ndarray = field(init=False, repr=False, compare=False)
+    b_row: np.ndarray = field(init=False, repr=False, compare=False)
+    c_sq_col: np.ndarray = field(init=False, repr=False, compare=False)
+    w_t: np.ndarray = field(init=False, repr=False, compare=False)
     alpha_col: np.ndarray = field(init=False, repr=False, compare=False)
     neg_gamma_col: np.ndarray = field(init=False, repr=False, compare=False)
     u_col: np.ndarray = field(init=False, repr=False, compare=False)
@@ -231,13 +238,18 @@ class EvidentialModel:
             np.divide(bsq, ssum[:, None], out=u[:, :k])
             alpha, gamma = _sigmoid(blocks["xi"]), np.square(blocks["eta"])
             centers = blocks["centers"]
+            c_sq = np.vecdot(centers, centers)
             constants = {
                 "alpha": alpha,
                 "gamma": gamma,
                 "u": u,
                 "omu": np.subtract(1.0, u),
-                "c_sq": np.vecdot(centers, centers),
+                "c_sq": c_sq,
                 "beta_sq_sum": ssum,
+                "neg2_centers": np.multiply(centers, -2.0),
+                "b_row": blocks["b"][None, :],
+                "c_sq_col": c_sq[:, None],
+                "w_t": blocks["w"].T,
                 "alpha_col": alpha[:, None],
                 "neg_gamma_col": np.negative(gamma[:, None]),
                 "u_col": u[:, :, None],
@@ -312,13 +324,18 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     ignorance product b, stored in prod as a_k - b (first K rows) and b
     (row K): non-negative terms whose sum is the normalizer n, so no term
     cancels another. mass = prod / n stacks the singleton masses m on the
-    ignorance mass m_omega. alpha, gamma and u are read from the model's
-    constants, bound in the shapes they broadcast in.
+    ignorance mass m_omega. d2 is _sq_dists' expansion with the -2 folded
+    into the centers, floored at 0 likewise; it and alpha, gamma and u
+    are formed from the model's constants, bound in the shapes they are
+    used in.
     """
     k = model.config.k
-    z = X @ model.w.T
-    z += model.b
-    d2 = _sq_dists(model.centers, z, model.c_sq)
+    z = X @ model.w_t
+    z += model.b_row
+    d2 = model.neg2_centers @ z.T
+    d2 += model.c_sq_col
+    d2 += np.vecdot(z, z)
+    np.maximum(d2, 0.0, out=d2)
     e = np.multiply(d2, model.neg_gamma_col)
     np.exp(e, out=e)
     s = model.alpha_col * e

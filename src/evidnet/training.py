@@ -423,9 +423,10 @@ def train(
     gathers its rows into one buffer reused for every step.
     Training stops once validation accuracy has not strictly improved for
     cfg.patience consecutive epochs (or at max_epochs), and the best-epoch
-    parameters are returned. Fully deterministic given (datasets,
-    config). The model and datasets passed in are never written. on_epoch
-    observes each record as it is appended.
+    parameters are returned. Both datasets must name the model's classes
+    in its order. Fully deterministic given (datasets, config). The model
+    and datasets passed in are never written. on_epoch observes each
+    record as it is appended.
     """
     feats = _as_feature_matrix(train_set.features, model.config.d_in)
     labels = train_set.labels
@@ -443,9 +444,15 @@ def train(
         raise EvidnetError("validation set must be fully labeled")
     _class_indices(val_set.labels, model.config.k)
     _as_feature_matrix(val_set.features, model.config.d_in)
+    y_lab = _class_indices([labels[i] for i in labeled_idx], model.config.k)
+    # labels index the model's class order, so both sets must name it
+    for name, ds in (("training", train_set), ("validation", val_set)):
+        if ds.class_names != model.class_names:
+            raise EvidnetError(
+                f"{name} set classes {ds.class_names} differ from the model's {model.class_names}"
+            )
 
     x_lab = feats[labeled_idx]
-    y_lab = _class_indices([labels[i] for i in labeled_idx], model.config.k)
     x_unl = feats[unlabeled_idx]
     n_lab, n_unl = x_lab.shape[0], x_unl.shape[0]
     d = feats.shape[1]

@@ -580,6 +580,20 @@ def test_belief_layer_matches_reference_bits_and_errors(k, data):
                 == outcome(oracles.reference_dempster_combine, m1, other))
 
 
+def test_total_conflict_message_adds_the_conflict_in_the_folds_order():
+    # nine products, all on the empty set, whose float sum depends on the
+    # order: added pair by pair from m1's side it is 0.9999999999999999,
+    # from m2's side, as by math.fsum, 1.0
+    frame = Frame(tuple("abcdef"))
+    m1 = MassFunction(frame, {0b000001: 0.3, 0b000010: 0.6, 0b000100: 0.1})
+    m2 = MassFunction(frame, {0b001000: 0.7, 0b010000: 0.2, 0b100000: 0.1})
+    assert math.fsum(v1 * v2 for v1 in m1.masses.values() for v2 in m2.masses.values()) == 1.0
+    for x, y, kappa in ((m1, m2, "0.9999999999999999"), (m2, m1, "1.0")):
+        want = outcome(oracles.reference_dempster_combine, x, y)
+        assert want == (TotalConflictError, f"conflict {kappa} leaves nothing to renormalize")
+        assert outcome(dempster_combine, x, y) == want
+
+
 @pytest.mark.parametrize("k", [2, 4, 16])
 def test_total_conflict_errors_match_reference(k):
     frame = Frame(tuple(f"c{j}" for j in range(k)))

@@ -662,6 +662,45 @@ def test_sq_dists_matches_difference_tensor(n, r, h, seed, spread, shift):
 
 @settings(max_examples=300)
 @given(
+    st.integers(1, 20), st.integers(1, 70), st.integers(2, 9), st.integers(0, 2**32 - 1),
+    st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.booleans(),
+)
+@example(16, 16, 2, 0, 0.0, 0.0, False)  # explain-online's prototype count and width
+def test_minus_two_commutes_with_the_center_gemm(r, h, n, seed, exp_c, exp_z, spread):
+    """(-2 C) z^T has the bits of (C z^T) * -2, for one row and for many.
+
+    -2 is a power of two, so scaling a product or a partial sum by it is
+    exact and commutes with each rounding and each fused multiply-add, as
+    long as nothing overflows and no product or partial sum of the GEMM is
+    subnormal: there the rounding quantum is fixed and stops scaling (see
+    the next test). Entries here lie within about 1e-110 to 1e106 in
+    magnitude, so every product is normal. A row of zeros makes exact zeros, whose sign can
+    differ between the sides; adding 0.0 gives both signs one bit pattern,
+    as the kernel's next addition, of ||c||^2 >= +0.0, does.
+    """
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((r, h)) * 10.0**exp_c
+    z = rng.standard_normal((n, h)) * 10.0**exp_z
+    if spread:  # entries spread over ten decades within each array
+        c *= 10.0 ** rng.uniform(-5.0, 5.0, c.shape)
+        z *= 10.0 ** rng.uniform(-5.0, 5.0, z.shape)
+    z[-1] = 0.0
+    for rows in (z[:1], z):
+        got = np.multiply(c, -2.0) @ rows.T
+        want = (c @ rows.T) * -2.0
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+def test_minus_two_does_not_commute_below_the_normal_range():
+    # c z is 1.5 quanta of 2^-1074 and rounds to 2 (ties to even), so
+    # (c z) * -2 is -4 quanta, where (-2 c) z is exactly -3
+    c, z = np.array([[1.5 * 2.0**-537]]), np.array([[2.0**-537]])
+    assert (np.multiply(c, -2.0) @ z.T)[0, 0] == -3 * 2.0**-1074
+    assert ((c @ z.T) * -2.0)[0, 0] == -4 * 2.0**-1074
+
+
+@settings(max_examples=300)
+@given(
     st.integers(1, 5), st.integers(1, 8), st.integers(3, 6), st.integers(0, 2**32 - 1),
     st.sampled_from([0.0, 0.1, 0.5]), st.booleans(),
 )

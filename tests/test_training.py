@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -40,6 +40,7 @@ from helpers import (
     blob_split,
     ce_check_pair,
     check_labels,
+    exactly,
     labeled_subset,
     mse_check_pair,
     random_model,
@@ -725,8 +726,7 @@ def test_optimizer_step_never_writes_its_inputs():
     for _ in range(3):  # moments away from zero
         model, state = optimizer_step(model, rng.standard_normal(model.theta.shape), cfg, state)
     grads = rng.standard_normal(model.theta.shape)
-    names = ("theta", "alpha", "gamma", "u", "omu", "c_sq", "beta_sq_sum", "alpha_col",
-             "neg_gamma_col", "u_col")
+    names = ("theta", *fresh_constants(model))
     before = {name: getattr(model, name).tobytes() for name in names}
     moments = state.m.tobytes(), state.v.tobytes(), grads.tobytes()
     stepped, new_state = optimizer_step(model, grads, cfg, state)
@@ -754,11 +754,8 @@ def test_optimizer_minimizes_quadratic():
 
 # every way to a model gives read-only parameters and fresh constants
 
-def assert_frozen_with_fresh_constants(model):
-    for name in ("theta", *PARAM_FIELDS):
-        block = getattr(model, name)
-        with pytest.raises(ValueError, match="read-only"):
-            block[(0,) * block.ndim] = 5.0
+def fresh_constants(model) -> dict[str, np.ndarray]:
+    """Every constant a model binds, derived afresh from its parameters."""
     bsq = model.beta**2
     fresh = {
         "alpha": oracles.masked_sigmoid(model.xi),
@@ -766,15 +763,37 @@ def assert_frozen_with_fresh_constants(model):
         "u": np.hstack([bsq / bsq.sum(axis=1)[:, None], np.zeros((model.config.r, 1))]),
         "c_sq": np.vecdot(model.centers, model.centers),
         "beta_sq_sum": bsq.sum(axis=1),
+        "neg2_centers": -2.0 * model.centers,
+        "b_row": model.b[None, :],
+        "w_t": model.w.T,
     }
+    fresh["omu"] = 1.0 - fresh["u"]
+    fresh["c_sq_col"] = fresh["c_sq"][:, None]
     fresh["alpha_col"] = fresh["alpha"][:, None]
     fresh["neg_gamma_col"] = -fresh["gamma"][:, None]
     fresh["u_col"] = fresh["u"][:, :, None]
-    for name, want in fresh.items():
+    return fresh
+
+
+def assert_frozen_with_fresh_constants(model):
+    for name in ("theta", *PARAM_FIELDS):
+        block = getattr(model, name)
+        with pytest.raises(ValueError, match="read-only"):
+            block[(0,) * block.ndim] = 5.0
+    for name, want in fresh_constants(model).items():
         got = getattr(model, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         with pytest.raises(ValueError, match="read-only"):
             got[(0,) * got.ndim] = 5.0
+
+
+def test_fresh_constants_cover_every_bound_array():
+    # a constant bound in _bind but left out of fresh_constants would go
+    # unchecked by every test above
+    model = three_class_model()
+    bound = {f.name for f in fields(EvidentialModel)
+             if not f.init and isinstance(getattr(model, f.name), np.ndarray)}
+    assert bound - {"theta"} == set(fresh_constants(model))
 
 
 def test_every_constructor_path_freezes_parameters_and_derives_constants(tmp_path):
@@ -953,6 +972,27 @@ def test_train_checks_the_validation_matrix_before_any_step():
                           match=r"^feature matrix has shape \(40, 15\), expected \(n, 16\)$"):
         train(model, train_set, narrow, TrainConfig(max_epochs=2))
     assert step.call_count == 0
+
+
+def test_train_refuses_class_names_other_than_the_models():
+    # labels index the model's class order: the validation rows with their
+    # two names swapped and their labels flipped would score 0.0, not 1.0
+    train_set, val_set = easy_sets()
+    swapped = FeatureDataset(features=val_set.features,
+                             labels=[1 - lab for lab in val_set.labels],
+                             class_names=val_set.class_names[::-1])
+    model = fit_model(train_set)
+    cases = (
+        (train_set, swapped, "validation set classes ('negative', 'positive')"),
+        (replace(train_set, class_names=("pos", "neg")), val_set,
+         "training set classes ('pos', 'neg')"),
+    )
+    for train_on, val_on, named in cases:
+        want = f"{named} differ from the model's ('positive', 'negative')"
+        with mock.patch.object(evidnet.training, "optimizer_step", wraps=optimizer_step) as step, \
+                pytest.raises(EvidnetError, match=exactly(want)):
+            train(model, train_on, val_on, TrainConfig(max_epochs=2))
+        assert step.call_count == 0
 
 
 def test_train_validation_requirements():
