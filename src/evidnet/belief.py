@@ -191,11 +191,10 @@ def pl(m: MassFunction, a: int) -> float:
 
 
 def _check_shared_frame(m1: MassFunction, m2: MassFunction) -> None:
-    # frames are equal when their labels are; one shared frame, the common
-    # case, skips comparing them
-    f1, f2 = m1.frame, m2.frame
-    if f1 is not f2 and f1.labels != f2.labels:
-        raise InvalidMassError(f"frames differ: {f1.labels} vs {f2.labels}")
+    # frames are equal when their labels are; comparing the labels skips
+    # the dataclass __eq__
+    if m1.frame.labels != m2.frame.labels:
+        raise InvalidMassError(f"frames differ: {m1.frame.labels} vs {m2.frame.labels}")
 
 
 def conflict(m1: MassFunction, m2: MassFunction) -> float:
@@ -211,36 +210,32 @@ def dempster_combine(
     """Dempster's rule: conjunctive combination renormalized by the sum of
     the kept products.
 
-    Only products on non-empty sets are accumulated. Raises
-    ``TotalConflictError`` when the normalizer, the fsum of those products
-    (1 - conflict would cancel near total conflict), is at or below
-    ``TOTAL_CONFLICT_FLOOR``; the conflict its message names is added up
-    then, product by product in the loop's order. ``combine_all`` passes
+    Products on non-empty sets are accumulated by set; those on the empty
+    set add up, pair by pair in the loop's order, to the conflict, which
+    is never stored as a mass. Raises ``TotalConflictError`` when the
+    normalizer, the fsum of the kept products (1 - conflict would cancel
+    near total conflict), is at or below ``TOTAL_CONFLICT_FLOOR``; the
+    pairwise message names the conflict. ``combine_all`` passes
     ``_joint``, the product of its earlier steps' normalizers: this step
     multiplies its own in, and the floor applies to that product.
     """
     _check_shared_frame(m1, m2)
     acc: dict[int, float] = {}
     get = acc.get
+    kappa = 0.0
     focal2 = m2.masses.items()
     for b, v1 in m1.masses.items():
         for c, v2 in focal2:
             inter = b & c
             if inter:
                 acc[inter] = get(inter, 0.0) + v1 * v2
+            else:
+                kappa += v1 * v2
     remaining = math.fsum(acc.values())
     joint = remaining if _joint is None else _joint[0] * remaining
     if joint <= TOTAL_CONFLICT_FLOOR:
-        if _joint is not None:
-            raise TotalConflictError(f"joint normalizer {joint!r} leaves nothing to renormalize")
-        # the conflict named in the message: the empty set's products, added
-        # one by one in the loop's order (sum() compensates on Python 3.12+)
-        kappa = 0.0
-        for b, v1 in m1.masses.items():
-            for c, v2 in focal2:
-                if not b & c:
-                    kappa += v1 * v2
-        raise TotalConflictError(f"conflict {kappa!r} leaves nothing to renormalize")
+        what = f"conflict {kappa!r}" if _joint is None else f"joint normalizer {joint!r}"
+        raise TotalConflictError(f"{what} leaves nothing to renormalize")
     if _joint is not None:
         _joint[0] = joint
     scale = 1.0 / remaining

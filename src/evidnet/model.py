@@ -27,7 +27,12 @@ forward and backward pass reads them from the model, some also in the
 shapes the forward pass uses them in (EvidentialModel lists them all).
 The kernel forms d_i^2 as (-2 p_i).z + ||p_i||^2 + ||z||^2: scaling by
 -2 is exact, so it has the bits of scaling p_i.z, unless a product or
-partial sum of the GEMM is subnormal or overflows.
+partial sum of the GEMM is subnormal or overflows. One such overflow
+changes a value: a center entry of magnitude 2^1023 or more (about
+9e307) is finite, but -2 times it is inf, so a row whose z is 0 or of
+that entry's sign in that coordinate gets NaN masses (inf * 0, or
+inf - inf against ||p_i||^2 = inf), where scaling p_i.z gave d_i^2 =
+inf, which ignores the prototype.
 
 The kernel's masses satisfy a mass function's invariants by their
 arithmetic, so forward builds its MassFunction without checking them
@@ -160,13 +165,13 @@ class EvidentialModel:
     vector also derives, read-only, the constants the kernel reads:
     alpha = sigmoid(xi) (r,), gamma = eta^2 (r,), u (r, K+1) whose
     first K columns are beta_ik^2 / beta_sq_sum_i and whose column K is
-    0, omu = 1 - u (r, K+1), whose column K is 1, c_sq = ||centers_i||^2
-    (r,), beta_sq_sum = sum_k beta_ik^2 (r,) and neg2_centers = -2 *
-    centers (r, h). It also binds views in the shape the kernel uses
-    them in, so that no forward pass rebuilds them: b_row = b[None, :]
-    (1, h), w_t = w.T (d_in, h), c_sq_col = c_sq[:, None] (r, 1),
-    alpha_col = alpha[:, None] (r, 1), neg_gamma_col = -gamma[:, None]
-    (r, 1) and u_col = u[:, :, None] (r, K+1, 1).
+    0, omu = 1 - u (r, K+1), whose column K is 1, beta_sq_sum = sum_k
+    beta_ik^2 (r,) and neg2_centers = -2 * centers (r, h). It binds the
+    rest in the shape the kernel uses them in, so that no forward pass
+    rebuilds them: c_sq_col = ||centers_i||^2 as an (r, 1) column, b_row
+    = b[None, :] (1, h), alpha_col = alpha[:, None] (r, 1),
+    neg_gamma_col = -gamma[:, None] (r, 1) and u_col = u[:, :, None]
+    (r, K+1, 1).
     """
 
     config: ModelConfig
@@ -183,12 +188,10 @@ class EvidentialModel:
     gamma: np.ndarray = field(init=False, repr=False, compare=False)
     u: np.ndarray = field(init=False, repr=False, compare=False)
     omu: np.ndarray = field(init=False, repr=False, compare=False)
-    c_sq: np.ndarray = field(init=False, repr=False, compare=False)
     beta_sq_sum: np.ndarray = field(init=False, repr=False, compare=False)
     neg2_centers: np.ndarray = field(init=False, repr=False, compare=False)
     b_row: np.ndarray = field(init=False, repr=False, compare=False)
     c_sq_col: np.ndarray = field(init=False, repr=False, compare=False)
-    w_t: np.ndarray = field(init=False, repr=False, compare=False)
     alpha_col: np.ndarray = field(init=False, repr=False, compare=False)
     neg_gamma_col: np.ndarray = field(init=False, repr=False, compare=False)
     u_col: np.ndarray = field(init=False, repr=False, compare=False)
@@ -238,18 +241,15 @@ class EvidentialModel:
             np.divide(bsq, ssum[:, None], out=u[:, :k])
             alpha, gamma = _sigmoid(blocks["xi"]), np.square(blocks["eta"])
             centers = blocks["centers"]
-            c_sq = np.vecdot(centers, centers)
             constants = {
                 "alpha": alpha,
                 "gamma": gamma,
                 "u": u,
                 "omu": np.subtract(1.0, u),
-                "c_sq": c_sq,
                 "beta_sq_sum": ssum,
                 "neg2_centers": np.multiply(centers, -2.0),
                 "b_row": blocks["b"][None, :],
-                "c_sq_col": c_sq[:, None],
-                "w_t": blocks["w"].T,
+                "c_sq_col": np.vecdot(centers, centers)[:, None],
                 "alpha_col": alpha[:, None],
                 "neg_gamma_col": np.negative(gamma[:, None]),
                 "u_col": u[:, :, None],
@@ -330,7 +330,7 @@ def _forward_arrays(model: EvidentialModel, X: np.ndarray) -> dict:
     used in.
     """
     k = model.config.k
-    z = X @ model.w_t
+    z = X @ model.w.T
     z += model.b_row
     d2 = model.neg2_centers @ z.T
     d2 += model.c_sq_col

@@ -699,6 +699,20 @@ def test_minus_two_does_not_commute_below_the_normal_range():
     assert ((c @ z.T) * -2.0)[0, 0] == -4 * 2.0**-1074
 
 
+def test_a_center_entry_of_2_to_the_1023_gives_nan_where_the_reference_ignores_it():
+    # -2 * 2^1023 overflows to -inf and meets z = 0, so (-2c).z is NaN;
+    # the reference scales c.z = 0 after the GEMM, and ||c||^2 = inf makes
+    # d2 = inf and s = 0: all mass on the frame
+    model = tiny_model(center=((2.0**1023, 0.0),))
+    x = np.zeros((1, 2))
+    with np.errstate(all="ignore"):
+        want = oracles.reference_forward_arrays(model, x)
+        got = _forward_arrays(model, x)
+    assert want["s"][0, 0] == 0.0 and want["m_omega"][0] == 1.0
+    assert np.isnan(got["d2"]).all() and np.isnan(got["mass"]).all()
+    assert np.isnan(got["pl"]).all()
+
+
 @settings(max_examples=300)
 @given(
     st.integers(1, 5), st.integers(1, 8), st.integers(3, 6), st.integers(0, 2**32 - 1),

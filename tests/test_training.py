@@ -516,7 +516,7 @@ def ulps_from_previous_kernel(model, x, y, n_unl, cfg) -> float:
         k = model.config.k
         old_grad = oracles.previous_backward_arrays(
             model, {**old, **new}, gmass[:k], gmass[k], cfg.lam)
-        norms = model.c_sq[:, None] + np.vecdot(new["z"], new["z"])
+        norms = model.c_sq_col + np.vecdot(new["z"], new["z"])
     rows = gamma_overflow_rows(model, old, new)
     readings = [ulp_reading(value, old[key], 1.0 if key in UNIT_BLOCKS else
                             norms if key == "d2" else None,
@@ -584,7 +584,7 @@ def test_previous_kernel_bound_catches_a_wrong_distance_at_a_prototype():
     def shifted(model, x):
         cache = forward(model, x)
         z = cache["z"][0]
-        cache["d2"][0, 0] += 1e-12 * (model.c_sq[0] + np.vecdot(z, z))
+        cache["d2"][0, 0] += 1e-12 * (model.c_sq_col[0, 0] + np.vecdot(z, z))
         return cache
 
     with mock.patch.object(evidnet.training, "_forward_arrays", shifted):
@@ -761,14 +761,12 @@ def fresh_constants(model) -> dict[str, np.ndarray]:
         "alpha": oracles.masked_sigmoid(model.xi),
         "gamma": model.eta**2,
         "u": np.hstack([bsq / bsq.sum(axis=1)[:, None], np.zeros((model.config.r, 1))]),
-        "c_sq": np.vecdot(model.centers, model.centers),
         "beta_sq_sum": bsq.sum(axis=1),
         "neg2_centers": -2.0 * model.centers,
         "b_row": model.b[None, :],
-        "w_t": model.w.T,
+        "c_sq_col": np.vecdot(model.centers, model.centers)[:, None],
     }
     fresh["omu"] = 1.0 - fresh["u"]
-    fresh["c_sq_col"] = fresh["c_sq"][:, None]
     fresh["alpha_col"] = fresh["alpha"][:, None]
     fresh["neg_gamma_col"] = -fresh["gamma"][:, None]
     fresh["u_col"] = fresh["u"][:, :, None]
