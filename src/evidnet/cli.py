@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .belief import Frame
-from .dataio import export_predictions, load_csv, load_model, save_model
+from .dataio import _float_rows, export_predictions, load_csv, load_model, save_model
 from .errors import EvidnetError, MalformedCsvError
 from .metrics import metrics_report, roc_points
 from .model import ModelConfig, decide, forward_batch, init_model
@@ -186,12 +186,12 @@ def cmd_roc(args, parser) -> int:
     pl, labels = _score_labeled(args.model, args.data)
     curve = roc_points(pl[:, 0], labels, positive=0)
     area = curve.area
-    lines = ["fpr,tpr,threshold"]
-    for fpr, tpr, thr in curve.points:
-        lines.append(f"{fpr!r},{tpr!r},{thr!r}")
-    lines.append(f"# auc={area!r}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [b"fpr,tpr,threshold"]
+    for rows in _float_rows(np.array(curve.points)):
+        lines += rows
+    lines.append(f"# auc={area!r}".encode())
+    with open(args.out, "wb") as fh:
+        fh.write(b"\n".join(lines) + b"\n")
     print(f"points={len(curve.points)} auc={area!r}")
     return 0
 

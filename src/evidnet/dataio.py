@@ -2,10 +2,13 @@
 
 Feature files are plain CSV with header ``f0,f1,...,f{d-1},label``; the
 label cell holds a class name or ``?`` for unlabeled rows; load_csv's
-docstring says how they are read. Models are stored as JSON documents
-whose floats round-trip bit-exactly (Python's shortest-repr float
-rendering). No timestamps or environment data are written, so identical
-models produce identical bytes.
+docstring says how they are read. Feature, prediction and ROC files hold
+repr's text of each float, made for whole arrays by a pass that runs the
+reader's exact conversion backwards (see _shortest_digits), and by repr
+itself for the values that pass cannot decide. Models are stored as JSON
+documents whose floats round-trip bit-exactly (Python's shortest-repr
+float rendering). No timestamps or environment data are written, so
+identical models produce identical bytes.
 """
 
 from __future__ import annotations
@@ -327,6 +330,212 @@ def _quotients(mantissa, scale, ok):
     return x
 
 
+# Printing runs the parser backwards. repr gives the fewest significant
+# digits that read back as x, and of those the nearest to x (Steele and
+# White 1990, "How to Print Floating-Point Numbers Accurately"). y, x
+# scaled by 10**s into [10**16, 10**17) by one exact power of ten in the
+# wide type, is rounded once, so with its error bound it gives x correctly
+# rounded to 17, 16 and 15 digits, unless y is within that bound of a tie.
+# Each candidate is kept only when _quotients reads it back as x. Round
+# trips are monotone in the digit count, so the printed digits are
+#   - the 15-digit candidate, when it reads back: no other 15-digit decimal
+#     lies within half a gap of x, so every shorter one that reads back is
+#     it with trailing zeros;
+#   - else the 16-digit one, when it reads back and the 15-digit one surely
+#     does not;
+#   - else the 17-digit one, when the 16-digit one surely does not read
+#     back and x is no power of two. At a power of two the gap below x is
+#     half the gap above, and a farther 16-digit decimal may read back
+#     where the nearest does not.
+# Zeros are written directly. Everything else goes to repr: non-finite
+# values, x whose scales the wide type does not hold exactly, ties within
+# the error bound, candidates _quotients cannot decide, powers of two that
+# need 17 digits, and every value where the wide type is the double itself.
+_POINTS = _EVERY_BYTE * _U(ord("."))
+# what precedes a value's digits, right-aligned in a word of NULs: its
+# sign, then "0." and zeros where the point precedes them; by lead + 5 * minus
+_PREFIXES = np.frombuffer(b"".join(
+    (sign + lead).rjust(8, b"\0") for sign in (b"", b"-")
+    for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")), dtype=np.uint64)
+
+
+def _scaled(a, s):
+    """a * 10**s in the wide type, rounded once (|s| <= _MAX_SCALE)."""
+    y = a.astype(_WIDE)
+    y *= _POW10[np.maximum(s, 0)]
+    down = s < 0
+    if down.any():
+        y[down] /= _POW10[-s[down]]
+    return y
+
+
+def _rounded(r, f, unit: int, err: float):
+    """(r + f) / unit rounded to an integer, for integers r and |f| <= 1/2,
+    and where r + f is within err of a tie."""
+    q = r // _U(unit)
+    rest = (r - q * _U(unit)).astype(np.int64) - unit // 2
+    return q + ((rest > 0) | ((rest == 0) & (f > 0))), (rest == 0) & (np.abs(f) <= err)
+
+
+def _reads_back(digits, scale, a):
+    """Where digits / 10**scale reads back as a, and where it surely reads
+    as another double; both are False where _quotients cannot tell."""
+    ok = np.ones(a.size, dtype=bool)
+    same = _quotients(digits, scale, ok) == a
+    return ok & same, ok & ~same
+
+
+def _shortest_digits(x):
+    """repr's digits of each value of x (1-D float64): a 17-digit integer
+    whose significant digits they are, decpt (the value is 0.d1d2... ×
+    10**decpt), and the mask of values decided; the rest are meaningless."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 16 - np.floor(np.log10(a))  # nan or ±inf for zero and non-finite values
+    decided = (s >= 3 - _MAX_SCALE) & (s <= _MAX_SCALE - 1) & (_WIDE_BITS > 53)
+    s = np.where(decided, s, 16).astype(np.int64)
+    a = np.where(decided, a, 1.0)
+    y = _scaled(a, s)
+    # log10 can miss the decade by one near a power of ten
+    low, high = y < _POW10[16], y >= _POW10[17]
+    off = np.flatnonzero(low | high)
+    if off.size:
+        s[off] += np.where(low[off], 1, -1)
+        y[off] = _scaled(a[off], s[off])
+    r = np.rint(y)
+    # exact for an x87 long double, where y >= 2**53 is a multiple of 2**-10;
+    # rounding a binary128 f keeps its sign and its zeros, and flags more ties
+    f = (y - r).astype(np.float64)
+    r = r.astype(np.uint64)
+    err = 2.0 ** (56 - _WIDE_BITS)  # half an ulp of y < 2**57
+    c16, tie16 = _rounded(r, f, 10, err)
+    c15, _ = _rounded(r, f, 100, err)  # a tie here is far from x, and reads back as nothing
+    took16, not16 = _reads_back(c16, s - 1, a)
+    took15, not15 = np.zeros_like(decided), np.zeros_like(decided)
+    i = np.flatnonzero(took16 | tie16)
+    took15[i], not15[i] = _reads_back(c15[i], s[i] - 2, a[i])
+    took17 = np.zeros_like(decided)
+    power_of_two = (x.view(np.uint64) & _U(2 ** 52 - 1)) == 0
+    i = np.flatnonzero(not16 & ~tie16 & ~power_of_two & (np.abs(f) < 0.5 - err))
+    took17[i] = _reads_back(r[i], s[i], a[i])[0]
+    took16 &= ~tie16 & not15
+    decided &= took15 | took16 | took17
+    digits = np.where(took15, c15 * _U(100), np.where(took16, c16 * _U(10), r))
+    carry = digits == _U(10 ** 17)  # rounded up to the next power of ten
+    digits[carry] = _U(10 ** 16)
+    s -= carry
+    zero = x == 0
+    digits[zero] = 0
+    s[zero] = 16
+    return digits, 17 - s, decided | (zero & (_WIDE_BITS > 53))
+
+
+def _eight_digit_bytes(v):
+    """The digit values of each v < 10**8 as a word, the first digit in
+    byte 0; _eight_digits inverted."""
+    high = v // _U(10000)
+    v = high | ((v - high * _U(10000)) << _U(32))
+    hundreds = ((v * _U(5243)) >> _U(19)) & _U(0x0000007F0000007F)
+    v = hundreds | ((v - hundreds * _U(100)) << _U(16))
+    tens = ((v * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)
+    return tens | ((v - tens * _U(10)) << _U(8))
+
+
+def _digit_words(digits):
+    """The 17 digits of each 17-digit integer as text in 3 words, the first
+    digit in byte 0 of word 0, then 7 zeros, and how many of the digits
+    are significant (at least 1)."""
+    words = np.empty((3, digits.size), dtype=np.uint64)
+    head = digits // _U(10 ** 8)
+    tail = _eight_digit_bytes(digits - head * _U(10 ** 8))
+    first = head // _U(10 ** 8)
+    middle = _eight_digit_bytes(head - first * _U(10 ** 8))
+    words[0] = first | (middle << _U(8))
+    words[1] = (middle >> _U(56)) | (tail << _U(8))
+    words[2] = tail >> _U(56)
+    # the significant digits end after the last nonzero byte
+    nonzero = np.frexp((words + _LOW7) & _HIGH)[1] // 8
+    count = np.where(nonzero[2] > 0, 17,
+                     np.where(nonzero[1] > 0, 8 + nonzero[1], np.maximum(nonzero[0], 1)))
+    words += _ZEROS
+    return words, count
+
+
+def _spliced(words, at, fill):
+    """words (3 words of text per value) with the byte at column at of
+    each value's text set to fill's, and the bytes from there on moved one
+    column on."""
+    shifted = words << _U(8)
+    shifted[1:] |= words[:-1] >> _U(56)
+    below = np.take(_BEFORE, at, axis=1)
+    through = np.take(_BEFORE, np.minimum(at + 1, _WINDOW), axis=1)
+    words &= below
+    shifted |= through
+    shifted ^= through
+    words |= shifted
+    through ^= below
+    through &= fill
+    words |= through
+    return words
+
+
+def _float_lines(values) -> bytes:
+    """repr(float(v)) of each value v of a float64 matrix, the values of a
+    row joined by commas and each row ended by an LF.
+
+    Each value's text is laid out in 4 words, with NULs where it has no
+    byte: the sign and any "0." and zeros before the digits, right-aligned
+    in the first word, then the digits with the point, the exponent and
+    the separator spliced in. Deleting the NULs joins the texts.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    digits, decpt, decided = _shortest_digits(x)
+    cells = np.empty((4, x.size), dtype=np.uint64)  # word k of each value's text
+    words, count = _digit_words(digits)
+    # repr's layout: fixed when -4 < decpt <= 16, else d.ddde±XX
+    fixed = (decpt > -4) & (decpt <= 16)
+    lead = fixed & (decpt < 1)
+    point = np.where(fixed, np.where(lead, _WINDOW, decpt), 1)
+    length = np.where(fixed, np.where(lead, count, decpt + 1 + np.maximum(count - decpt, 1)),
+                      count + (count > 1) + 4)
+    cells[0] = np.take(_PREFIXES, (1 - decpt) * lead + 5 * (np.signbit(x) & decided))
+    separators = np.full(x.size, _EVERY_BYTE * _U(ord(",")))
+    separators[values.shape[1] - 1::values.shape[1]] = _EVERY_BYTE * _U(ord("\n"))
+    words = _spliced(_spliced(words, point, _POINTS), length, separators)
+    cells[1:] = words & np.take(_BEFORE, length + 1, axis=1)  # NULs after the separator
+    e = np.flatnonzero(~fixed & decided)
+    if e.size:  # "e", a sign and two digits of decpt - 1 end the text
+        power = decpt[e] - 1
+        marks = np.stack([np.full(e.size, ord("e")), np.where(power < 0, ord("-"), ord("+")),
+                          ord("0") + np.abs(power) // 10, ord("0") + np.abs(power) % 10], axis=1)
+        text = np.ascontiguousarray(cells[:, e].T)
+        columns = 8 + length[e, None] - 4 + np.arange(4)
+        text.view(np.uint8)[np.arange(e.size)[:, None], columns] = marks
+        cells[:, e] = text.T
+    rest = np.flatnonzero(~decided)
+    if rest.size:  # repr's own text and the separator
+        ends = (separators[rest] & _U(0xFF)).tolist()
+        texts = ((repr(v) + chr(end)).encode().ljust(32, b"\0")
+                 for v, end in zip(x[rest].tolist(), ends))
+        cells[:, rest] = np.frombuffer(b"".join(texts), dtype=np.uint64).reshape(-1, 4).T
+    return cells.T.tobytes().translate(None, b"\0")
+
+
+# Values are formatted this many at a time: the temporaries of a chunk,
+# about 200 bytes a value, stay in cache, and its fixed cost of some 200
+# numpy calls is spread thin.
+_FORMAT_CELLS = 1 << 12
+
+
+def _float_rows(values):
+    """The texts of the rows of a float64 matrix, _FORMAT_CELLS values or
+    one row at a time: a list of bytes per chunk of rows, each holding
+    repr(float(v)) of the row's values v joined by commas."""
+    step = max(1, _FORMAT_CELLS // values.shape[1])
+    for i in range(0, len(values), step):
+        yield _float_lines(values[i:i + step]).split(b"\n")[:-1]
+
+
 class _NotPlain(Exception):
     """The rest of the file is left to the row walk, which gives its result
     or error."""
@@ -528,26 +737,26 @@ def _csv_cell(text: str) -> str:
 
 
 def write_csv(dataset: FeatureDataset, path) -> None:
-    """Inverse of load_csv; floats are written with round-trip precision.
+    """Inverse of load_csv; floats are written as repr writes them.
 
-    Rows are formatted one at a time, so memory stays flat in the row
-    count. The bytes are those csv.writer writes for the same cells.
-    Raises ValueError, before writing, when a row is labelled with a class
-    named UNLABELED, which load_csv would read back as unlabeled.
+    Rows are formatted and written a chunk at a time (see _float_rows), so
+    memory stays flat in the row count. The bytes are those csv.writer
+    writes for the same cells. Raises ValueError, before writing, when a
+    row is labelled with a class named UNLABELED, which load_csv would
+    read back as unlabeled.
     """
     path = Path(path)
     names = dataset.class_names
     if UNLABELED in names and names.index(UNLABELED) in dataset.labels:
         raise ValueError(f"class {UNLABELED!r} cannot be written: it marks an unlabeled row")
     # the last entry serves unlabeled rows, whose label is None
-    label_cells = [_csv_cell(name) for name in (*names, UNLABELED)]
+    label_cells = [f",{_csv_cell(name)}\n".encode() for name in (*names, UNLABELED)]
+    labels = (label_cells[-1 if lab is None else lab] for lab in dataset.labels)
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(_expected_header(dataset.d_in)) + "\n")
-            for row, lab in zip(dataset.features, dataset.labels):
-                cells = [*map(repr, row.tolist()), label_cells[-1 if lab is None else lab]]
-                # csv.writer writes a row of one empty cell as ""
-                fh.write((",".join(cells) or '""') + "\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(_expected_header(dataset.d_in)) + "\n").encode())
+            for rows in _float_rows(dataset.features):
+                fh.write(b"".join(itertools.chain.from_iterable(zip(rows, labels))))
     except OSError as exc:
         raise EvidnetError(f"{path}: {exc}") from exc
 
@@ -687,7 +896,8 @@ def export_predictions(model: EvidentialModel, dataset: FeatureDataset, path) ->
     """Write per-row masses, plausibilities and decisions; returns row count.
 
     Output header: ``row,m_pos,m_neg,m_omega,pl_pos,pl_neg,decision``
-    with 0-based row indices in input order.
+    with 0-based row indices in input order. The floats are repr's text
+    (see _float_rows), nan for a row whose masses are NaN.
     """
     if model.config.k != 2:
         raise EvidnetError(
@@ -697,16 +907,16 @@ def export_predictions(model: EvidentialModel, dataset: FeatureDataset, path) ->
         raise DimensionMismatchError(
             f"dataset has {dataset.d_in} features, model expects {model.config.d_in}"
         )
-    lines = [PREDICTIONS_HEADER]
+    lines = [PREDICTIONS_HEADER.encode() + b"\n"]
     if dataset.n:
         m, m_omega, pl = forward_batch(model, dataset.features)
-        names = [_csv_cell(name) for name in model.class_names]
-        rows = zip(m.tolist(), m_omega.tolist(), pl.tolist(), decide(pl).tolist())
-        for i, ((m_pos, m_neg), m_om, (pl_pos, pl_neg), win) in enumerate(rows):
-            lines.append(f"{i},{m_pos!r},{m_neg!r},{m_om!r},{pl_pos!r},{pl_neg!r},{names[win]}")
+        names = [_csv_cell(name).encode() for name in model.class_names]
+        rows = itertools.chain.from_iterable(_float_rows(np.column_stack((m, m_omega, pl))))
+        lines += [b"%d,%s,%s\n" % (i, row, names[win])
+                  for i, (row, win) in enumerate(zip(rows, decide(pl).tolist()))]
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines))
     except OSError as exc:
         raise EvidnetError(f"{path}: {exc}") from exc
     return dataset.n

@@ -735,3 +735,28 @@ def reference_write_csv(dataset, path) -> None:
             lab = dataset.labels[i]
             name = "?" if lab is None else dataset.class_names[lab]
             fh.write(line([repr(float(v)) for v in dataset.features[i]] + [name]))
+
+
+def reference_predictions_text(model, features) -> str:
+    """The prediction export of features, one repr per value;
+    evidnet.export_predictions must write the same text."""
+    lines = ["row,m_pos,m_neg,m_omega,pl_pos,pl_neg,decision"]
+    if len(features):
+        m, m_omega, pl = forward_batch(model, features)
+        names = []
+        for name in model.class_names:  # as csv.writer writes it after another cell
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow(("", name))
+            names.append(buf.getvalue()[1:-2])
+        rows = zip(m.tolist(), m_omega.tolist(), pl.tolist(), decide(pl).tolist())
+        for i, ((m_pos, m_neg), m_om, (pl_pos, pl_neg), win) in enumerate(rows):
+            lines.append(f"{i},{m_pos!r},{m_neg!r},{m_om!r},{pl_pos!r},{pl_neg!r},{names[win]}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_roc_text(curve) -> str:
+    """The ROC export of a RocCurve, one repr per value; evidnet roc must
+    write the same text."""
+    lines = ["fpr,tpr,threshold"]
+    lines += [f"{fpr!r},{tpr!r},{thr!r}" for fpr, tpr, thr in curve.points]
+    return "\n".join(lines + [f"# auc={curve.area!r}"]) + "\n"

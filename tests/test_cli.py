@@ -22,14 +22,17 @@ from evidnet import (
     ModelConfig,
     TrainConfig,
     forward_batch,
+    load_csv,
     load_model,
     metrics_report,
+    roc_points,
     save_model,
     write_csv,
 )
 from evidnet.dataio import PREDICTIONS_HEADER
 
 from helpers import blob_split
+from oracles import reference_roc_text
 from test_model import three_class_model
 
 EASY = [(0.0, 0.0), (4.0, 4.0)]
@@ -347,6 +350,19 @@ def test_roc_export(workdir, tmp_path):
     # separable data: the curve passes through the perfect corner
     assert (0.0, 1.0) in {(p[0], p[1]) for p in points}
     assert float(m.group(2)) == 1.0
+
+
+def test_roc_export_matches_reference_writer(workdir, tmp_path):
+    out = tmp_path / "roc.csv"
+    res = run_cli("roc", "--model", str(workdir / "model.json"),
+                  "--data", str(workdir / "test.csv"), "--out", str(out))
+    assert res.returncode == 0
+    model = load_model(workdir / "model.json")
+    ds = load_csv(workdir / "test.csv", class_names=model.class_names)
+    _, _, pl = forward_batch(model, ds.features)
+    curve = roc_points(pl[:, 0], ds.labels, positive=0)
+    assert curve.points[0][2] == float("inf")
+    assert out.read_bytes() == reference_roc_text(curve).encode()
 
 
 def test_roc_single_class_is_runtime_error(workdir, tmp_path):

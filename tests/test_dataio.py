@@ -32,7 +32,7 @@ from evidnet import dataio
 from evidnet.dataio import PREDICTIONS_HEADER
 
 from helpers import exactly, random_wide_model
-from oracles import reference_load_csv, reference_write_csv
+from oracles import reference_load_csv, reference_predictions_text, reference_write_csv
 from test_model import three_class_model, tiny_model
 
 
@@ -542,6 +542,83 @@ def test_decimal_pass_takes_plain_cells_and_leaves_the_rest():
         assert values[:n].tobytes() == np.array([float(c) for c in (taken + wide)[:n]]).tobytes()
 
 
+def _printed(values):
+    """dataio's repr pass over values, as a column: one bytes per value."""
+    return dataio._float_lines(np.array(values, dtype=float).reshape(-1, 1)).split(b"\n")[:-1]
+
+
+def _stepped(x, steps):
+    """The double steps doubles away from x."""
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+    return x
+
+
+# doubles one of whose candidates has a long-double quotient exactly on a
+# midpoint between two doubles: without the midpoint guard the pass keeps a
+# candidate that reads back as the neighbour, and misprints them
+GUARDED_MIDPOINTS = [6694143.01064855, 0.009269667908932029, 7.2307697686779,
+                     0.0288482612064255, 3386.86703311622, 0.12900064012933599,
+                     5.76838932871183e-05, 9511606.704899989]
+# doubles whose scaled value x * 10**s, rounded once in long double, lies
+# within its error bound of halfway between two 17-digit integers: without
+# the tie guard the pass may round them the wrong way
+NEAR_TIES = [3620564.4333463633, 0.0027186434465799407, -1.2697932106160427e+23,
+             3.4078869064949885e+27]
+REPR_SOURCES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_bits_to_double),  # every exponent, subnormals, nan, inf
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.nan]),
+    st.integers(-2 ** 53, 2 ** 53).map(float),
+    st.integers(-2 ** 80, 2 ** 80).map(float),
+    st.integers(-1074, 1023).map(lambda k: 2.0 ** k),
+    st.integers(-40, 140).map(lambda k: 2.0 ** k),  # the gap below is half the gap above
+    # 10**k and its neighbours; repr switches to an exponent below 1e-4 and from 1e16 on
+    st.tuples(st.integers(-30, 45), st.integers(-3, 3))
+    .map(lambda t: _stepped(float(f"1e{t[0]}"), t[1])),
+    st.tuples(st.sampled_from([1e-4, 1e16]), st.integers(-40, 40)).map(lambda t: _stepped(*t)),
+    # values whose repr has 1 to 17 digits
+    st.tuples(st.integers(1, 17), st.integers(1, 10 ** 17 - 1), st.integers(-30, 30))
+    .map(lambda t: float(f"{t[1] % 10 ** t[0]}e{t[2]}")),
+    st.tuples(st.floats(1e-12, 1e40), st.integers(1, 17))
+    .map(lambda t: float(f"{t[0]:.{t[1] - 1}e}")),
+    # near a tie: halfway between two 17-digit decimals, exactly halfway
+    # between two 16-digit ones, or halfway between two doubles
+    st.tuples(st.integers(10 ** 16, 10 ** 17 - 1), st.integers(-40, 20))
+    .map(lambda t: float(f"{t[0]}5e{t[1]}")),
+    st.integers(2, 6).flatmap(  # 17 - j digits, then j after the point, the last a 5
+        lambda j: st.integers(10 ** (16 - j) * 2 ** (j - 1), 10 ** (17 - j) * 2 ** (j - 1) - 1)
+        .map(lambda m: (2 * m + 1) / 2 ** j)),
+    st.tuples(FINITE_DOUBLES, st.sampled_from([15, 16, 17]), st.integers(-1, 1))
+    .map(lambda t: _stepped(float(_midpoint_near(t[0], t[1])), t[2])),
+    st.sampled_from(GUARDED_MIDPOINTS + NEAR_TIES),
+)
+REPR_VALUES = st.tuples(REPR_SOURCES, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(REPR_VALUES, min_size=1, max_size=40))
+@example(GUARDED_MIDPOINTS + NEAR_TIES + [
+    math.nan, -math.inf, 0.5, 0.125, -0.0, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
+    1e23, 1e22, 2.0 ** -1022, 2.0 ** 89, 2.0 ** 122, 628118714294326.8, 585343579402.8438])
+def test_repr_pass_writes_repr_bytes(values):
+    for bits in WIDTHS:
+        with _wide_type(bits):
+            printed = _printed(values)
+        for value, text in zip(values, printed, strict=True):
+            assert text == repr(value).encode(), (bits, value)
+
+
+@pytest.mark.skipif(dataio._WIDE_BITS == 53,
+                    reason="where the long double is the double, every value goes to repr")
+def test_repr_pass_decides_nearly_every_value():
+    x = np.random.default_rng(8).standard_normal((400, 128)) * 8
+    _, _, decided = dataio._shortest_digits(x.ravel())
+    assert decided.mean() >= 0.97
+    # what it decides without repr: short values too
+    _, _, decided = dataio._shortest_digits(np.array([0.5, 0.125, -0.0, 1.0, 0.1, 1e-4, 1e16]))
+    assert decided.all()
+
+
 def test_unreadable_csv_names_the_file(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"f0,label\n1,\xff\n")
@@ -674,6 +751,23 @@ def test_write_csv_matches_reference_writer(tmp_path, ds):
     back = load_csv(got, class_names=ds.class_names)
     assert back.features.tobytes() == ds.features.tobytes()
     assert back.labels == ds.labels
+
+
+@pytest.mark.parametrize("d", [7, dataio._FORMAT_CELLS + 3])
+def test_write_csv_matches_reference_writer_across_chunks(tmp_path, d):
+    # two whole chunks of rows and a part of one, or rows longer than a
+    # chunk, holding values of every layout repr has
+    n = 2 * max(1, dataio._FORMAT_CELLS // d) + 3
+    rng = np.random.default_rng(21)
+    feats = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-9, 21, (n, d))
+    feats.flat[::11] = np.round(feats.flat[::11], 2)
+    feats.flat[::13] = -0.0
+    labels = [None if i % 4 == 0 else i % 2 for i in range(n)]
+    ds = FeatureDataset(feats, labels, ("a,b", "plain"))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(ds, got)
+    reference_write_csv(ds, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_write_csv_refuses_a_labelled_row_of_the_class_named_unlabeled(tmp_path):
@@ -951,6 +1045,25 @@ def test_export_predictions_quotes_class_names(tmp_path, names):
     assert [row[6] for row in rows] == [names[0] if a >= b else names[1] for a, b in pl]
     assert {row[6] for row in rows} == set(names)
     assert (",plain\n" in p.read_text()) == ("plain" in names)  # written bare, as before
+
+
+@pytest.mark.parametrize("names", [("positive", "negative"), ("a,b", 'say "hi"')])
+def test_export_predictions_matches_reference_writer(tmp_path, names):
+    # gamma = eta^2 overflows to inf on the third center, whose row gets NaN
+    # masses; a far row is vacuous; the rows take more than one chunk
+    with np.errstate(over="ignore"):
+        model = tiny_model(beta=((0.2, 0.8), (0.7, 0.3), (0.5, 0.5)), xi=(0.5, 0.5, 0.0),
+                           eta=(1.0, 0.5, 1e200), center=((0.0, 0.0), (1.0, 1.0), (2.0, 1.0)))
+    model = dataclasses.replace(model, class_names=names)
+    feats = np.random.default_rng(14).uniform(-3, 3, (dataio._FORMAT_CELLS // 5 + 7, 2))
+    feats[[0, 500, -1]] = (2.0, 1.0)
+    feats[3] = (1e3, 1e3)
+    p = tmp_path / "pred.csv"
+    with np.errstate(invalid="ignore"):
+        export_predictions(model, FeatureDataset(feats, [None] * len(feats), names), p)
+        want = reference_predictions_text(model, feats)
+    assert p.read_bytes() == want.encode()
+    assert b"\n500,nan,nan,nan,nan,nan," in p.read_bytes()
 
 
 def test_export_predictions_empty_and_errors(tmp_path):
