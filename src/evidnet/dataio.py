@@ -356,7 +356,7 @@ _POINTS = _EVERY_BYTE * _U(ord("."))
 # sign, then "0." and zeros where the point precedes them; by lead + 5 * minus
 _PREFIXES = np.frombuffer(b"".join(
     (sign + lead).rjust(8, b"\0") for sign in (b"", b"-")
-    for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")), dtype=np.uint64)
+    for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")), dtype="<u8")
 
 
 def _scaled(a, s):
@@ -490,7 +490,7 @@ def _float_lines(values) -> bytes:
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     digits, decpt, decided = _shortest_digits(x)
-    cells = np.empty((4, x.size), dtype=np.uint64)  # word k of each value's text
+    cells = np.empty((4, x.size), dtype="<u8")  # word k of each value's text, byte 0 first
     words, count = _digit_words(digits)
     # repr's layout: fixed when -4 < decpt <= 16, else d.ddde±XX
     fixed = (decpt > -4) & (decpt <= 16)
@@ -517,7 +517,7 @@ def _float_lines(values) -> bytes:
         ends = (separators[rest] & _U(0xFF)).tolist()
         texts = ((repr(v) + chr(end)).encode().ljust(32, b"\0")
                  for v, end in zip(x[rest].tolist(), ends))
-        cells[:, rest] = np.frombuffer(b"".join(texts), dtype=np.uint64).reshape(-1, 4).T
+        cells[:, rest] = np.frombuffer(b"".join(texts), dtype="<u8").reshape(-1, 4).T
     return cells.T.tobytes().translate(None, b"\0")
 
 
