@@ -185,7 +185,6 @@ _PAD = b"0" * _WINDOW
 _U = np.uint64
 _EVERY_BYTE = _U(0x0101010101010101)
 _ZEROS = _EVERY_BYTE * _U(ord("0"))
-_DOTS = _EVERY_BYTE * _U(ord(".") ^ ord("0"))
 _LOW7 = _EVERY_BYTE * _U(0x7F)
 _HIGH = _EVERY_BYTE * _U(0x80)
 _PAST_NINE = _EVERY_BYTE * _U(0x80 - 10)
@@ -225,7 +224,7 @@ def _decimal_cells(text: bytes, starts, ends):
     ok = np.ones(starts.size, dtype=bool)
     mantissa_end, scale = _exponents(a, words, starts, ends, ok)
     negative = np.take(a, starts) == ord("-")
-    mantissa, fraction = _mantissas(words, mantissa_end - starts, mantissa_end, negative, ok)
+    mantissa, fraction = _mantissas(a, words, mantissa_end - starts, mantissa_end, negative, ok)
     x = _quotients(mantissa, scale + fraction, ok)
     x.view(np.uint64)[...] |= negative.astype(np.uint64) << _U(63)
     return x, ok
@@ -259,7 +258,7 @@ def _exponents(a, words, starts, ends, ok):
     return mantissa_end, scale
 
 
-def _mantissas(words, length, mantissa_end, negative, ok):
+def _mantissas(a, words, length, mantissa_end, negative, ok):
     """The integer of each mantissa's digits, and how many follow its dot;
     clears ok for a mantissa that is not [-]digits[.digits] with a digit,
     or is longer than the window, or has more than 19 significant digits
@@ -274,17 +273,22 @@ def _mantissas(words, length, mantissa_end, negative, ok):
     # index is at most width, and "clip" only sends one below 0 (a mantissa
     # longer than the window) to 0
     g &= ~np.take(_BEFORE[:n_words], width - length + negative, axis=1, mode="clip")
-    dots = _dots(g)
-    ok &= (dots & (dots - _U(1))) == 0
-    dot_column = np.frexp(dots)[1]  # the dot's column counted from 1, or 0
-    has_dot = dots != 0
+    # the one column that may hold no digit holds the dot
+    others = _columns(_not_digits(g))
+    ok &= (others & (others - _U(1))) == 0
+    dot_column = np.frexp(others)[1]  # that column counted from 1, or 0
+    has_dot = others != 0
+    # a cell with no such column reads, and ignores, the byte before its
+    # window: at most one byte before the text, which "clip" sends to 0
+    at = mantissa_end - (width + 1)
+    at += dot_column
+    ok &= has_dot <= (np.take(a, at, mode="clip") == ord("."))  # has_dot implies a dot
     # drop the dot: each column up to it takes the digit on its left
     shifted = g << _U(8)
     shifted[1:] |= g[:-1] >> _U(56)
     shifted ^= g
     shifted &= np.take(_BEFORE[:n_words], dot_column, axis=1)
     g ^= shifted
-    ok &= np.bitwise_or.reduce(_not_digits(g)) == 0
     ok &= length - negative - has_dot >= 1
     digits = _eight_digits(g)
     mantissa = digits[0]
@@ -297,15 +301,14 @@ def _mantissas(words, length, mantissa_end, negative, ok):
     return mantissa, (width - dot_column) * has_dot
 
 
-def _dots(g):
-    """Per cell, bit c set where column c of its window holds a dot."""
-    t = g ^ _DOTS
-    t = ~(((t & _LOW7) + _LOW7) | t | _LOW7)  # 0x80 in each byte that is a dot
-    flags = ((t >> _U(7)) * _MOVEMASK) >> _U(56)
-    dots = flags[0].copy()
+def _columns(high):
+    """Per cell, bit c set where the byte in column c of its window, in
+    high, has its high bit set."""
+    flags = ((high >> _U(7)) * _MOVEMASK) >> _U(56)
+    columns = flags[0]
     for i in range(1, len(flags)):
-        dots |= flags[i] << _U(8 * i)
-    return dots
+        columns |= flags[i] << _U(8 * i)
+    return columns
 
 
 def _quotients(mantissa, scale, ok):

@@ -59,6 +59,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# train adds the unlabeled rows to their perturbed copies this many rows at
+# a time, so that no gather of all of them is made
+_BASE_ROWS = 256
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -416,11 +420,13 @@ def train(
 
     Epochs shuffle the labeled and unlabeled streams independently and
     slice both into the same number of mini-batches. Fresh perturbations
-    are drawn every epoch: each epoch's copies of the unlabeled rows are
-    built once, in the array the noise was drawn into, and checked for
-    finiteness there. The training features are checked once per call,
-    the validation features before the first step too, and each step
-    gathers its rows into one buffer reused for every step.
+    are drawn every epoch into one (n_unl, T, d) buffer reused by every
+    epoch, and checked for finiteness there before the epoch's first step.
+    Beyond the datasets, training holds only that buffer, one step's rows,
+    gathered straight from the training matrix into one buffer reused for
+    every step, and the per-epoch validation forward. The training
+    features are checked once per call, the validation features before
+    the first step too.
     Training stops once validation accuracy has not strictly improved for
     cfg.patience consecutive epochs (or at max_epochs), and the best-epoch
     parameters are returned. Both datasets must name the model's classes
@@ -452,9 +458,7 @@ def train(
                 f"{name} set classes {ds.class_names} differ from the model's {model.class_names}"
             )
 
-    x_lab = feats[labeled_idx]
-    x_unl = feats[unlabeled_idx]
-    n_lab, n_unl = x_lab.shape[0], x_unl.shape[0]
+    n_lab, n_unl = labeled_idx.size, unlabeled_idx.size
     d = feats.shape[1]
 
     n_batches = max(math.ceil(n_lab / cfg.batch_size), math.ceil(n_unl / cfg.batch_size))
@@ -462,6 +466,7 @@ def train(
     # one step's rows: labeled rows, unlabeled bases, then the bases'
     # copies; array_split makes no chunk longer than the ceiling
     rows = np.empty((math.ceil(n_lab / n_batches) + math.ceil(n_unl / n_batches) * (1 + t), d))
+    copies = np.empty((n_unl, t, d))
 
     rng = np.random.default_rng(cfg.seed)
     # models are immutable, so the current and best models are shared,
@@ -479,21 +484,26 @@ def train(
         perm_lab = rng.permutation(n_lab)
         perm_unl = rng.permutation(n_unl)
         # each copy is x + sigma * noise: both operations commute, so
-        # building it in the noise's array gives that expression's bits
-        copies = rng.standard_normal((n_unl, t, d))
+        # building it in the noise's buffer gives that expression's bits;
+        # the bases are added a block of rows at a time
+        rng.standard_normal(out=copies)  # the draws of standard_normal(copies.shape)
         copies *= cfg.noise_sigma
-        copies += x_unl[:, None]
+        for start in range(0, n_unl, _BASE_ROWS):
+            block = slice(start, start + _BASE_ROWS)
+            copies[block] += feats[unlabeled_idx[block], None]
         _require_finite_features(copies)
         batch_losses = []
-        for chunk_l, chunk_u in zip(
-            np.array_split(perm_lab, n_batches), np.array_split(perm_unl, n_batches)
+        for chunk_l, chunk_u, at_l, at_u in zip(
+            np.array_split(perm_lab, n_batches), np.array_split(perm_unl, n_batches),
+            np.array_split(labeled_idx[perm_lab], n_batches),
+            np.array_split(unlabeled_idx[perm_unl], n_batches),
         ):
             n_l, n_u = len(chunk_l), len(chunk_u)
             stop = n_l + n_u * (1 + t)
-            # the chunks index a permutation, so "clip" never clips; it
-            # lets take write straight into the buffer
-            np.take(x_lab, chunk_l, axis=0, out=rows[:n_l], mode="clip")
-            np.take(x_unl, chunk_u, axis=0, out=rows[n_l : n_l + n_u], mode="clip")
+            # every index is in range, so "clip" never clips; it lets take
+            # write straight into the buffer
+            np.take(feats, at_l, axis=0, out=rows[:n_l], mode="clip")
+            np.take(feats, at_u, axis=0, out=rows[n_l : n_l + n_u], mode="clip")
             np.take(copies, chunk_u, axis=0, out=rows[n_l + n_u : stop].reshape(n_u, t, d),
                     mode="clip")
             loss, grads = _loss_and_grads(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -933,6 +934,34 @@ def test_train_matches_reference_loop(loss_mode, t, batch_size, k, labeled_fract
     assert history == want_history
     assert best.theta.tobytes() == want.theta.tobytes()
     assert train_set.features.tobytes() == features
+
+
+def test_train_memory_grows_with_the_perturbed_copies_alone():
+    # beyond its inputs, train holds one (n_unl, T, d) buffer of copies,
+    # reused every epoch, and buffers that do not grow with the rows:
+    # doubling the training set grows the traced peak by little more than
+    # the copies' bytes
+    means = [(0.0, 0.0), (2.0, 2.0)]
+    val_set = blob_split(0, 1, 50, means, d_in=64)
+    cfg = TrainConfig(t_perturb=2, max_epochs=2, patience=2, seed=0)
+    peaks, copy_bytes = [], []
+    for n in (2000, 4000):
+        train_set = blob_split(0, 0, n // 2, means, labeled_fraction=0.5, d_in=64)
+        feats, labs = labeled_subset(train_set)
+        model = init_model(ModelConfig(d_in=64, r=4, h=8, k=2), feats, labs, seed=0)
+        features = train_set.features.tobytes()
+        tracemalloc.start()
+        try:
+            train(model, train_set, val_set, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert train_set.features.tobytes() == features
+        copy_bytes.append(train_set.labels.count(None) * cfg.t_perturb * 64 * 8)
+    # private copies of the rows, and each epoch's copies drawn into a new
+    # array while the last epoch's are alive, read 3.05x; one reused buffer
+    # reads 1.13x
+    assert peaks[1] - peaks[0] <= 1.25 * (copy_bytes[1] - copy_bytes[0])
 
 
 def test_train_refuses_an_overflowing_perturbed_copy():
