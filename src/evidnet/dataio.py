@@ -2,13 +2,18 @@
 
 Feature files are plain CSV with header ``f0,f1,...,f{d-1},label``; the
 label cell holds a class name or ``?`` for unlabeled rows; load_csv's
-docstring says how they are read. Feature, prediction and ROC files hold
-repr's text of each float, made for whole arrays by a pass that runs the
-reader's exact conversion backwards (see _shortest_digits), and by repr
-itself for the values that pass cannot decide. Models are stored as JSON
-documents whose floats round-trip bit-exactly (Python's shortest-repr
-float rendering). No timestamps or environment data are written, so
-identical models produce identical bytes.
+docstring says how they are read: its exact pass divides in long double,
+and tells a quotient halfway between two doubles by the significand's bits
+below a double's 53, found in a word probed once at import, or divides in
+doubles where no word is found (see _wide_constants). Feature, prediction
+and ROC files hold repr's text of each float, made for whole arrays by a
+pass that runs the reader's exact conversion backwards (see
+_shortest_digits), and by repr itself for the values that pass cannot
+decide; it takes its 17-digit candidates without a read-back, since they
+always read back. Models are stored as JSON documents whose floats
+round-trip bit-exactly (Python's shortest-repr float rendering). No
+timestamps or environment data are written, so identical models produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -157,24 +162,56 @@ CHUNK_BYTES = 1 << 17
 # multiplication when f < 0) rounds M / 10**f once, and rounding that to a
 # double gives float(cell), unless the wide quotient lies exactly halfway
 # between two doubles, where the exact value may lie on either side (Clinger
-# 1990, "How to Read Floating Point Numbers Accurately"). An x87 or binary128
-# long double holds every 19-digit M and 10**27; where the long double is
-# anything else (binary64, double-double), the wide type is the double
-# itself, which rounds once, holds M up to 2**53 and 10**22, and leaves more
-# cells to float().
-def _wide_constants(bits: int):
-    """The wide type for a mantissa of bits bits (53: the double; 64 or
-    113: the long double), the largest scale f and mantissa M it holds
-    exactly, and 10**0 .. 10**f in it."""
+# 1990, "How to Read Floating Point Numbers Accurately"). A nonzero quotient
+# lies in [10**-f, 2**64 * 10**f], where a double holds 53 bits, so it is
+# such a midpoint exactly when its significand's bits below a double's 53
+# read a 1, then zeros. An x87 or binary128 long double holds every 19-digit
+# M and 10**27, and keeps those bits in one 64-bit word of its bytes; where
+# the long double is anything else (binary64, double-double), or no word is
+# found, the wide type is the double itself, which rounds once, holds M up
+# to 2**53 and 10**22, and leaves more cells to float().
+def _midpoint_word(below: int):
+    """The byte offset, in a long double, of the native 64-bit word whose
+    low below bits are the significand's last, or None.
+
+    The exact midpoint 1 + 2**-53 reads a 1 and then zeros there, and the
+    next wide value above it a 1 and then zeros and a 1. Words are read at
+    every byte offset through a view strided by the value's size, so a
+    12-byte long double is probed as well as a 16-byte one.
+    """
+    probe = np.ones(2, dtype=np.longdouble)
+    probe += np.longdouble(2.0 ** -53)
+    probe[1] = np.nextafter(probe[0], np.longdouble(2))
+    half = 1 << (below - 1)
+    for offset in range(probe.itemsize - 7):
+        words = np.ndarray(2, np.uint64, probe, offset, (probe.itemsize,))
+        if (words & _U((1 << below) - 1)).tolist() == [half, half + 1]:
+            return offset
+    return None
+
+
+def _wide_constants(bits: int) -> dict:
+    """Every constant the decimal pass derives from its wide type, by name,
+    for a long double of a bits-bit mantissa (53: the double itself):
+    the mantissa width the pass runs at, its wide type, the largest scale f
+    and mantissa M that type holds exactly, 10**0 .. 10**f in it, and the
+    offset of the word holding a quotient's bits below a double's 53 (None
+    where the wide type is the double, whose quotients are no midpoints)."""
+    word = _midpoint_word(bits - 53) if bits in (64, 113) else None
+    if word is None:
+        bits = 53
     wide = np.longdouble if bits > 53 else np.float64
     max_scale = max(k for k in range(64) if 5 ** k < 2 ** bits)
     pow10 = np.array([1] + [10] * max_scale, dtype=wide).cumprod()  # each product exact
-    return wide, max_scale, min(2 ** 64 - 1, 2 ** bits), pow10
+    return {"_WIDE_BITS": bits, "_WIDE": wide, "_MAX_SCALE": max_scale,
+            "_MAX_MANTISSA": min(2 ** 64 - 1, 2 ** bits), "_POW10": pow10,
+            "_MIDPOINT_WORD": word}
 
 
+_U = np.uint64
 _LONG_BITS = np.finfo(np.longdouble).nmant + 1
-_WIDE_BITS = _LONG_BITS if _LONG_BITS in (64, 113) else 53
-_WIDE, _MAX_SCALE, _MAX_MANTISSA, _POW10 = _wide_constants(_WIDE_BITS)
+_WIDE_BITS, _WIDE, _MAX_SCALE, _MAX_MANTISSA, _POW10, _MIDPOINT_WORD = \
+    _wide_constants(_LONG_BITS).values()
 
 # A cell's characters before its exponent are read right-aligned into a
 # window of up to three little-endian 8-byte words: column c of the window
@@ -182,7 +219,6 @@ _WIDE, _MAX_SCALE, _MAX_MANTISSA, _POW10 = _wide_constants(_WIDE_BITS)
 # the window of its first cell somewhere to start.
 _WINDOW = 24
 _PAD = b"0" * _WINDOW
-_U = np.uint64
 _EVERY_BYTE = _U(0x0101010101010101)
 _ZEROS = _EVERY_BYTE * _U(ord("0"))
 _LOW7 = _EVERY_BYTE * _U(0x7F)
@@ -314,7 +350,9 @@ def _columns(high):
 def _quotients(mantissa, scale, ok):
     """mantissa / 10**scale rounded to doubles through the wide type;
     clears ok where the scale is out of range or the wide quotient is a
-    midpoint between two doubles."""
+    midpoint between two doubles: where its significand's bits below a
+    double's 53, read through a uint64 view of the word _wide_constants
+    found, are a 1, then zeros. A double quotient is no midpoint."""
     size = np.abs(scale)
     ok &= size <= _MAX_SCALE
     size[~ok] = 0
@@ -323,14 +361,11 @@ def _quotients(mantissa, scale, ok):
     product = quotient[up] * _POW10[size[up]]
     quotient /= _POW10[size]
     quotient[up] = product
-    x = quotient.astype(np.float64)
-    # the quotient is a midpoint when it lies gap/2 from x, and then
-    # x + 2 (quotient - x), the next double, is exact
-    quotient -= x
-    twice = quotient.astype(np.float64)
-    twice += twice
-    ok &= ((x + twice) - x != twice) | (twice == 0)
-    return x
+    if _MIDPOINT_WORD is not None:
+        below = np.ndarray(quotient.shape, np.uint64, quotient, _MIDPOINT_WORD,
+                           (quotient.itemsize,))
+        ok &= (below & _U(2 ** (_WIDE_BITS - 53) - 1)) != _U(2 ** (_WIDE_BITS - 54))
+    return quotient.astype(np.float64)
 
 
 # Printing runs the parser backwards. repr gives the fewest significant
@@ -339,21 +374,26 @@ def _quotients(mantissa, scale, ok):
 # scaled by 10**s into [10**16, 10**17) by one exact power of ten in the
 # wide type, is rounded once, so with its error bound it gives x correctly
 # rounded to 17, 16 and 15 digits, unless y is within that bound of a tie.
-# Each candidate is kept only when _quotients reads it back as x. Round
-# trips are monotone in the digit count, so the printed digits are
+# A 15- or 16-digit candidate is kept only when _quotients reads it back
+# as x. Round trips are monotone in the digit count, so the printed digits
+# are
 #   - the 15-digit candidate, when it reads back: no other 15-digit decimal
 #     lies within half a gap of x, so every shorter one that reads back is
 #     it with trailing zeros;
 #   - else the 16-digit one, when it reads back and the 15-digit one surely
 #     does not;
 #   - else the 17-digit one, when the 16-digit one surely does not read
-#     back and x is no power of two. At a power of two the gap below x is
-#     half the gap above, and a farther 16-digit decimal may read back
-#     where the nearest does not.
+#     back, x is no power of two and y is not within its bound of a tie.
+#     At a power of two the gap below x is half the gap above, and a
+#     farther 16-digit decimal may read back where the nearest does not.
+#     This candidate is not read back: x correctly rounded to 17 digits
+#     always reads back, as 10**16 > 2**53 (Matula 1968, "In-and-out
+#     conversions").
 # Zeros are written directly. Everything else goes to repr: non-finite
 # values, x whose scales the wide type does not hold exactly, ties within
-# the error bound, candidates _quotients cannot decide, powers of two that
-# need 17 digits, and every value where the wide type is the double itself.
+# the error bound, 15- and 16-digit candidates _quotients cannot decide,
+# powers of two that need 17 digits, and every value where the wide type
+# is the double itself.
 _POINTS = _EVERY_BYTE * _U(ord("."))
 # what precedes a value's digits, right-aligned in a word of NULs: its
 # sign, then "0." and zeros where the point precedes them; by lead + 5 * minus
@@ -391,7 +431,10 @@ def _reads_back(digits, scale, a):
 def _shortest_digits(x):
     """repr's digits of each value of x (1-D float64): a 17-digit integer
     whose significant digits they are, decpt (the value is 0.d1d2... ×
-    10**decpt), and the mask of values decided; the rest are meaningless."""
+    10**decpt), and the mask of values decided; the rest are meaningless.
+    The 15- and 16-digit candidates are read back through _quotients; the
+    17-digit one is not, since x correctly rounded to 17 digits always
+    reads back (see the comment above)."""
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = 16 - np.floor(np.log10(a))  # nan or ±inf for zero and non-finite values
@@ -417,10 +460,8 @@ def _shortest_digits(x):
     took15, not15 = np.zeros_like(decided), np.zeros_like(decided)
     i = np.flatnonzero(took16 | tie16)
     took15[i], not15[i] = _reads_back(c15[i], s[i] - 2, a[i])
-    took17 = np.zeros_like(decided)
     power_of_two = (x.view(np.uint64) & _U(2 ** 52 - 1)) == 0
-    i = np.flatnonzero(not16 & ~tie16 & ~power_of_two & (np.abs(f) < 0.5 - err))
-    took17[i] = _reads_back(r[i], s[i], a[i])[0]
+    took17 = not16 & ~tie16 & ~power_of_two & (np.abs(f) < 0.5 - err)
     took16 &= ~tie16 & not15
     decided &= took15 | took16 | took17
     digits = np.where(took15, c15 * _U(100), np.where(took16, c16 * _U(10), r))

@@ -59,8 +59,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# train adds the unlabeled rows to their perturbed copies this many rows at
-# a time, so that no gather of all of them is made
+# train adds the unlabeled rows to their perturbed copies, and checks the
+# sums are finite, this many rows at a time, so that no gather of all the
+# rows and no finiteness mask of all the copies is made
 _BASE_ROWS = 256
 
 
@@ -489,9 +490,9 @@ def train(
         rng.standard_normal(out=copies)  # the draws of standard_normal(copies.shape)
         copies *= cfg.noise_sigma
         for start in range(0, n_unl, _BASE_ROWS):
-            block = slice(start, start + _BASE_ROWS)
-            copies[block] += feats[unlabeled_idx[block], None]
-        _require_finite_features(copies)
+            block = copies[start : start + _BASE_ROWS]
+            block += feats[unlabeled_idx[start : start + _BASE_ROWS], None]
+            _require_finite_features(block)
         batch_losses = []
         for chunk_l, chunk_u, at_l, at_u in zip(
             np.array_split(perm_lab, n_batches), np.array_split(perm_unl, n_batches),

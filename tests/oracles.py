@@ -9,8 +9,9 @@ difference tensor, the fusion's two separate products and its
 leave-one-out product through moveaxis, Adam block by block, k-means
 with its per-cluster loops) as the
 reference the new form must match, as does the feature-CSV writer
-that went through csv.writer, and the training loop that concatenated
-and checked each step's rows and ran Adam as one expression.
+that went through csv.writer, the training loop that concatenated
+and checked each step's rows and ran Adam as one expression, and the
+decimal reader's division that found midpoints by arithmetic.
 Dempster's rule is also kept in exact rational arithmetic, the measure
 of the float rule's error. The belief layer's mask check, mass
 validation, Dempster's rule, bel, pl and conflict are kept as they were
@@ -25,7 +26,8 @@ stated number of ulps. They share no code with the package beyond
 building and reading mass values through mass_new(), combine_all()
 (itself checked against brute_combine) and MassFunction.mass(), raising
 the package's error classes, the model's block layout (_blocks), and the
-Adam, k-means round limit, sum-tolerance and total-conflict constants;
+Adam, k-means round limit, sum-tolerance and total-conflict constants,
+and the decimal pass's wide type, scale limit and powers of ten;
 the training-loop oracle also steps through the package's kernel
 (_loss_and_grads, whose bits the kernel oracles pin), its gradient and
 feature checks, its label check, forward_batch and the model's rebind.
@@ -41,6 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from evidnet import dataio
 from evidnet.belief import (
     SUM_TOLERANCE,
     TOTAL_CONFLICT_FLOOR,
@@ -713,6 +716,27 @@ def reference_load_csv(path, class_names=None):
                 f"{path}: row {rownum}: label {cell!r} not among {fixed_names}"
             )
     return np.array(features, dtype=float).reshape(-1, d), labels, tuple(seen)
+
+
+def previous_quotients(mantissa, scale, ok):
+    """dataio._quotients as it was when it found midpoints by arithmetic:
+    the wide quotient minus its double x, doubled in doubles, is a whole
+    gap between two doubles exactly when x plus it, the next double, is
+    exact. Reads the wide type's constants from dataio when called."""
+    size = np.abs(scale)
+    ok &= size <= dataio._MAX_SCALE
+    size[~ok] = 0
+    up = scale < 0
+    quotient = mantissa.astype(dataio._WIDE)
+    product = quotient[up] * dataio._POW10[size[up]]
+    quotient /= dataio._POW10[size]
+    quotient[up] = product
+    x = quotient.astype(np.float64)
+    quotient -= x
+    twice = quotient.astype(np.float64)
+    twice += twice
+    ok &= ((x + twice) - x != twice) | (twice == 0)
+    return x
 
 
 def reference_write_csv(dataset, path) -> None:

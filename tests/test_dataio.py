@@ -32,7 +32,12 @@ from evidnet import dataio
 from evidnet.dataio import PREDICTIONS_HEADER
 
 from helpers import exactly, random_wide_model
-from oracles import reference_load_csv, reference_predictions_text, reference_write_csv
+from oracles import (
+    previous_quotients,
+    reference_load_csv,
+    reference_predictions_text,
+    reference_write_csv,
+)
 from test_model import three_class_model, tiny_model
 
 
@@ -442,9 +447,7 @@ def _wide_type(bits):
     """dataio's decimal pass run through the wide type of a bits-bit
     mantissa, as on a host whose long double has that width."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataio, "_WIDE_BITS", bits)
-        for name, value in zip(("_WIDE", "_MAX_SCALE", "_MAX_MANTISSA", "_POW10"),
-                               dataio._wide_constants(bits)):
+        for name, value in dataio._wide_constants(bits).items():
             mp.setattr(dataio, name, value)
         yield
 
@@ -540,6 +543,109 @@ def test_decimal_pass_takes_plain_cells_and_leaves_the_rest():
                                   + [False] * len(left))
         n = len(taken) + len(wide) * long_double
         assert values[:n].tobytes() == np.array([float(c) for c in (taken + wide)[:n]]).tobytes()
+
+
+def _same_constants(got, want):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):  # a long double's padding bytes are arbitrary
+            assert got[name].dtype == value.dtype and (got[name] == value).all(), name
+        else:
+            assert got[name] == value, name
+
+
+def _module_constants():
+    return {name: getattr(dataio, name) for name in dataio._wide_constants(53)}
+
+
+def test_wide_type_swaps_every_wide_constant():
+    # the module's constants are the host's, and _wide_type swaps each one
+    _same_constants(_module_constants(), dataio._wide_constants(dataio._LONG_BITS))
+    for bits in WIDTHS:
+        with _wide_type(bits):
+            _same_constants(_module_constants(), dataio._wide_constants(bits))
+    # an x87 or binary128 long double keeps its last significand bits in
+    # a word the probe finds
+    assert (dataio._MIDPOINT_WORD is not None) == (dataio._LONG_BITS in (64, 113))
+
+
+def test_decimal_pass_without_a_midpoint_word_runs_on_doubles(monkeypatch):
+    # where the probe finds no word, the pass takes the double's path, and
+    # its values are still float()'s
+    monkeypatch.setattr(dataio, "_midpoint_word", lambda below: None)
+    _same_constants(dataio._wide_constants(dataio._LONG_BITS), dataio._wide_constants(53))
+    test_decimal_pass_gives_float_bit_for_bit()
+
+
+# the pass's quotients M / 10**f lie in [10**-f, 2**64 * 10**f] for the
+# host's largest scale f, where a double holds 53 bits
+_SCALE = dataio._wide_constants(dataio._LONG_BITS)["_MAX_SCALE"]
+PASS_QUOTIENTS = st.integers(*(int(np.float64(v).view(np.uint64))
+                               for v in (10.0 ** -_SCALE, 2.0 ** 64 * 10.0 ** _SCALE)))
+
+
+def _wide_midpoints(bits):
+    """The exact midpoints (x + next(x)) / 2 of the doubles of bit patterns
+    bits, in the long double, then their neighbours one long-double ulp
+    below and above."""
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    mid = x.astype(np.longdouble)
+    mid += np.nextafter(x, np.inf)
+    mid /= 2
+    return np.concatenate([mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(PASS_QUOTIENTS, min_size=1, max_size=40),
+       st.lists(st.tuples(st.integers(0, 2 ** 64 - 1), st.integers(-30, 30), st.booleans()),
+                min_size=1, max_size=40))
+@example([int(np.float64(v).view(np.uint64)) for v in (1.0, 2.0 ** 53, 0.1, 1e46, 1e-27)],
+         [(2 ** 53 + 1, 0, True), (2 ** 64 - 1, 0, True), (10 ** 19 - 1, 27, True),
+          (1, -27, True), (1, 28, True), (3, 0, False)])
+def test_quotients_flag_the_midpoints_the_previous_arithmetic_flagged(quotients, pairs):
+    # mantissas of the long double with scale 0 are the wide quotients
+    # themselves: exact midpoints between two doubles and their neighbours
+    wide = _wide_midpoints(quotients)
+    mantissa, scale, ok = (np.array(column, dtype=dtype)
+                           for column, dtype in zip(zip(*pairs), (np.uint64, np.int64, bool)))
+    cases = [(wide, np.zeros(wide.size, dtype=np.int64), np.ones(wide.size, dtype=bool)),
+             (mantissa, scale, ok)]
+    for bits in WIDTHS:
+        masks = []
+        with _wide_type(bits):
+            for m, f, before in cases:
+                ok_now, ok_then = before.copy(), before.copy()
+                x = dataio._quotients(m, f.copy(), ok_now)
+                assert x.tobytes() == previous_quotients(m, f.copy(), ok_then).tobytes(), bits
+                assert ok_now.tobytes() == ok_then.tobytes(), bits
+                masks.append(ok_now)
+        # where the long double is wider, the midpoints and none of their
+        # neighbours are flagged
+        n = len(quotients)
+        assert masks[0].tolist() == [bits == 53] * n + [True] * 2 * n, bits
+
+
+# doubles of every decade the repr pass decides on this host: x * 10**s in
+# [10**16, 10**17) for |s| within the largest scale
+WRITER_DECADES = st.integers(17 - _SCALE, 13 + _SCALE).flatmap(
+    lambda e: st.integers(*(int(np.float64(10.0 ** k).view(np.uint64)) for k in (e, e + 1))))
+
+
+@pytest.mark.skipif(dataio._WIDE_BITS == 53,
+                    reason="where the long double is the double, every value goes to repr")
+@settings(deadline=None, max_examples=300)
+@given(st.lists(WRITER_DECADES.map(_bits_to_double), min_size=1, max_size=60))
+@example([0.1 + 0.2, 1 / 3, 2 / 3, 1e-10, 9.999999999999999e40, 2.0 ** 100, 123456789.12345678])
+def test_17_digit_candidates_taken_unread_read_back(values):
+    # a decided value whose digits end in a nonzero digit took the 17-digit
+    # candidate without a read-back; the writer's previous read-back, through
+    # the previous midpoint test, accepts it
+    x = np.array(values + [-v for v in values])
+    digits, decpt, decided = dataio._shortest_digits(x)
+    took17 = decided & (digits % 10 != 0)
+    ok = np.ones(np.count_nonzero(took17), dtype=bool)
+    read = previous_quotients(digits[took17], 17 - decpt[took17], ok)
+    assert ok.all() and (read == np.abs(x[took17])).all()
 
 
 def _printed(values):

@@ -960,7 +960,8 @@ def test_train_memory_grows_with_the_perturbed_copies_alone():
         copy_bytes.append(train_set.labels.count(None) * cfg.t_perturb * 64 * 8)
     # private copies of the rows, and each epoch's copies drawn into a new
     # array while the last epoch's are alive, read 3.05x; one reused buffer
-    # reads 1.13x
+    # read 1.13x with the whole buffer's finiteness mask, and 1.07x with
+    # one block's
     assert peaks[1] - peaks[0] <= 1.25 * (copy_bytes[1] - copy_bytes[0])
 
 
