@@ -48,14 +48,6 @@ from .model import (
     forward_batch,
     init_model,
 )
-from .training import (
-    Batch,
-    TrainConfig,
-    grad_check,
-    gradients,
-    optimizer_step,
-    total_loss,
-    train,
-)
+from .training import TrainConfig, train
 
 __version__ = "0.1.0"

@@ -152,8 +152,14 @@ def cmd_train(args, parser) -> int:
 
 
 def _score_labeled(model_path, data_path):
-    """Plausibilities and class indices of a fully labeled feature file."""
+    """Plausibilities and class indices of a fully labeled feature file,
+    scored by a binary model."""
     model = load_model(model_path)
+    if model.config.k != 2:
+        raise EvidnetError(
+            f"{model_path}: evaluate and roc are defined for binary models, "
+            f"got {model.config.k} classes"
+        )
     ds = load_csv(data_path, class_names=model.class_names)
     for i, lab in enumerate(ds.labels):
         if lab is None:

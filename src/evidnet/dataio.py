@@ -849,16 +849,6 @@ def save_model(model: EvidentialModel, path, training_meta: dict | None = None) 
         raise EvidnetError(f"{path}: {exc}") from exc
 
 
-def _require(doc: dict, key: str):
-    if not isinstance(doc, dict):
-        raise CorruptFieldError(
-            f"expected an object holding {key!r}, got {type(doc).__name__}"
-        )
-    if key not in doc:
-        raise CorruptFieldError(f"missing field {key!r}")
-    return doc[key]
-
-
 def load_model(path) -> EvidentialModel:
     """Load a model document written by save_model."""
     path = Path(path)
@@ -871,18 +861,28 @@ def load_model(path) -> EvidentialModel:
             raise CorruptFieldError(f"{path}: not valid UTF-8: {exc.reason}") from None
     if not isinstance(doc, dict):
         raise CorruptFieldError(f"{path}: expected a JSON object")
-    version = _require(doc, "format_version")
+
+    def require(obj, key: str):
+        if not isinstance(obj, dict):
+            raise CorruptFieldError(
+                f"{path}: expected an object holding {key!r}, got {type(obj).__name__}"
+            )
+        if key not in obj:
+            raise CorruptFieldError(f"{path}: missing field {key!r}")
+        return obj[key]
+
+    version = require(doc, "format_version")
     if version != FORMAT_VERSION:
         raise CorruptFieldError(
             f"{path}: format_version {version!r}, supported: {FORMAT_VERSION}"
         )
-    raw_cfg = _require(doc, "config")
-    sizes = {key: _require(raw_cfg, key) for key in ("d_in", "r", "h", "k")}
+    raw_cfg = require(doc, "config")
+    sizes = {key: require(raw_cfg, key) for key in ("d_in", "r", "h", "k")}
     try:
         config = ModelConfig(**sizes)
     except ValueError as exc:
         raise CorruptFieldError(f"{path}: bad config: {exc}") from exc
-    protos = _require(doc, "prototypes")
+    protos = require(doc, "prototypes")
     if not isinstance(protos, list):
         raise CorruptFieldError(f"{path}: prototypes must be a list")
     if len(protos) != config.r:
@@ -904,17 +904,17 @@ def load_model(path) -> EvidentialModel:
             kinds = ", ".join(sorted(kind.__name__ for kind in wrong))
             raise CorruptFieldError(f"{path}: bad field {name!r}: holds {kinds}, not numbers")
         return arr
-    w = block(_require(doc, "w"), "w")
-    b = block(_require(doc, "b"), "b")
-    centers = block([_require(p, "center") for p in protos], "center")
-    beta = block([_require(p, "beta") for p in protos], "beta")
-    xi = block([_require(p, "xi") for p in protos], "xi")
-    eta = block([_require(p, "eta") for p in protos], "eta")
+    w = block(require(doc, "w"), "w")
+    b = block(require(doc, "b"), "b")
+    centers = block([require(p, "center") for p in protos], "center")
+    beta = block([require(p, "beta") for p in protos], "beta")
+    xi = block([require(p, "xi") for p in protos], "xi")
+    eta = block([require(p, "eta") for p in protos], "eta")
     if centers.ndim != 2 or centers.shape[1] != config.h:
         raise CorruptFieldError(
             f"{path}: prototype centers have shape {centers.shape}, expected (r, {config.h})"
         )
-    class_names = _require(doc, "class_names")
+    class_names = require(doc, "class_names")
     if not isinstance(class_names, list):
         raise CorruptFieldError(f"{path}: class_names must be a list")
     try:

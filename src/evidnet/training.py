@@ -11,10 +11,9 @@ its Gaussian-perturbed copies. The total objective is
     + lam * sum_i alpha_i
 
 where the last term discourages prototypes from claiming reliability.
-Gradients are hand-derived for every parameter block and checked against
-central finite differences (grad_check). The forward pass forms the K
-class products and the ignorance product of the fusion as one product
-over prototypes of an (r, K+1, n) factor array whose row K is 1 - s_i;
+Gradients are hand-derived for every parameter block. The forward pass
+forms the K class products and the ignorance product of the fusion as one
+product over prototypes of an (r, K+1, n) factor array whose row K is 1 - s_i;
 the loss terms read the masses in the same class-major order and write
 their pull on them into one (K+1, n) array. The backward pass takes one
 leave-one-out product of the factors rather than dividing by one, so
@@ -51,9 +50,6 @@ LOSS_MODES = ("mse_pl", "evidential_ce")
 
 # Floor on the singleton mass inside the cross-entropy's logarithm.
 LOG_EPS = 1e-12
-
-# Rounding grad_check grants each probed loss: four ulps of its magnitude.
-GRAD_CHECK_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -315,38 +311,6 @@ def gradients(
     arrays = _stack_batch(batch, model)
     _, grad = _loss_and_grads(model, *arrays, cfg, want_grads=True)
     return _require_finite(model, grad)
-
-
-def grad_check(
-    model: EvidentialModel, batch: Batch, cfg: TrainConfig, step: float = 1e-5
-) -> float:
-    """Worst relative disagreement between analytic and numeric gradients.
-
-    Central differences with the given step, compared as
-    max(0, |analytic - numeric| - slack) / max(1e-8, |analytic| + |numeric|),
-    where slack = GRAD_CHECK_ROUNDING * (|up| + |down|) / (2 * step) is the
-    numeric derivative's own rounding. Each probe is a model bound to a
-    perturbed copy of model.theta, scored on the batch stacked once.
-    """
-    if not 0 < step < math.inf:
-        raise ValueError("step must be > 0")
-    arrays = _stack_batch(batch, model)
-    analytic = _require_finite(model, _loss_and_grads(model, *arrays, cfg, want_grads=True)[1])
-    theta = model.theta
-
-    def probe_loss(j: int, value: float) -> float:
-        probe = theta.copy()
-        probe[j] = value
-        return _loss_and_grads(model._with_vector(probe), *arrays, cfg, want_grads=False)[0]
-
-    worst = 0.0
-    for j, a in enumerate(analytic.tolist()):
-        up, down = probe_loss(j, theta[j] + step), probe_loss(j, theta[j] - step)
-        numeric = (up - down) / (2.0 * step)
-        slack = GRAD_CHECK_ROUNDING * (abs(up) + abs(down)) / (2.0 * step)
-        err = max(0.0, abs(a - numeric) - slack)
-        worst = max(worst, err / max(1e-8, abs(a) + abs(numeric)))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ treat edits here as invalidating those measurements.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 
 from evidnet import (
-    Batch,
     EvidentialModel,
     FeatureDataset,
     ModelConfig,
@@ -23,6 +23,7 @@ from evidnet import (
     mass_new,
     train,
 )
+from evidnet.training import Batch, _loss_and_grads, _require_finite
 
 def exactly(message: str) -> str:
     """A pytest.raises match= pattern for exactly this message."""
@@ -109,6 +110,42 @@ def random_model(rng, d_in: int = 5, h: int = 4, r: int = 3,
         xi=rng.uniform(-2.0, 2.0, size=r),
         eta=rng.uniform(0.4, 1.2, size=r),
     )
+
+
+# Rounding grad_check grants each probed loss: four ulps of its magnitude.
+GRAD_CHECK_ROUNDING = 4.0 * float(np.finfo(float).eps)
+
+
+def grad_check(model: EvidentialModel, x: np.ndarray, y: np.ndarray, n_unl: int,
+               cfg: TrainConfig, step: float = 1e-5) -> float:
+    """Worst relative disagreement between analytic and numeric gradients.
+
+    x, y and n_unl are the stacked arrays train feeds
+    training._loss_and_grads (training._stack_batch builds them from a
+    Batch). Central differences with the given step, compared as
+    max(0, |analytic - numeric| - slack) / max(1e-8, |analytic| + |numeric|),
+    where slack = GRAD_CHECK_ROUNDING * (|up| + |down|) / (2 * step) is the
+    numeric derivative's own rounding. Each probe is a model bound to a
+    perturbed copy of model.theta, so the model is left untouched.
+    """
+    if not 0 < step < math.inf:
+        raise ValueError("step must be > 0")
+    analytic = _require_finite(model, _loss_and_grads(model, x, y, n_unl, cfg, want_grads=True)[1])
+    theta = model.theta
+
+    def probe_loss(j: int, value: float) -> float:
+        probe = theta.copy()
+        probe[j] = value
+        return _loss_and_grads(model._with_vector(probe), x, y, n_unl, cfg, want_grads=False)[0]
+
+    worst = 0.0
+    for j, a in enumerate(analytic.tolist()):
+        up, down = probe_loss(j, theta[j] + step), probe_loss(j, theta[j] - step)
+        numeric = (up - down) / (2.0 * step)
+        slack = GRAD_CHECK_ROUNDING * (abs(up) + abs(down)) / (2.0 * step)
+        err = max(0.0, abs(a - numeric) - slack)
+        worst = max(worst, err / max(1e-8, abs(a) + abs(numeric)))
+    return worst
 
 
 def check_labels(n: int, k: int) -> list[int]:

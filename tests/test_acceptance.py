@@ -23,12 +23,12 @@ from evidnet import (
     dempster_combine,
     forward,
     forward_batch,
-    grad_check,
     load_model,
     mass_new,
     save_model,
     train,
 )
+from evidnet.training import _stack_batch
 
 import oracles
 from helpers import (
@@ -36,6 +36,7 @@ from helpers import (
     N_GRAD_SEEDS,
     blob_split,
     ce_check_pair,
+    grad_check,
     mse_check_pair,
     random_mass,
     random_prototype_model,
@@ -110,9 +111,9 @@ def test_criterion_04_analytic_gradients_match_finite_differences():
     worst_ce = 0.0
     for seed in range(GRAD_SEED_BASE, GRAD_SEED_BASE + N_GRAD_SEEDS):
         model, batch, cfg = mse_check_pair(seed)
-        worst_mse = max(worst_mse, grad_check(model, batch, cfg, step=1e-5))
+        worst_mse = max(worst_mse, grad_check(model, *_stack_batch(batch, model), cfg, step=1e-5))
         model, batch, cfg = ce_check_pair(seed)
-        worst_ce = max(worst_ce, grad_check(model, batch, cfg, step=1e-5))
+        worst_ce = max(worst_ce, grad_check(model, *_stack_batch(batch, model), cfg, step=1e-5))
     elapsed = time.perf_counter() - t0
     assert worst_mse < 1e-6
     assert worst_ce < 1e-4

@@ -305,6 +305,24 @@ def test_predict_on_three_class_model_is_runtime_error(tmp_path):
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "roc"])
+def test_scoring_a_three_class_model_is_runtime_error(tmp_path, command):
+    # f1, auc and the ROC curve are binary; the model is refused before the
+    # data file is read, so a missing data file gives the same error
+    model = tmp_path / "m3.json"
+    save_model(three_class_model(), model)
+    write_csv(FeatureDataset(np.zeros((3, 2)), [0, 1, 2], ("a", "b", "c")), tmp_path / "d.csv")
+    out = ["--out", str(tmp_path / "roc.csv")] if command == "roc" else []
+    for data in ("d.csv", "missing.csv"):
+        res = run_cli(command, "--model", str(model), "--data", str(tmp_path / data), *out)
+        assert res.returncode == 1
+        assert res.stderr == (
+            f"error: {model}: evaluate and roc are defined for binary models, got 3 classes\n"
+        )
+        assert res.stdout == ""
+        assert not (tmp_path / "roc.csv").exists()
+
+
 def test_non_finite_plausibility_is_runtime_error_for_evaluate_and_roc(tmp_path):
     # gamma = eta^2 = inf and d^2 = 0 on the center: -inf * 0 gives a NaN plausibility
     model = EvidentialModel(
@@ -404,12 +422,12 @@ def test_readme_tour_runs(tmp_path, monkeypatch):
 
 
 PUBLIC_NAMES = """
-    Batch CorruptFieldError DimensionMismatchError EvidentialModel EvidnetError
+    CorruptFieldError DimensionMismatchError EvidentialModel EvidnetError
     FeatureDataset Frame InvalidMassError MalformedCsvError MassFunction ModelConfig
     NonFiniteInputError TotalConflictError TrainConfig accuracy auc bel combine_all
     conflict decide dempster_combine export_predictions f1 forward forward_batch
-    grad_check gradients init_model load_csv load_model mass_new metrics_report
-    optimizer_step pl roc_points save_model total_loss train write_csv
+    init_model load_csv load_model mass_new metrics_report pl roc_points save_model
+    train write_csv
 """.split()
 
 

@@ -989,11 +989,21 @@ def test_load_model_errors(tmp_path):
                        match=exactly(f"{bad}: format_version 999, supported: 1")):
         load_model(bad)
 
+    # a missing field, or a container where an object belongs, names the file
+    # like every other fault
     doc = json.loads(good.read_text())
     del doc["w"]
     bad.write_text(json.dumps(doc))
-    with pytest.raises(CorruptFieldError, match="'w'"):
+    with pytest.raises(CorruptFieldError, match=exactly(f"{bad}: missing field 'w'")):
         load_model(bad)
+    for field, value, message in (
+            ("prototypes", [5], "expected an object holding 'center', got int"),
+            ("config", [1, 1, 2, 2], "expected an object holding 'd_in', got list")):
+        doc = json.loads(good.read_text())
+        doc[field] = value
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFieldError, match=exactly(f"{bad}: {message}")):
+            load_model(bad)
 
     doc = json.loads(good.read_text())
     doc["config"]["r"] = 0
@@ -1041,14 +1051,14 @@ def test_load_model_errors(tmp_path):
         load_model(bad)
 
     # malformed containers are corruption too, never a raw TypeError
-    for field, value in (("prototypes", [5]), ("prototypes", 5),
+    for field, value in (("prototypes", 5),
                          ("class_names", None), ("class_names", "pn"),
                          ("class_names", [None, None]), ("class_names", [1, 2]),
                          ("class_names", ["a", ""]), ("class_names", ["a", "a"])):
         doc = json.loads(good.read_text())
         doc[field] = value
         bad.write_text(json.dumps(doc))
-        with pytest.raises(CorruptFieldError):
+        with pytest.raises(CorruptFieldError, match=f"^{re.escape(str(bad))}: "):
             load_model(bad)
 
     doc = json.loads(good.read_text())

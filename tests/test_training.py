@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import evidnet.training
 from evidnet import (
-    Batch,
     DimensionMismatchError,
     EvidentialModel,
     EvidnetError,
@@ -24,17 +23,22 @@ from evidnet import (
     TrainConfig,
     forward,
     forward_batch,
-    grad_check,
-    gradients,
     init_model,
     load_model,
-    optimizer_step,
     save_model,
-    total_loss,
     train,
 )
 from evidnet.model import PARAM_FIELDS, _blocks, _forward_arrays, _sigmoid
-from evidnet.training import LOG_EPS, LOSS_MODES, init_optimizer
+from evidnet.training import (
+    LOG_EPS,
+    LOSS_MODES,
+    Batch,
+    _stack_batch,
+    gradients,
+    init_optimizer,
+    optimizer_step,
+    total_loss,
+)
 
 import oracles
 from helpers import (
@@ -42,6 +46,7 @@ from helpers import (
     ce_check_pair,
     check_labels,
     exactly,
+    grad_check,
     labeled_subset,
     mse_check_pair,
     random_model,
@@ -243,7 +248,7 @@ def test_batch_api_refuses_a_non_finite_row():
     x = np.full(5, np.nan)
     for bad in (Batch(labeled=batch.labeled + [(x, 0)], unlabeled=batch.unlabeled),
                 Batch(labeled=batch.labeled, unlabeled=[(np.zeros(5), [x])])):
-        for call in (total_loss, gradients, grad_check):
+        for call in (total_loss, gradients):
             with pytest.raises(NonFiniteInputError, match="^non-finite feature values$"):
                 call(model, bad, cfg)
 
@@ -300,21 +305,23 @@ def test_gradient_blocks_match_parameter_shapes():
 
 def test_grad_check_agrees_on_sample_pairs():
     model, batch, cfg = mse_check_pair(0)
-    assert grad_check(model, batch, cfg, step=1e-5) < 1e-6
+    assert grad_check(model, *_stack_batch(batch, model), cfg, step=1e-5) < 1e-6
     model, batch, cfg = ce_check_pair(0)
-    assert grad_check(model, batch, cfg, step=1e-5) < 1e-4
+    assert grad_check(model, *_stack_batch(batch, model), cfg, step=1e-5) < 1e-4
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("k", [3, 5])
 def test_grad_check_agrees_on_multiclass_pairs(k, r):
     # At r = 1 every leave-one-out product is empty, so it is 1. Seeds 0-9
-    # measured worst (mse, ce): K=3 r=1 3.1e-11, 2.6e-5; r=2 1.9e-10, 5.2e-6;
-    # r=3 8e-11, 2e-7; K=5 r=1 5.5e-11, 1.7e-6; r=2 2.8e-11, 6.5e-5; r=3
+    # measured worst (mse, ce): K=3 r=1 1.7e-11, 2.6e-5; r=2 9.2e-11, 5.2e-6;
+    # r=3 7.5e-11, 2e-7; K=5 r=1 3.3e-11, 1.7e-6; r=2 3.8e-11, 6.4e-5; r=3
     # 1.8e-10, 9.7e-8.
     for seed in range(10):
-        assert grad_check(*mse_check_pair(seed, k=k, r=r), step=1e-5) < 1e-6, seed
-        assert grad_check(*ce_check_pair(seed, k=k, r=r), step=1e-5) < 1e-4, seed
+        model, batch, cfg = mse_check_pair(seed, k=k, r=r)
+        assert grad_check(model, *_stack_batch(batch, model), cfg, step=1e-5) < 1e-6, seed
+        model, batch, cfg = ce_check_pair(seed, k=k, r=r)
+        assert grad_check(model, *_stack_batch(batch, model), cfg, step=1e-5) < 1e-4, seed
 
 
 @pytest.mark.parametrize("pair, bound", [(mse_check_pair, 1e-6), (ce_check_pair, 1e-4)])
@@ -323,14 +330,14 @@ def test_grad_check_with_labeled_rows_on_centers(pair, bound):
     # r labeled rows sit on the centers, where |z|^2 - 2 z c^T + |c|^2 cancels.
     # Center gradients there come near 1e-6, where the loss's rounding over
     # the step is what a comparison without grad_check's slack would read
-    # (mse seed 4: 5.5e-6). Seeds 0-9 measured worst: mse 4.1e-10, ce 2.5e-10.
+    # (mse seed 4: 5.5e-6). Seeds 0-9 measured worst: mse 4.2e-10, ce 1.7e-10.
     for seed in range(10):
         model, batch, cfg = pair(seed)
         rows = np.array([x for x, _ in batch.labeled[: model.config.r]])
         w = np.eye(model.config.h, model.config.d_in)
         model = replace(model, w=w, b=np.zeros(model.config.h), centers=rows @ w.T)
         assert np.array_equal(forward(model, rows[0]).activations[0], _sigmoid(model.xi[0]))
-        assert grad_check(model, batch, cfg, step=1e-5) < bound, seed
+        assert grad_check(model, *_stack_batch(batch, model), cfg, step=1e-5) < bound, seed
 
 
 @pytest.mark.parametrize("pair", [mse_check_pair, ce_check_pair])
@@ -350,7 +357,7 @@ def test_grad_check_catches_one_wrong_entry(pair):
             return grad
 
         with mock.patch.object(evidnet.training, "_backward_arrays", scaled):
-            assert grad_check(model, batch, cfg, step=1e-5) > 1e-6, name
+            assert grad_check(model, *_stack_batch(batch, model), cfg, step=1e-5) > 1e-6, name
 
 
 # Kernel cases: K up to 16 classes, r up to 19 prototypes, either loss, up
@@ -609,14 +616,15 @@ def test_previous_kernel_comparison_excuses_no_other_nan():
 
 def test_grad_check_error_grows_with_step():
     model, batch, cfg = mse_check_pair(0)
-    fine = grad_check(model, batch, cfg, step=1e-5)
-    coarse = grad_check(model, batch, cfg, step=1e-2)
+    arrays = _stack_batch(batch, model)
+    fine = grad_check(model, *arrays, cfg, step=1e-5)
+    coarse = grad_check(model, *arrays, cfg, step=1e-2)
     assert coarse > fine
     # a step that is not a positive finite number is refused up front,
     # not left to fail as a non-finite probe
     for step in (0.0, -1e-5, math.nan, math.inf):
         with pytest.raises(ValueError, match="^step must be > 0$"):
-            grad_check(model, batch, cfg, step=step)
+            grad_check(model, *arrays, cfg, step=step)
 
 
 # perturbations
