@@ -151,15 +151,21 @@ def cmd_train(args, parser) -> int:
     return 0
 
 
-def _score_labeled(model_path, data_path):
-    """Plausibilities and class indices of a fully labeled feature file,
-    scored by a binary model."""
+def _binary_model(model_path, commands: str):
+    """The model saved at model_path, refused unless it is binary, before
+    any data file is read; commands names what needs a binary model."""
     model = load_model(model_path)
     if model.config.k != 2:
         raise EvidnetError(
-            f"{model_path}: evaluate and roc are defined for binary models, "
-            f"got {model.config.k} classes"
+            f"{model_path}: {commands} defined for binary models, got {model.config.k} classes"
         )
+    return model
+
+
+def _score_labeled(model_path, data_path):
+    """Plausibilities and class indices of a fully labeled feature file,
+    scored by a binary model."""
+    model = _binary_model(model_path, "evaluate and roc are")
     ds = load_csv(data_path, class_names=model.class_names)
     for i, lab in enumerate(ds.labels):
         if lab is None:
@@ -181,7 +187,7 @@ def cmd_evaluate(args, parser) -> int:
 
 
 def cmd_predict(args, parser) -> int:
-    model = load_model(args.model)
+    model = _binary_model(args.model, "prediction export is")
     ds = load_csv(args.data, class_names=model.class_names)
     n = export_predictions(model, ds, args.out)
     print(f"rows={n}")

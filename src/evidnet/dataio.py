@@ -2,18 +2,20 @@
 
 Feature files are plain CSV with header ``f0,f1,...,f{d-1},label``; the
 label cell holds a class name or ``?`` for unlabeled rows; load_csv's
-docstring says how they are read: its exact pass divides in long double,
-and tells a quotient halfway between two doubles by the significand's bits
-below a double's 53, found in a word probed once at import, or divides in
-doubles where no word is found (see _wide_constants). Feature, prediction
-and ROC files hold repr's text of each float, made for whole arrays by a
-pass that runs the reader's exact conversion backwards (see
-_shortest_digits), and by repr itself for the values that pass cannot
-decide; it takes its 17-digit candidates without a read-back, since they
-always read back. Models are stored as JSON documents whose floats
-round-trip bit-exactly (Python's shortest-repr float rendering). No
-timestamps or environment data are written, so identical models produce
-identical bytes.
+docstring says how they are read: its fast pass reads each chunk of lines
+into one padded buffer, takes a cell's bytes as 8-byte words cut from the
+buffer's aligned words (see _windows) and looks its label cells up as
+bytes; its exact pass divides in long double, and tells a quotient halfway
+between two doubles by the significand's bits below a double's 53, found
+in a word probed once at import, or divides in doubles where no word is
+found (see _wide_constants). Feature, prediction and ROC files hold
+repr's text of each float, made for whole arrays by a pass that runs the
+reader's exact conversion backwards (see _shortest_digits), and by repr
+itself for the values that pass cannot decide; it takes its 17-digit
+candidates without a read-back, since they always read back. Models are
+stored as JSON documents whose floats round-trip bit-exactly (Python's
+shortest-repr float rendering). No timestamps or environment data are
+written, so identical models produce identical bytes.
 """
 
 from __future__ import annotations
@@ -247,16 +249,19 @@ def _decimal_cells(text: bytes, starts, ends):
     that equal float() of the cell.
 
     text holds at least _WINDOW bytes before the first cell and 8 after
-    the last, and the cells are disjoint and in order. The mask holds the
-    cells that read [-]digits[.digits][(e|E)[+|-]digits] with a digit
-    before the exponent, at most _WINDOW characters before it, at most 19
-    significant digits and at most 3 exponent digits, whose scale f is at
-    most _MAX_SCALE in size, and whose wide quotient is not a midpoint
-    between two doubles; the values of other cells are meaningless.
+    the last, and the cells are disjoint and in order. Its bytes are read
+    as numbers through the array of its aligned 8-byte words, which numpy
+    makes without a copy; a cell's windows are cut from the words they
+    straddle (see _windows), so np.take gathers from a contiguous, aligned
+    array and never copies the text first. The mask holds the cells that
+    read [-]digits[.digits][(e|E)[+|-]digits] with a digit before the
+    exponent, at most _WINDOW characters before it, at most 19 significant
+    digits and at most 3 exponent digits, whose scale f is at most
+    _MAX_SCALE in size, and whose wide quotient is not a midpoint between
+    two doubles; the values of other cells are meaningless.
     """
     a = np.frombuffer(text, dtype=np.uint8)
-    # words[j] is the little-endian 8-byte word starting at byte j
-    words = np.ndarray((len(text) - 7,), "<u8", buffer=text, strides=(1,))
+    words = np.frombuffer(text, "<u8", len(text) // 8)
     ok = np.ones(starts.size, dtype=bool)
     mantissa_end, scale = _exponents(a, words, starts, ends, ok)
     negative = np.take(a, starts) == ord("-")
@@ -264,6 +269,19 @@ def _decimal_cells(text: bytes, starts, ends):
     x = _quotients(mantissa, scale + fraction, ok)
     x.view(np.uint64)[...] |= negative.astype(np.uint64) << _U(63)
     return x, ok
+
+
+def _windows(words, p, n):
+    """The n little-endian 8-byte words at bytes p, p + 8, ... of the text
+    whose aligned words are words, one row per word and one column per
+    offset in p: each is cut from the two aligned words it straddles. At
+    an aligned offset the upper word is shifted by 64 bits, which numpy
+    gives as 0."""
+    shift = ((p & 7) << 3).astype(np.uint64)
+    w = np.take(words, (p >> 3) + np.arange(n + 1)[:, None])
+    out = w[:-1] >> shift
+    out |= w[1:] << (_U(64) - shift)
+    return out
 
 
 def _exponents(a, words, starts, ends, ok):
@@ -284,7 +302,7 @@ def _exponents(a, words, starts, ends, ok):
     cell_end = np.take(ends, cell)
     sign = np.take(a, e_at + 1)
     n_digits = cell_end - e_at - 1 - ((sign == ord("-")) | (sign == ord("+")))
-    w = np.take(words, cell_end - 8) ^ _ZEROS
+    w = _windows(words, cell_end - 8, 1)[0] ^ _ZEROS
     # n_digits >= 0, so an index is at most 8, and "clip" only sends one
     # below 0 (more than 8 digits) to 0
     w &= ~np.take(_BEFORE[0], 8 - n_digits, mode="clip")
@@ -303,7 +321,7 @@ def _mantissas(a, words, length, mantissa_end, negative, ok):
     width = 8 * n_words
     ok &= length <= width
     # the digit values, right-aligned; columns before the mantissa read 0
-    g = np.take(words, (mantissa_end - width) + np.arange(0, width, 8)[:, None])
+    g = _windows(words, mantissa_end - width, n_words)
     g ^= _ZEROS
     # a mantissa that starts with "-" has a length of at least 1, so an
     # index is at most width, and "clip" only sends one below 0 (a mantissa
@@ -586,17 +604,17 @@ class _NotPlain(Exception):
 
 
 def _chunk_rows(chunk: bytes, d: int):
-    """Feature values and label cells of a chunk of whole LF lines.
+    """Feature values and label cells, as bytes, of a chunk of whole LF
+    lines padded as _read_lines pads it.
 
     Raises _NotPlain when the chunk holds a quote or a CR, a line does not
     have d commas, a cell is longer in bytes than csv's field size limit,
-    a feature cell is one float() refuses or a non-finite value, or a cell
-    is not UTF-8.
+    or a feature cell is one float() refuses, a non-finite value or not
+    UTF-8.
     """
     if b'"' in chunk or b"\r" in chunk:
         raise _NotPlain
-    padded = _PAD + chunk + bytes(8)
-    a = np.frombuffer(padded, dtype=np.uint8)
+    a = np.frombuffer(chunk, dtype=np.uint8)
     cuts = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
     nl = a[cuts] == ord("\n")  # every LF is a cut; the padding holds no comma or LF
     rows = np.count_nonzero(nl)
@@ -608,36 +626,38 @@ def _chunk_rows(chunk: bytes, d: int):
     if (ends - starts > csv.field_size_limit()).any():
         raise _NotPlain
     cell_starts, cell_ends = starts[:, :d].ravel(), ends[:, :d].ravel()
-    values, exact = _decimal_cells(padded, cell_starts, cell_ends)
+    values, exact = _decimal_cells(chunk, cell_starts, cell_ends)
     try:
         for i in np.flatnonzero(~exact).tolist():
-            values[i] = float(padded[cell_starts[i]:cell_ends[i]].decode("utf-8"))
+            values[i] = float(chunk[cell_starts[i]:cell_ends[i]].decode("utf-8"))
             if not math.isfinite(values[i]):
                 raise _NotPlain
-        labels = [padded[s:e].decode("utf-8")
-                  for s, e in zip(starts[:, d].tolist(), ends[:, d].tolist())]
     except ValueError:  # a cell float() refuses, or bad UTF-8
         raise _NotPlain from None
-    return values, labels
+    return values, [chunk[s:e] for s, e in zip(starts[:, d].tolist(), ends[:, d].tolist())]
 
 
 def _read_lines(fh, size: int) -> bytes:
     """About size bytes of whole lines of a file opened binary, the last
-    line of the file ending in an LF; b"" at the end of the file.
+    line of the file ending in an LF, after _PAD and before 8 NUL bytes,
+    which the decimal pass reads around the cells; b"" at the end of the
+    file. The pad and the lines are joined in one copy.
 
     Raises _NotPlain at a CR in the line read on past size bytes, where
     csv.reader would end the line, so that a file of CR line ends is never
     read whole.
     """
-    parts = [fh.read(size)]
+    parts = [_PAD, fh.read(size)]
     while not parts[-1].endswith(b"\n"):
         part = fh.readline(CHUNK_BYTES)
         if not part:  # the end of the file
-            data = b"".join(parts)
-            return data + b"\n" if data else data
-        if b"\r" in part:
+            if parts == [_PAD, b""]:
+                return b""
+            part = b"\n"
+        elif b"\r" in part:
             raise _NotPlain
         parts.append(part)
+    parts.append(bytes(8))
     return b"".join(parts)
 
 
@@ -647,15 +667,24 @@ def _load_plain(fh, fixed_names):
 
     Returns (d, features, labels, index) of the rows read, and whether
     they are the whole file. At the first chunk that holds an anomaly (see
-    _chunk_rows, or a label that is not a class name) the pass stops with
-    the rows before that chunk, and the walk goes on from there. Raises
-    _NotPlain when the header is not plain or no data row follows it.
+    _chunk_rows, or a label that is not a class name or not UTF-8) the
+    pass stops with the rows before that chunk, and the walk goes on from
+    there. Raises _NotPlain when the header is not plain or no data row
+    follows it.
+
+    Label cells are looked up as bytes in one dict of the fixed names,
+    with UNLABELED put in last, so that a class named UNLABELED still
+    marks an unlabeled row; a cell not yet in it is decoded and indexed
+    once.
     """
-    names = _read_lines(fh, 0).decode("utf-8", "replace").rstrip("\n").split(",")
+    header = _read_lines(fh, 0)[len(_PAD):-8]
+    names = header.decode("utf-8", "replace").rstrip("\n").split(",")
     d = len(names) - 1
     if d < 1 or names != _expected_header(d):  # also a header holding a quote
         raise _NotPlain
     index = _names_index(fixed_names)
+    keys: dict[bytes, Optional[int]] = {name.encode(): i for name, i in index.items()}
+    keys[UNLABELED.encode()] = None
     features = array.array("d")
     labels: list[Optional[int]] = []
     while True:
@@ -664,9 +693,12 @@ def _load_plain(fh, fixed_names):
             if not chunk:
                 break
             values, cells = _chunk_rows(chunk, d)
-            # a KeyError adds no name: names are added only when none are fixed
-            chunk_labels = [_label_index(index, fixed_names, cell) for cell in cells]
-        except (_NotPlain, KeyError):
+            for cell in cells:
+                if cell not in keys:
+                    # a KeyError adds no name: names are added only when none are fixed
+                    keys[cell] = _label_index(index, fixed_names, cell.decode("utf-8"))
+            chunk_labels = [keys[cell] for cell in cells]
+        except (_NotPlain, KeyError, UnicodeDecodeError):
             return (d, features, labels, index), False
         features.frombytes(memoryview(values).cast("B"))
         labels += chunk_labels

@@ -296,13 +296,20 @@ def test_predict_accepts_unlabeled_and_empty_data(workdir, tmp_path):
 
 
 def test_predict_on_three_class_model_is_runtime_error(tmp_path):
-    save_model(three_class_model(), tmp_path / "m3.json")
+    # the model is refused, named, before the data file is read, so a
+    # missing data file gives the same error
+    model = tmp_path / "m3.json"
+    save_model(three_class_model(), model)
     write_csv(FeatureDataset(np.zeros((2, 2)), [None, 2], ("a", "b", "c")), tmp_path / "d.csv")
-    res = run_cli("predict", "--model", str(tmp_path / "m3.json"),
-                  "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "p.csv"))
-    assert res.returncode == 1
-    assert res.stderr == "error: prediction export is defined for binary models, got 3 classes\n"
-    assert not (tmp_path / "p.csv").exists()
+    for data in ("d.csv", "missing.csv"):
+        res = run_cli("predict", "--model", str(model),
+                      "--data", str(tmp_path / data), "--out", str(tmp_path / "p.csv"))
+        assert res.returncode == 1
+        assert res.stderr == (
+            f"error: {model}: prediction export is defined for binary models, got 3 classes\n"
+        )
+        assert res.stdout == ""
+        assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "roc"])

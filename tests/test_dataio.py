@@ -437,6 +437,103 @@ def test_late_anomaly_is_walked_from_its_chunk_on(tmp_path, monkeypatch):
     assert walked[0][0] != "f0" and walked[-1][-1] == ds.class_names[labels[-1]]
 
 
+def _label_case(rows, later):
+    """A one-feature file body of 40 rows labelled rows[0] or rows[1] in
+    turn, then the rows of later, which a small chunk size puts in later
+    chunks."""
+    lines = [f"{i}.5,{rows[i % 2]}\n".encode("utf-8") for i in range(40)]
+    return b"f0,label\n" + b"".join(lines) + later
+
+
+@pytest.mark.parametrize("body, names, walked", [
+    # a non-ASCII class name first seen in a later chunk, no fixed names
+    (_label_case(("a", "?"), "9.5,é名\n10.5,a\n11.5,é名\n".encode("utf-8")), None, False),
+    # a class named "?" marks an unlabeled row, fixed or not
+    (_label_case(("?", "b"), b"9.5,?\n10.5,b\n"), ("?", "b"), False),
+    (_label_case(("?", "b"), b"9.5,?\n10.5,b\n"), None, False),
+    # an unknown name under fixed names in a later chunk
+    (_label_case(("a", "b"), b"9.5,a\n10.5,zzz\n"), ("a", "b"), True),
+    # bad UTF-8 in a later chunk's label, before a new name in the same chunk
+    (_label_case(("a", "b"), b"9.5,c\n10.5,x\xff\n"), None, True),
+    (_label_case(("a", "b"), b"9.5,a\n10.5,\xc3\n"), ("a", "b"), True),
+], ids=["non-ascii-name", "fixed-class-named-?", "class-named-?", "unknown-fixed-name",
+        "bad-utf8-after-new-name", "bad-utf8-fixed-names"])
+def test_byte_keyed_labels_across_chunks_match_reference(tmp_path, monkeypatch,
+                                                         body, names, walked):
+    monkeypatch.setattr(dataio, "CHUNK_BYTES", 64)
+    handed = []  # the rows the fast pass read before each walk
+    walk = dataio._walk
+
+    def spy(fh, path, fixed_names, read=None):
+        handed.append(len(read[2]))
+        return walk(fh, path, fixed_names, read)
+
+    monkeypatch.setattr(dataio, "_walk", spy)
+    p = tmp_path / "labels.csv"
+    p.write_bytes(body)
+    try:
+        features, labels, class_names = reference_load_csv(p, class_names=names)
+    except MalformedCsvError as exc:
+        with pytest.raises(MalformedCsvError, match=exactly(str(exc))):
+            load_csv(p, class_names=names)
+    else:
+        ds = load_csv(p, class_names=names)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels == labels and ds.class_names == class_names
+    # the fast pass read the first chunks, and only an anomaly ends it
+    rows = body.count(b"\n") - 1
+    assert len(handed) == walked and all(0 < n < rows for n in handed)
+
+
+def _strided_words(text):
+    """The little-endian 8-byte word starting at each byte of text, as the
+    1-byte-strided view the decimal pass once gathered from."""
+    return np.ndarray((len(text) - 7,), "<u8", buffer=text, strides=(1,))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.binary(min_size=32, max_size=120), st.integers(1, 3))
+@example(b"\xff" * 40, 3)
+@example(bytes(range(32)), 3)
+def test_windows_equal_the_strided_gather(text, n):
+    words = np.frombuffer(text, "<u8", len(text) // 8)
+    # every offset whose n words and the aligned word after them lie in
+    # the text: both ends of it, and every residue mod 8
+    p = np.arange(8 * (len(text) // 8 - n))
+    want = np.take(_strided_words(text), p + np.arange(0, 8 * n, 8)[:, None])
+    assert dataio._windows(words, p, n).tobytes() == want.tobytes()
+
+
+def test_uint64_shift_by_64_gives_zero():
+    # _windows shifts the upper word by 64 bits at an aligned offset
+    for m in (1, 3, 8, 17, 1000):
+        ones = np.full((2, m), 2 ** 64 - 1, dtype=np.uint64)
+        shifts = np.full(m, 64, dtype=np.uint64)
+        assert not (ones << shifts).any()
+
+
+def test_decimal_pass_gathers_from_aligned_words(tmp_path, monkeypatch):
+    # np.take copies a non-contiguous or unaligned array whole before it
+    # gathers; the words the chunk pass reads must be neither
+    seen = []
+    windows = dataio._windows
+
+    def spy(words, p, n):
+        seen.append(words.flags)
+        return windows(words, p, n)
+
+    monkeypatch.setattr(dataio, "_windows", spy)
+    feats = np.random.default_rng(16).standard_normal((300, 4))
+    p = tmp_path / "exp.csv"
+    p.write_text("f0,f1,f2,f3,label\n"
+                 + "".join(",".join("%.18e" % v for v in row) + ",a\n" for row in feats))
+    ds = load_csv(p)
+    assert len(seen) >= 2  # mantissas and exponents
+    for flags in seen:
+        assert flags.c_contiguous and flags.aligned and not flags.owndata
+    assert ds.features.tobytes() == feats.tobytes()
+
+
 # mantissa widths of the pass's wide type: the double, and this host's
 # long double where it is wider
 WIDTHS = sorted({53, dataio._WIDE_BITS})
