@@ -412,7 +412,6 @@ def _quotients(mantissa, scale, ok):
 # the error bound, 15- and 16-digit candidates _quotients cannot decide,
 # powers of two that need 17 digits, and every value where the wide type
 # is the double itself.
-_POINTS = _EVERY_BYTE * _U(ord("."))
 # what precedes a value's digits, right-aligned in a word of NULs: its
 # sign, then "0." and zeros where the point precedes them; by lead + 5 * minus
 _PREFIXES = np.frombuffer(b"".join(
@@ -503,11 +502,10 @@ def _eight_digit_bytes(v):
     return tens | ((v - tens * _U(10)) << _U(8))
 
 
-def _digit_words(digits):
-    """The 17 digits of each 17-digit integer as text in 3 words, the first
-    digit in byte 0 of word 0, then 7 zeros, and how many of the digits
-    are significant (at least 1)."""
-    words = np.empty((3, digits.size), dtype=np.uint64)
+def _digit_words(digits, words):
+    """Writes the 17 digit values of each 17-digit integer into the 3 rows
+    of words, the first in byte 0 of row 0, then 7 zeros, and returns how
+    many of the digits are significant (at least 1)."""
     head = digits // _U(10 ** 8)
     tail = _eight_digit_bytes(digits - head * _U(10 ** 8))
     first = head // _U(10 ** 8)
@@ -516,29 +514,22 @@ def _digit_words(digits):
     words[1] = (middle >> _U(56)) | (tail << _U(8))
     words[2] = tail >> _U(56)
     # the significant digits end after the last nonzero byte
-    nonzero = np.frexp((words + _LOW7) & _HIGH)[1] // 8
-    count = np.where(nonzero[2] > 0, 17,
-                     np.where(nonzero[1] > 0, 8 + nonzero[1], np.maximum(nonzero[0], 1)))
-    words += _ZEROS
-    return words, count
+    nonzero = [np.frexp((w + _LOW7) & _HIGH)[1] // 8 for w in words[:2]]
+    return np.where(words[2] != 0, 17,
+                    np.where(nonzero[1] > 0, 8 + nonzero[1], np.maximum(nonzero[0], 1)))
 
 
-def _spliced(words, at, fill):
-    """words (3 words of text per value) with the byte at column at of
-    each value's text set to fill's, and the bytes from there on moved one
-    column on."""
-    shifted = words << _U(8)
-    shifted[1:] |= words[:-1] >> _U(56)
-    below = np.take(_BEFORE, at, axis=1)
-    through = np.take(_BEFORE, np.minimum(at + 1, _WINDOW), axis=1)
-    words &= below
-    shifted |= through
-    shifted ^= through
-    words |= shifted
-    through ^= below
-    through &= fill
-    words |= through
-    return words
+# What the spliced digit values of a value are ORed with, in column point *
+# _WINDOW + length: in each window column c, "0" before length, "." at the
+# point (none at or past length: _WINDOW, in the lead case), the separator
+# "," at length, then NULs
+_point, _length, _c = np.ogrid[:_WINDOW + 1, :_WINDOW, :_WINDOW]
+_TEXT = np.select([_c == _length, (_c == _point) & (_point < _length), _c < _length],
+                  [ord(","), ord("."), ord("0")]).astype(np.uint8).reshape(-1, _WINDOW)
+_TEXT = _TEXT.view("<u8").T.copy()
+del _point, _length, _c
+# what turns the separator at column k into an LF
+_NEWLINES = (_BEFORE[:, 1:] ^ _BEFORE[:, :-1]) & (_EVERY_BYTE * _U(ord(",") ^ ord("\n")))
 
 
 def _float_lines(values) -> bytes:
@@ -547,46 +538,55 @@ def _float_lines(values) -> bytes:
 
     Each value's text is laid out in 4 words, with NULs where it has no
     byte: the sign and any "0." and zeros before the digits, right-aligned
-    in the first word, then the digits with the point, the exponent and
-    the separator spliced in. Deleting the NULs joins the texts.
+    in the first word, then the digits with the point and the separator
+    spliced in by one pass, then the exponent. Deleting the NULs joins the
+    texts.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     digits, decpt, decided = _shortest_digits(x)
     cells = np.empty((4, x.size), dtype="<u8")  # word k of each value's text, byte 0 first
-    words, count = _digit_words(digits)
+    words = cells[1:]
+    count = _digit_words(digits, words)
     # repr's layout: fixed when -4 < decpt <= 16, else d.ddde±XX
     fixed = (decpt > -4) & (decpt <= 16)
     lead = fixed & (decpt < 1)
-    point = np.where(fixed, np.where(lead, _WINDOW, decpt), 1)
     length = np.where(fixed, np.where(lead, count, decpt + 1 + np.maximum(count - decpt, 1)),
                       count + (count > 1) + 4)
+    del digits, count  # before the splice, which sets the peak of a chunk
+    point = np.where(fixed, np.where(lead, _WINDOW, decpt), 1)
     cells[0] = np.take(_PREFIXES, (1 - decpt) * lead + 5 * (np.signbit(x) & decided))
-    separators = np.full(x.size, _EVERY_BYTE * _U(ord(",")))
-    separators[values.shape[1] - 1::values.shape[1]] = _EVERY_BYTE * _U(ord("\n"))
-    words = _spliced(_spliced(words, point, _POINTS), length, separators)
-    cells[1:] = words & np.take(_BEFORE, length + 1, axis=1)  # NULs after the separator
+    # the splice: columns before the point keep their digit value, later ones
+    # take the value on their left, and _TEXT makes it text; "clip" sends
+    # point + 1 past _WINDOW to _WINDOW and lets np.take fill out unbuffered
+    shifted = words << _U(8)
+    shifted[1:] |= words[:-1] >> _U(56)
+    mask = np.take(_BEFORE, point + 1, axis=1, mode="clip")
+    shifted &= np.invert(mask, out=mask)
+    words &= np.take(_BEFORE, point, axis=1, out=mask, mode="clip")
+    words |= shifted
+    words |= np.take(_TEXT, point * _WINDOW + length, axis=1, out=mask, mode="clip")
+    del shifted, mask, point
+    d = values.shape[1]
+    words[:, d - 1::d] ^= np.take(_NEWLINES, length[d - 1::d], axis=1)  # LF ends each row
     e = np.flatnonzero(~fixed & decided)
     if e.size:  # "e", a sign and two digits of decpt - 1 end the text
         power = decpt[e] - 1
         marks = np.stack([np.full(e.size, ord("e")), np.where(power < 0, ord("-"), ord("+")),
                           ord("0") + np.abs(power) // 10, ord("0") + np.abs(power) % 10], axis=1)
-        text = np.ascontiguousarray(cells[:, e].T)
-        columns = 8 + length[e, None] - 4 + np.arange(4)
-        text.view(np.uint8)[np.arange(e.size)[:, None], columns] = marks
-        cells[:, e] = text.T
+        columns = 4 + length[e, None] + np.arange(4)  # text column c: byte c % 8 of row c // 8
+        cells.view(np.uint8)[columns // 8, 8 * e[:, None] + columns % 8] = marks
     rest = np.flatnonzero(~decided)
     if rest.size:  # repr's own text and the separator
-        ends = (separators[rest] & _U(0xFF)).tolist()
-        texts = ((repr(v) + chr(end)).encode().ljust(32, b"\0")
-                 for v, end in zip(x[rest].tolist(), ends))
+        texts = ((repr(v) + ("\n" if i % d == d - 1 else ",")).encode().ljust(32, b"\0")
+                 for v, i in zip(x[rest].tolist(), rest.tolist()))
         cells[:, rest] = np.frombuffer(b"".join(texts), dtype="<u8").reshape(-1, 4).T
     return cells.T.tobytes().translate(None, b"\0")
 
 
 # Values are formatted this many at a time: the temporaries of a chunk,
-# about 200 bytes a value, stay in cache, and its fixed cost of some 200
-# numpy calls is spread thin.
-_FORMAT_CELLS = 1 << 12
+# at most about 125 traced bytes a value (1 MB), stay in a 2 MB L2 cache,
+# and its fixed cost, 0.2 ms for a chunk of one value, is spread thin.
+_FORMAT_CELLS = 1 << 13
 
 
 def _float_rows(values):

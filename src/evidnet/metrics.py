@@ -24,8 +24,12 @@ class RocCurve:
     @property
     def area(self) -> float:
         """Trapezoidal area under the curve, summed in curve order."""
-        fpr, tpr = np.asarray(self.points)[:, :2].T
-        return float(np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
+        return _area(*np.asarray(self.points)[:, :2].T)
+
+
+def _area(fpr, tpr) -> float:
+    """Trapezoidal area under the curve through (fpr, tpr), in their order."""
+    return float(np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
 
 
 @dataclass(frozen=True)
@@ -60,13 +64,8 @@ def f1(preds, truth, positive) -> float:
     return float(2 * tp / denom) if denom else 0.0
 
 
-def roc_points(scores, truth, positive=1) -> RocCurve:
-    """Threshold sweep over distinct score values, descending.
-
-    Instances scoring at or above the threshold are called positive.
-    Ties share one threshold, so the curve has one point per distinct
-    score plus the (0, 0, inf) start.
-    """
+def _sweep(scores, truth, positive):
+    """The fpr, tpr and threshold arrays of roc_points' curve."""
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1:
         raise ValueError("scores must be a flat sequence")
@@ -85,10 +84,19 @@ def roc_points(scores, truth, positive=1) -> RocCurve:
     new_score = s[1:] != s[:-1]
     first = np.flatnonzero(np.concatenate([[True], new_score]))  # threshold rows
     last = np.flatnonzero(np.concatenate([new_score, [True]]))  # counted rows
-    tp = np.cumsum(pos)[last]
-    fp = last + 1 - tp
-    swept = zip((fp / n_neg).tolist(), (tp / n_pos).tolist(), s[first].tolist())
-    return RocCurve(points=((0.0, 0.0, float("inf")), *swept))
+    tp = np.concatenate([[0], np.cumsum(pos)[last]])
+    fp = np.concatenate([[0], last + 1]) - tp
+    return fp / n_neg, tp / n_pos, np.concatenate([[np.inf], s[first]])
+
+
+def roc_points(scores, truth, positive=1) -> RocCurve:
+    """Threshold sweep over distinct score values, descending.
+
+    Instances scoring at or above the threshold are called positive.
+    Ties share one threshold, so the curve has one point per distinct
+    score plus the (0, 0, inf) start.
+    """
+    return RocCurve(points=tuple(zip(*(a.tolist() for a in _sweep(scores, truth, positive)))))
 
 
 def auc(scores, truth, positive=1) -> float:
@@ -97,7 +105,7 @@ def auc(scores, truth, positive=1) -> float:
     Equals the fraction of (positive, negative) pairs ranked correctly,
     counting ties as one half.
     """
-    return roc_points(scores, truth, positive).area
+    return _area(*_sweep(scores, truth, positive)[:2])
 
 
 def metrics_report(preds, truth, scores, positive=1) -> MetricsReport:

@@ -28,7 +28,7 @@ from evidnet import (
     save_model,
     write_csv,
 )
-from evidnet import dataio
+from evidnet import cli, dataio
 from evidnet.dataio import PREDICTIONS_HEADER
 
 from helpers import exactly, random_wide_model
@@ -973,6 +973,53 @@ def test_write_csv_matches_reference_writer_across_chunks(tmp_path, d):
     assert got.read_bytes() == want.read_bytes()
 
 
+def test_written_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, capsys):
+    # chunks of one value and of 7 (rows longer than a chunk), and of whole
+    # rows with a part chunk left at the end of every file
+    rng = np.random.default_rng(31)
+    feats = rng.standard_normal((1300, 7)) * 10.0 ** rng.integers(-9, 21, (1300, 7))
+    special = GUARDED_MIDPOINTS + NEAR_TIES + [1e-5, -1e-5, 1e17, -0.0, 0.0]
+    feats.flat[:len(special)] = special
+    feats.flat[::17] = np.round(feats.flat[::17], 2)
+    ds = FeatureDataset(feats, [None if i % 4 == 0 else i % 2 for i in range(1300)],
+                        ("a,b", "plain"))
+    # the third center's gamma overflows to inf, so the row on it gets NaN masses
+    with np.errstate(over="ignore"):
+        nan_model = tiny_model(beta=((0.2, 0.8), (0.7, 0.3), (0.5, 0.5)), xi=(0.5, 0.5, 0.0),
+                               eta=(1.0, 0.5, 1e200),
+                               center=((0.0, 0.0), (1.0, 1.0), (2.0, 1.0)))
+    scored = rng.uniform(-3, 3, (3600, 2))
+    scored[::9] = scored[1::9]  # tied scores
+    scored[500] = (2.0, 1.0)
+    save_model(tiny_model(beta=((0.2, 0.8), (0.7, 0.3)), xi=(0.5, -0.5), eta=(1.0, 0.5),
+                          center=((0.0, 0.0), (1.0, 1.0))), tmp_path / "model.json")
+    write_csv(FeatureDataset(scored, [i % 3 % 2 for i in range(3600)], ("positive", "negative")),
+              tmp_path / "scored.csv")
+    written = []
+    settings = (1, 7, 4096, dataio._FORMAT_CELLS)
+    for cells in settings:
+        monkeypatch.setattr(dataio, "_FORMAT_CELLS", cells)
+        write_csv(ds, tmp_path / "features.csv")
+        with np.errstate(over="ignore", invalid="ignore"):
+            export_predictions(nan_model, FeatureDataset(scored, [None] * 3600, ("p", "n")),
+                               tmp_path / "preds.csv")
+        assert cli.main(["roc", "--model", str(tmp_path / "model.json"),
+                         "--data", str(tmp_path / "scored.csv"),
+                         "--out", str(tmp_path / "roc.csv")]) == 0
+        written.append([(tmp_path / name).read_bytes()
+                        for name in ("features.csv", "preds.csv", "roc.csv")]
+                       + [capsys.readouterr().out])
+    assert all(files == written[0] for files in written)
+    assert b"\n500,nan,nan,nan,nan,nan," in written[0][1]
+    points = written[0][2].count(b"\n") - 2  # less the header and the auc line
+    for cells in settings[2:]:
+        for rows, width in ((1300, 7), (3600, 5), (points, 3)):
+            assert rows > cells // width and rows % (cells // width)
+    want = tmp_path / "want.csv"
+    reference_write_csv(ds, want)
+    assert written[0][0] == want.read_bytes()
+
+
 def test_write_csv_refuses_a_labelled_row_of_the_class_named_unlabeled(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("untouched")
@@ -1000,7 +1047,10 @@ def test_write_csv_memory_is_flat_in_rows(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one row at a time; the whole matrix as Python floats would be ~20 MB
+    # rows are formatted and written a chunk of dataio._FORMAT_CELLS values
+    # at a time, so the peak is one chunk's temporaries and text: 1.13 MiB
+    # at 8192 values, 0.84 MiB at 4096 with the two-pass splice before it;
+    # the whole matrix as Python floats would be ~20 MB, its text 12.5 MB
     assert peak < 2 * 2**20
 
 

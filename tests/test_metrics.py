@@ -147,6 +147,18 @@ def test_auc_label_swap_complements():
     assert a + b == pytest.approx(1.0, abs=1e-12)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1e-300, 0.25, 0.5]),
+                                    st.floats(-1e300, 1e300)), st.booleans()),
+                min_size=2, max_size=60),
+       st.sampled_from([0, 1]))
+def test_auc_is_the_curve_area_bit_for_bit(rows, positive):
+    # tied scores, -0.0 and 0.0 among them, share one point of the curve
+    scores = [s for s, _ in rows]
+    truth = [0, 1] + [int(t) for _, t in rows[2:]]
+    assert auc(scores, truth, positive).hex() == roc_points(scores, truth, positive).area.hex()
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 30))
 def test_auc_bounds_and_curve_shape(seed, n):
