@@ -197,14 +197,16 @@ def cmd_predict(args, parser) -> int:
 def cmd_roc(args, parser) -> int:
     pl, labels = _score_labeled(args.model, args.data)
     curve = roc_points(pl[:, 0], labels, positive=0)
-    area = curve.area
     lines = [b"fpr,tpr,threshold"]
-    for rows in _float_rows(np.array(curve.points)):
+    for rows in _float_rows(curve.points):
         lines += rows
-    lines.append(f"# auc={area!r}".encode())
-    with open(args.out, "wb") as fh:
-        fh.write(b"\n".join(lines) + b"\n")
-    print(f"points={len(curve.points)} auc={area!r}")
+    lines.append(f"# auc={curve.area!r}".encode())
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(b"\n".join(lines) + b"\n")
+    except OSError as exc:
+        raise EvidnetError(f"{args.out}: {exc}") from exc
+    print(f"points={len(curve.points)} auc={curve.area!r}")
     return 0
 
 
@@ -217,10 +219,7 @@ def main(argv=None) -> int:
         # floating-point warnings stay off stderr.
         with np.errstate(all="ignore"):
             return args.func(args, parser)
-    except EvidnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EvidnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,21 +15,14 @@ import numpy as np
 from .errors import DimensionMismatchError, EvidnetError, NonFiniteInputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    """Ordered (fpr, tpr, threshold) points from (0,0,inf) to (1,1,min)."""
+    """The (n, 3) float64 array of (fpr, tpr, threshold) rows from
+    (0, 0, inf) to (1, 1, min), and area, the AUC: the trapezoidal area
+    under the curve, summed in curve order."""
 
-    points: tuple[tuple[float, float, float], ...]
-
-    @property
-    def area(self) -> float:
-        """Trapezoidal area under the curve, summed in curve order."""
-        return _area(*np.asarray(self.points)[:, :2].T)
-
-
-def _area(fpr, tpr) -> float:
-    """Trapezoidal area under the curve through (fpr, tpr), in their order."""
-    return float(np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
+    points: np.ndarray
+    area: float
 
 
 @dataclass(frozen=True)
@@ -64,8 +57,14 @@ def f1(preds, truth, positive) -> float:
     return float(2 * tp / denom) if denom else 0.0
 
 
-def _sweep(scores, truth, positive):
-    """The fpr, tpr and threshold arrays of roc_points' curve."""
+def roc_points(scores, truth, positive=1) -> RocCurve:
+    """Threshold sweep over distinct score values, descending.
+
+    Instances scoring at or above the threshold are called positive.
+    Ties share one threshold, so the curve's (n, 3) read-only points
+    array has one row per distinct score plus the (0, 0, inf) start; its
+    area is the AUC.
+    """
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1:
         raise ValueError("scores must be a flat sequence")
@@ -86,17 +85,11 @@ def _sweep(scores, truth, positive):
     last = np.flatnonzero(np.concatenate([new_score, [True]]))  # counted rows
     tp = np.concatenate([[0], np.cumsum(pos)[last]])
     fp = np.concatenate([[0], last + 1]) - tp
-    return fp / n_neg, tp / n_pos, np.concatenate([[np.inf], s[first]])
-
-
-def roc_points(scores, truth, positive=1) -> RocCurve:
-    """Threshold sweep over distinct score values, descending.
-
-    Instances scoring at or above the threshold are called positive.
-    Ties share one threshold, so the curve has one point per distinct
-    score plus the (0, 0, inf) start.
-    """
-    return RocCurve(points=tuple(zip(*(a.tolist() for a in _sweep(scores, truth, positive)))))
+    fpr, tpr = fp / n_neg, tp / n_pos
+    points = np.column_stack([fpr, tpr, np.concatenate([[np.inf], s[first]])])
+    points.flags.writeable = False
+    area = float(np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
+    return RocCurve(points=points, area=area)
 
 
 def auc(scores, truth, positive=1) -> float:
@@ -105,7 +98,7 @@ def auc(scores, truth, positive=1) -> float:
     Equals the fraction of (positive, negative) pairs ranked correctly,
     counting ties as one half.
     """
-    return _area(*_sweep(scores, truth, positive)[:2])
+    return roc_points(scores, truth, positive).area
 
 
 def metrics_report(preds, truth, scores, positive=1) -> MetricsReport:

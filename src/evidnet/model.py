@@ -467,8 +467,10 @@ def init_model(
     X = _as_feature_matrix(labeled_features, config.d_in)
     n = X.shape[0]
     shape = np.shape(labels)
+    if len(shape) != 1:
+        raise DimensionMismatchError(f"labels have shape {shape}, expected ({n},)")
     if shape != (n,):
-        raise DimensionMismatchError(f"{shape[0] if shape else 0} labels for {n} rows")
+        raise DimensionMismatchError(f"{shape[0]} labels for {n} rows")
     if n < config.r:
         raise EvidnetError(f"{n} labeled points for r={config.r} prototypes")
     y = _class_indices(labels, config.k)

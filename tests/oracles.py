@@ -782,5 +782,5 @@ def reference_roc_text(curve) -> str:
     """The ROC export of a RocCurve, one repr per value; evidnet roc must
     write the same text."""
     lines = ["fpr,tpr,threshold"]
-    lines += [f"{fpr!r},{tpr!r},{thr!r}" for fpr, tpr, thr in curve.points]
+    lines += [f"{fpr!r},{tpr!r},{thr!r}" for fpr, tpr, thr in curve.points.tolist()]
     return "\n".join(lines + [f"# auc={curve.area!r}"]) + "\n"

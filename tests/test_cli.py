@@ -257,6 +257,21 @@ def test_unreadable_input_is_runtime_error(workdir, tmp_path, which, content):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command", ["train", "predict", "roc"])
+def test_unwritable_output_is_runtime_error(workdir, tmp_path, command):
+    inputs = {
+        "train": ["--train", str(workdir / "train.csv"), "--val", str(workdir / "val.csv"),
+                  "--prototypes", "2", "--hidden", "8", "--max-epochs", "1"],
+        "predict": ["--model", str(workdir / "model.json"), "--data", str(workdir / "test.csv")],
+        "roc": ["--model", str(workdir / "model.json"), "--data", str(workdir / "test.csv")],
+    }[command]
+    for out in (tmp_path, tmp_path / "missing" / "out.csv"):
+        res = run_cli(command, *inputs, "--out", str(out))
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"error: {out}: ")
+        assert "Traceback" not in res.stderr
+
+
 # predict
 
 def test_predict_writes_mass_table(workdir, tmp_path):
@@ -458,24 +473,40 @@ def test_every_error_class_is_raised():
     assert defined and defined <= raised, defined - raised
 
 
+def _package_names():
+    """The top-level statements of every module in the package, and every
+    name the package reads, as a Name load or as an attribute."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(evidnet.__file__).parent.glob("*.py")]
+    read = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return [node for tree in trees for node in tree.body], read
+
+
 def test_every_module_constant_is_read():
     # a module-level constant that no code in the package reads is a rule
     # nothing applies: a change that removes its last reader removes it too
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in Path(evidnet.__file__).parent.glob("*.py")]
-    defined, read = set(), set()
-    for tree in trees:
-        for node in tree.body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update(n.id for t in targets for n in ast.walk(t)
-                               if isinstance(n, ast.Name)
-                               and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n.id))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    body, read = _package_names()
+    defined = set()
+    for node in body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)
+                           and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n.id))
+    assert defined and defined <= read, defined - read
+
+
+def test_every_private_helper_is_read():
+    # a module-level function or class named with a leading underscore is
+    # the package's own; one that nothing in the package reads is dead code
+    body, read = _package_names()
+    defined = {node.name for node in body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
     assert defined and defined <= read, defined - read
 
 

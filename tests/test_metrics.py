@@ -58,16 +58,16 @@ def test_f1_depends_on_positive_choice():
 # ROC curve
 
 def test_roc_perfect_separation():
-    curve = roc_points([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0], positive=1)
-    assert curve.points[0] == (0.0, 0.0, float("inf"))
-    assert (0.0, 1.0, 0.8) in curve.points
-    assert curve.points[-1][:2] == (1.0, 1.0)
+    points = roc_points([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0], positive=1).points.tolist()
+    assert points[0] == [0.0, 0.0, float("inf")]
+    assert [0.0, 1.0, 0.8] in points
+    assert points[-1][:2] == [1.0, 1.0]
     assert auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0], positive=1) == 1.0
 
 
 def test_roc_handles_ties_as_one_point():
     curve = roc_points([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0], positive=1)
-    assert curve.points == ((0.0, 0.0, float("inf")), (1.0, 1.0, 0.5))
+    assert curve.points.tolist() == [[0.0, 0.0, float("inf")], [1.0, 1.0, 0.5]]
     assert auc([0.5] * 4, [1, 0, 1, 0], positive=1) == 0.5
 
 
@@ -75,12 +75,16 @@ def test_roc_hand_example():
     scores = [0.9, 0.7, 0.7, 0.3]
     truth = [1, 1, 0, 0]
     curve = roc_points(scores, truth, positive=1)
-    assert curve.points == (
-        (0.0, 0.0, float("inf")),
-        (0.0, 0.5, 0.9),
-        (0.5, 1.0, 0.7),
-        (1.0, 1.0, 0.3),
-    )
+    assert curve.points.tolist() == [
+        [0.0, 0.0, float("inf")],
+        [0.0, 0.5, 0.9],
+        [0.5, 1.0, 0.7],
+        [1.0, 1.0, 0.3],
+    ]
+    # one read-only float64 array, in the row order the CSV export writes
+    assert curve.points.dtype == np.float64 and curve.points.flags.c_contiguous
+    assert not curve.points.flags.writeable
+    assert curve.area == 0.875
     # pairs: three wins plus one tie out of four -> 0.875
     assert auc(scores, truth, positive=1) == pytest.approx(0.875, abs=1e-15)
 
@@ -91,11 +95,11 @@ def test_roc_thresholds_strictly_decrease():
     truth = rng.integers(0, 2, 40)
     truth[0], truth[1] = 0, 1
     curve = roc_points(scores, truth, positive=1)
-    fpr, tpr, t = np.asarray(curve.points).T
+    fpr, tpr, t = curve.points.T
     assert np.all(t[:-1] > t[1:])
     assert np.all(np.diff(fpr) >= 0)
     assert np.all(np.diff(tpr) >= 0)
-    assert curve.points[-1][:2] == (1.0, 1.0)
+    assert curve.points.tolist()[-1][:2] == [1.0, 1.0]
 
 
 def test_roc_validation():
@@ -166,9 +170,9 @@ def test_auc_bounds_and_curve_shape(seed, n):
     scores = np.round(rng.random(n), 2)
     truth = rng.integers(0, 2, n)
     truth[:2] = [0, 1]
-    curve = roc_points(scores, truth, positive=1)
-    assert curve.points[0] == (0.0, 0.0, float("inf"))
-    assert curve.points[-1][:2] == (1.0, 1.0)
+    points = roc_points(scores, truth, positive=1).points.tolist()
+    assert points[0] == [0.0, 0.0, float("inf")]
+    assert points[-1][:2] == [1.0, 1.0]
     assert 0.0 <= auc(scores, truth, positive=1) <= 1.0
 
 
@@ -189,7 +193,7 @@ def test_roc_matches_row_by_row_sweep(seed, n, decimals, signed_zeros):
     for positive in (0, 1):
         points, area = oracles.reference_roc(scores, truth, positive)
         curve = roc_points(scores, truth, positive)
-        assert repr(curve.points) == repr(points)
+        assert repr(curve.points.tolist()) == repr([list(p) for p in points])
         assert repr(curve.area) == repr(area)
         assert repr(auc(scores, truth, positive)) == repr(area)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -611,8 +612,14 @@ def test_init_model_validation():
     for bad in (0.5, 1.7, 1.0, -1, True, False):
         with pytest.raises(ValueError):
             init_model(cfg, X, [bad] + y[1:], seed=0)
-    with pytest.raises(DimensionMismatchError):
+    n = len(y)
+    with pytest.raises(DimensionMismatchError, match=f"^{n - 1} labels for {n} rows$"):
         init_model(cfg, X, y[:-1], seed=0)
+    # n labels in a 2-D array: the shape is wrong, not the count
+    for bad, shape in ((np.zeros((n, 1), int), (n, 1)), ([[0, 1]] * n, (n, 2))):
+        with pytest.raises(DimensionMismatchError,
+                           match="^" + re.escape(f"labels have shape {shape}, expected ({n},)") + "$"):
+            init_model(cfg, X, bad, seed=0)
     with pytest.raises(EvidnetError, match=f"^{len(y)} labeled points for r=41 prototypes$"):
         init_model(ModelConfig(d_in=3, r=41, h=4, k=2), X, y, seed=0)
     with pytest.raises(DimensionMismatchError):
