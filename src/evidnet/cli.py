@@ -13,8 +13,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .belief import Frame
-from .dataio import _float_rows, export_predictions, load_csv, load_model, save_model
-from .errors import EvidnetError, MalformedCsvError
+from .dataio import _float_rows, _opened, export_predictions, load_csv, load_model, save_model
+from .errors import DimensionMismatchError, EvidnetError, MalformedCsvError
 from .metrics import metrics_report, roc_points
 from .model import ModelConfig, decide, forward_batch, init_model
 from .training import EpochRecord, TrainConfig, train
@@ -92,6 +92,14 @@ def _emit_epoch(record: EpochRecord) -> None:
     )
 
 
+def _load_width(path, d_in: int, class_names):
+    """The feature file at path, refused unless its rows hold d_in features."""
+    ds = load_csv(path, class_names=class_names)
+    if ds.d_in != d_in:
+        raise DimensionMismatchError(f"{path}: {ds.d_in} features, expected {d_in}")
+    return ds
+
+
 def cmd_train(args, parser) -> int:
     if args.prototypes < 1:
         parser.error("--prototypes must be >= 1")
@@ -121,7 +129,7 @@ def cmd_train(args, parser) -> int:
         raise EvidnetError(
             f"{args.train}: found {len(train_ds.class_names)} class labels, need 2"
         )
-    val_ds = load_csv(args.val, class_names=train_ds.class_names)
+    val_ds = _load_width(args.val, train_ds.d_in, train_ds.class_names)
     labeled_rows = [i for i, lab in enumerate(train_ds.labels) if lab is not None]
     if not labeled_rows:
         raise EvidnetError(f"{args.train}: no labeled rows")
@@ -151,33 +159,32 @@ def cmd_train(args, parser) -> int:
     return 0
 
 
-def _binary_model(model_path, commands: str):
-    """The model saved at model_path, refused unless it is binary, before
-    any data file is read; commands names what needs a binary model."""
-    model = load_model(model_path)
+def _binary_data(args, commands: str):
+    """The model at args.model, refused unless it is binary before any data
+    file is read (commands names what needs a binary model), and the
+    feature file at args.data, read with the model's class names."""
+    model = load_model(args.model)
     if model.config.k != 2:
-        raise EvidnetError(
-            f"{model_path}: {commands} defined for binary models, got {model.config.k} classes"
-        )
-    return model
+        raise EvidnetError(f"{args.model}: {commands} defined for binary models, "
+                           f"got {model.config.k} classes")
+    return model, _load_width(args.data, model.config.d_in, model.class_names)
 
 
-def _score_labeled(model_path, data_path):
+def _score_labeled(args):
     """Plausibilities and class indices of a fully labeled feature file,
     scored by a binary model."""
-    model = _binary_model(model_path, "evaluate and roc are")
-    ds = load_csv(data_path, class_names=model.class_names)
+    model, ds = _binary_data(args, "evaluate and roc are")
     for i, lab in enumerate(ds.labels):
         if lab is None:
-            raise MalformedCsvError(f"{data_path}: row {i + 1} is unlabeled")
+            raise MalformedCsvError(f"{args.data}: row {i + 1} is unlabeled")
     if ds.n == 0:
-        raise EvidnetError(f"{data_path}: no data rows")
+        raise EvidnetError(f"{args.data}: no data rows")
     _, _, pl = forward_batch(model, ds.features)
     return pl, ds.labels
 
 
 def cmd_evaluate(args, parser) -> int:
-    pl, labels = _score_labeled(args.model, args.data)
+    pl, labels = _score_labeled(args)
     report = metrics_report(decide(pl), labels, pl[:, 0], positive=0)
     print(
         f"accuracy={report.accuracy:.4f} f1={report.f1:.4f} "
@@ -187,25 +194,21 @@ def cmd_evaluate(args, parser) -> int:
 
 
 def cmd_predict(args, parser) -> int:
-    model = _binary_model(args.model, "prediction export is")
-    ds = load_csv(args.data, class_names=model.class_names)
+    model, ds = _binary_data(args, "prediction export is")
     n = export_predictions(model, ds, args.out)
     print(f"rows={n}")
     return 0
 
 
 def cmd_roc(args, parser) -> int:
-    pl, labels = _score_labeled(args.model, args.data)
+    pl, labels = _score_labeled(args)
     curve = roc_points(pl[:, 0], labels, positive=0)
     lines = [b"fpr,tpr,threshold"]
     for rows in _float_rows(curve.points):
         lines += rows
     lines.append(f"# auc={curve.area!r}".encode())
-    try:
-        with open(args.out, "wb") as fh:
-            fh.write(b"\n".join(lines) + b"\n")
-    except OSError as exc:
-        raise EvidnetError(f"{args.out}: {exc}") from exc
+    with _opened(args.out, "wb") as fh:
+        fh.write(b"\n".join(lines) + b"\n")
     print(f"points={len(curve.points)} auc={curve.area!r}")
     return 0
 

@@ -21,6 +21,7 @@ written, so identical models produce identical bytes.
 from __future__ import annotations
 
 import array
+import contextlib
 import csv
 import io
 import itertools
@@ -598,6 +599,18 @@ def _float_rows(values):
         yield _float_lines(values[i:i + step]).split(b"\n")[:-1]
 
 
+@contextlib.contextmanager
+def _opened(path, mode="r", **kwargs):
+    """open(path, mode, **kwargs) as a context; an OSError raised while the
+    file is opened, read, written or closed becomes an EvidnetError naming
+    path, and any other exception passes unchanged."""
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise EvidnetError(f"{path}: {exc}") from exc
+
+
 class _NotPlain(Exception):
     """The rest of the file is left to the row walk, which gives its result
     or error."""
@@ -781,7 +794,7 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> FeatureDataset:
     """
     path = Path(path)
     fixed_names = tuple(class_names) if class_names is not None else None
-    with open(path, "rb") as fh:
+    with _opened(path, "rb") as fh:
         try:
             read, whole = _load_plain(fh, fixed_names)
         except _NotPlain:
@@ -789,7 +802,7 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> FeatureDataset:
     if not whole:
         # bytes that are not UTF-8 decode to lone surrogates, which the walk
         # refuses at the record that holds them
-        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        with _opened(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
             read = _walk(fh, path, fixed_names, read)
     d, features, labels, index = read
     return FeatureDataset(
@@ -828,13 +841,10 @@ def write_csv(dataset: FeatureDataset, path) -> None:
     # the last entry serves unlabeled rows, whose label is None
     label_cells = [f",{_csv_cell(name)}\n".encode() for name in (*names, UNLABELED)]
     labels = (label_cells[-1 if lab is None else lab] for lab in dataset.labels)
-    try:
-        with open(path, "wb") as fh:
-            fh.write((",".join(_expected_header(dataset.d_in)) + "\n").encode())
-            for rows in _float_rows(dataset.features):
-                fh.write(b"".join(itertools.chain.from_iterable(zip(rows, labels))))
-    except OSError as exc:
-        raise EvidnetError(f"{path}: {exc}") from exc
+    with _opened(path, "wb") as fh:
+        fh.write((",".join(_expected_header(dataset.d_in)) + "\n").encode())
+        for rows in _float_rows(dataset.features):
+            fh.write(b"".join(itertools.chain.from_iterable(zip(rows, labels))))
 
 
 def _model_document(model: EvidentialModel, training_meta: dict | None) -> dict:
@@ -873,18 +883,15 @@ def save_model(model: EvidentialModel, path, training_meta: dict | None = None) 
     """
     path = Path(path)
     doc = _model_document(model, training_meta)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise EvidnetError(f"{path}: {exc}") from exc
+    with _opened(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_model(path) -> EvidentialModel:
     """Load a model document written by save_model."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with _opened(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -917,10 +924,6 @@ def load_model(path) -> EvidentialModel:
     protos = require(doc, "prototypes")
     if not isinstance(protos, list):
         raise CorruptFieldError(f"{path}: prototypes must be a list")
-    if len(protos) != config.r:
-        raise CorruptFieldError(
-            f"{path}: expected {config.r} prototypes, found {len(protos)}"
-        )
     def block(values, name):
         try:
             arr = np.asarray(values, dtype=float)
@@ -942,10 +945,6 @@ def load_model(path) -> EvidentialModel:
     beta = block([require(p, "beta") for p in protos], "beta")
     xi = block([require(p, "xi") for p in protos], "xi")
     eta = block([require(p, "eta") for p in protos], "eta")
-    if centers.ndim != 2 or centers.shape[1] != config.h:
-        raise CorruptFieldError(
-            f"{path}: prototype centers have shape {centers.shape}, expected (r, {config.h})"
-        )
     class_names = require(doc, "class_names")
     if not isinstance(class_names, list):
         raise CorruptFieldError(f"{path}: class_names must be a list")
@@ -990,9 +989,6 @@ def export_predictions(model: EvidentialModel, dataset: FeatureDataset, path) ->
         rows = itertools.chain.from_iterable(_float_rows(np.column_stack((m, m_omega, pl))))
         lines += [b"%d,%s,%s\n" % (i, row, names[win])
                   for i, (row, win) in enumerate(zip(rows, decide(pl).tolist()))]
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(lines))
-    except OSError as exc:
-        raise EvidnetError(f"{path}: {exc}") from exc
+    with _opened(path, "wb") as fh:
+        fh.write(b"".join(lines))
     return dataset.n

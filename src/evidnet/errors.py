@@ -8,8 +8,8 @@ faults apart:
 - ``EvidnetError`` itself: an all-zero beta row, too few points for the
   clusters or prototypes asked for, an empty list or batch, no labeled rows,
   an empty or unlabeled validation set, other than two classes where a
-  binary task needs two, an output file that cannot be written, and a
-  non-finite gradient.
+  binary task needs two, a file that cannot be opened, read or written
+  (named with its path), and a non-finite gradient.
 - ``TotalConflictError``: Dempster combination of sources that fully
   contradict each other.
 - ``NonFiniteInputError``: NaN or infinity in an input, or a mass that is

@@ -239,7 +239,7 @@ def test_evaluate_missing_file_is_runtime_error(workdir):
     res = run_cli("evaluate", "--model", str(workdir / "model.json"),
                   "--data", str(workdir / "nope.csv"))
     assert res.returncode == 1
-    assert res.stderr.startswith("error:")
+    assert res.stderr.startswith(f"error: {workdir / 'nope.csv'}: ")
 
 
 @pytest.mark.parametrize("which, content", [
@@ -255,6 +255,43 @@ def test_unreadable_input_is_runtime_error(workdir, tmp_path, which, content):
     assert res.returncode == 1
     assert res.stderr.startswith(f"error: {bad}: ")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("evaluate", "--data"), ("evaluate", "--model"), ("predict", "--data"),
+    ("roc", "--model"), ("train", "--train"), ("train", "--val"),
+])
+def test_unopenable_input_is_runtime_error(workdir, tmp_path, command, flag):
+    scoring = {"--model": workdir / "model.json", "--data": workdir / "test.csv"}
+    paths = {
+        "evaluate": scoring,
+        "predict": {**scoring, "--out": tmp_path / "pred.csv"},
+        "roc": {**scoring, "--out": tmp_path / "roc.csv"},
+        "train": {"--train": workdir / "train.csv", "--val": workdir / "val.csv",
+                  "--out": tmp_path / "model.json", "--max-epochs": 1},
+    }[command]
+    for bad in (tmp_path / "missing.csv", tmp_path):  # absent, and a directory
+        args = [str(v) for item in {**paths, flag: bad}.items() for v in item]
+        res = run_cli(command, *args)
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"error: {bad}: ")
+        assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict", "roc"])
+def test_feature_width_mismatch_names_the_data_file(workdir, tmp_path, command):
+    narrow = tmp_path / "narrow.csv"
+    write_csv(blob_split(0, 2, 3, EASY, d_in=3), narrow)  # the model and train.csv have 16
+    if command == "train":
+        args = ["--train", workdir / "train.csv", "--val", narrow, "--max-epochs", 1]
+    else:
+        args = ["--model", workdir / "model.json", "--data", narrow]
+    if command != "evaluate":
+        args += ["--out", tmp_path / "out"]
+    res = run_cli(command, *map(str, args))
+    assert res.returncode == 1
+    assert res.stderr == f"error: {narrow}: 3 features, expected 16\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "roc"])
@@ -508,6 +545,17 @@ def test_every_private_helper_is_read():
     defined = {node.name for node in body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
     assert defined and defined <= read, defined - read
+
+
+def test_files_are_opened_only_through_one_helper():
+    # dataio._opened names the path in every OSError of a file; a builtin
+    # open() anywhere else would let such a fault out without the path
+    openers = [(path.stem, getattr(top, "name", None))
+               for path in Path(evidnet.__file__).parent.glob("*.py")
+               for top in ast.parse(path.read_text(encoding="utf-8")).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"]
+    assert openers == [("dataio", "_opened")]
 
 
 def test_benchmark_trace_points_resolve():

@@ -1078,6 +1078,14 @@ def test_write_csv_failure(tmp_path):
         write_csv(ds, tmp_path)  # path is a directory
 
 
+@pytest.mark.parametrize("load", [load_csv, load_model])
+def test_unreadable_path_is_named(tmp_path, load):
+    # a missing file and a directory fail on opening; the error names the path
+    for path in (tmp_path / "missing", tmp_path):
+        with pytest.raises(EvidnetError, match=f"^{re.escape(str(path))}: "):
+            load(path)
+
+
 # model serialization
 
 def test_model_round_trip_bit_exact(tmp_path):
@@ -1166,18 +1174,20 @@ def test_load_model_errors(tmp_path):
         with pytest.raises(CorruptFieldError, match=f"{key} is"):
             load_model(bad)
 
-    # a prototype list or center of the wrong size is a corrupt file too
+    # a prototype list or center of the wrong size is a corrupt file too,
+    # found by the model's own shape check
     doc = json.loads(good.read_text())
     doc["prototypes"] = doc["prototypes"] * 2  # r says 1, file has 2
     bad.write_text(json.dumps(doc))
-    with pytest.raises(CorruptFieldError, match=exactly(f"{bad}: expected 1 prototypes, found 2")):
+    with pytest.raises(CorruptFieldError,
+                       match=exactly(f"{bad}: centers has shape (2, 2), expected (1, 2)")):
         load_model(bad)
 
     doc = json.loads(good.read_text())
     doc["prototypes"][0]["center"] = [1.0, 2.0, 3.0]  # h is 2
     bad.write_text(json.dumps(doc))
-    with pytest.raises(CorruptFieldError, match=exactly(
-            f"{bad}: prototype centers have shape (1, 3), expected (r, 2)")):
+    with pytest.raises(CorruptFieldError,
+                       match=exactly(f"{bad}: centers has shape (1, 3), expected (1, 2)")):
         load_model(bad)
 
     # the faults the model itself finds are corruption naming the file too
